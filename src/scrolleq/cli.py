@@ -65,8 +65,8 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--field", type=int, default=default, metavar="Q",
                         help="prime field size for enumeration")
     parser.add_argument("--format", dest="fmt", default=default,
-                        choices=["plain", "json", "m2", "singular", "cas"],
-                        help="output format (export: m2|singular, cas = m2)")
+                        choices=["plain", "json", "m2", "singular"],
+                        help="output format (export: m2|singular)")
     parser.add_argument("--seed", type=int, default=default,
                         help="seed recorded in reports")
     parser.add_argument("--budget", type=int, default=default,
@@ -96,30 +96,44 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
+
+
+def _budget(flag: int | None) -> int:
+    """The evaluation budget from ``--budget`` or the environment; it must be
+    a positive integer."""
+    if flag is not None:
+        source, text = "--budget", str(flag)
+    else:
+        source, text = BUDGET_ENV, os.environ.get(BUDGET_ENV, str(DEFAULT_BUDGET))
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"{source} must be a positive integer, got {text!r}")
+    return budget
 
 
 def _config(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> RunConfig:
     if ns.profile is None:
         parser.error("--profile is required")
-    budget = ns.budget
-    if budget is None:
-        budget = int(os.environ.get(BUDGET_ENV, DEFAULT_BUDGET))
     fmt = ns.fmt
     if fmt is None:
         fmt = "m2" if ns.command == "export" else "plain"
-    if fmt == "cas":
-        fmt = "m2"
     return RunConfig(
         profile=ns.profile,
         command=ns.command,
         field=ns.field,
         fmt=fmt,
         seed=ns.seed,
-        budget=budget,
+        budget=_budget(ns.budget),
         out=ns.out,
     )
 
@@ -297,8 +311,8 @@ def cmd_bench(config: RunConfig) -> int:
 def run(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    config = _config(parser, ns)
     try:
+        config = _config(parser, ns)
         if config.command == "equations":
             return cmd_equations(config)
         if config.command == "verify":

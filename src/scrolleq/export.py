@@ -9,9 +9,7 @@ repeated invocations are byte-identical.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .polyring import NS_SCROLL, Polynomial, VarId
+from .polyring import NS_SCROLL, VarId, format_poly
 from .scroll import EquationSet
 
 DIALECTS = ("m2", "singular")
@@ -29,36 +27,8 @@ def _var_singular(v: VarId) -> str:
     return f"x({v.block})({v.slot})"
 
 
-def _render_poly(p: Polynomial, var_name) -> str:
-    if p.is_zero():
-        return "0"
-    chunks = []
-    for idx, (mono, coeff) in enumerate(p.sorted_terms()):
-        if isinstance(coeff, Fraction) and coeff.denominator != 1:
-            mag = f"{abs(coeff.numerator)}/{coeff.denominator}"
-            neg = coeff < 0
-        else:
-            c = int(coeff)
-            neg = c < 0
-            mag = str(-c if neg else c)
-        factors = [
-            var_name(v) if e == 1 else f"{var_name(v)}^{e}" for v, e in mono.exps
-        ]
-        if not factors:
-            body = mag
-        elif mag == "1":
-            body = "*".join(factors)
-        else:
-            body = "*".join([mag] + factors)
-        if idx == 0:
-            chunks.append(f"-{body}" if neg else body)
-        else:
-            chunks.append(f"-{body}" if neg else f"+{body}")
-    return "".join(chunks)
-
-
 def _gen_lines(polys, var_name, indent: str, sep: str) -> str:
-    rendered = [_render_poly(p, var_name) for p in polys]
+    rendered = [format_poly(p, var_name, space="") for p in polys]
     return (sep + "\n").join(indent + r for r in rendered)
 
 

@@ -77,16 +77,26 @@ class Domain:
     p: int | None = None
 
     def coerce(self, value):
-        """Normalize ``value`` into this domain's canonical coefficient form."""
-        if self.kind == "Z":
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise ValueError(f"non-integral value {value} in Z")
-                return int(value)
-            return int(value)
+        """Normalize ``value`` into this domain's canonical coefficient form.
+
+        Conversion is exact: a value with a fractional part raises ValueError
+        over Z and GF(p), except that over GF(p) a ``Fraction`` a/b maps to
+        a * b^-1 mod p, which raises when p divides b.
+        """
         if self.kind == "Q":
             return Fraction(value)
-        return int(value) % self.p
+        if isinstance(value, int):
+            return value % self.p if self.kind == "Fp" else value
+        frac = Fraction(value)
+        if frac.denominator == 1:
+            return self.coerce(frac.numerator)
+        if self.kind == "Fp" and isinstance(value, Fraction):
+            if frac.denominator % self.p == 0:
+                raise ValueError(
+                    f"{value} is undefined in {self}: {self.p} divides the denominator"
+                )
+            return frac.numerator * pow(frac.denominator, -1, self.p) % self.p
+        raise ValueError(f"non-integral value {value} in {self}")
 
     def add(self, a, b):
         c = a + b
@@ -263,12 +273,7 @@ class Monomial:
         return tuple(v for v, _ in self.exps)
 
     def render(self) -> str:
-        if not self.exps:
-            return "1"
-        parts = []
-        for v, e in self.exps:
-            parts.append(v.render() if e == 1 else f"{v.render()}^{e}")
-        return "*".join(parts)
+        return _factors_text(self.exps, VarId.render) if self.exps else "1"
 
     def __repr__(self) -> str:
         return f"Monomial({self.render()})"
@@ -614,16 +619,6 @@ class Polynomial:
                 out[mono] = c
         return _raw_poly(dom, out)
 
-    def map_variables(self, rename: Mapping[VarId, VarId]) -> "Polynomial":
-        """Relabel variables (an injective renaming preserves the term count)."""
-        out: dict[Monomial, object] = {}
-        dom = self.domain
-        for mono, coeff in self.terms.items():
-            m2 = monomial([(rename.get(v, v), e) for v, e in mono.exps])
-            prev = out.get(m2)
-            out[m2] = coeff if prev is None else dom.add(prev, coeff)
-        return Polynomial(dom, out)
-
     # -- printing -------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -642,65 +637,39 @@ def _raw_poly(domain: Domain, terms: dict) -> Polynomial:
     return p
 
 
-# Free-function aliases for the method-based operations.
-
-
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def poly_pow(p: Polynomial, e: int) -> Polynomial:
-    return p**e
-
-
-def substitute(
-    p: Polynomial, images: Mapping[VarId, Polynomial], strict: bool = False
-) -> Polynomial:
-    return p.substitute(images, strict=strict)
-
-
-def eval_point(p: Polynomial, point: Mapping[VarId, object]):
-    return p.eval(point)
-
-
-def reduce_mod(p: Polynomial, q: int) -> Polynomial:
-    return p.reduce_mod(q)
-
-
 # ---------------------------------------------------------------------------
-# Canonical text form (printing; the parser lives in textio)
+# Text form (printing; the parser lives in textio)
 # ---------------------------------------------------------------------------
 
 
-def _coeff_text(c) -> tuple[bool, str]:
-    """Split a coefficient into (is_negative, magnitude_text)."""
-    if isinstance(c, Fraction):
-        neg = c < 0
-        c = -c if neg else c
-        return neg, (str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}")
-    neg = c < 0
-    return neg, str(-c if neg else c)
+def _factors_text(exps, var_name) -> str:
+    return "*".join([var_name(v) if e == 1 else f"{var_name(v)}^{e}" for v, e in exps])
 
 
-def format_poly(p: Polynomial) -> str:
-    """Canonical text: terms in descending order, ``-`` folded into the joiner."""
-    if p.is_zero():
+def format_poly(p: Polynomial, var_name=VarId.render, space: str = " ") -> str:
+    """Text of ``p``: terms in descending order, ``-`` folded into the joiner.
+
+    ``var_name`` spells each variable and ``space`` pads the ``+``/``-``
+    joiners.  The defaults give the canonical text that ``textio.parse_poly``
+    reads; the script exporters pass their dialect's names and no padding.
+    Coefficients print as ``str`` does, which for a reduced ``Fraction`` is
+    ``a/b`` or, with denominator 1, the bare integer.
+    """
+    if not p.terms:
         return "0"
-    chunks: list[str] = []
-    for i, (mono, coeff) in enumerate(p.sorted_terms()):
-        neg, mag = _coeff_text(coeff)
-        if mono.degree == 0:
-            body = mag
-        elif mag == "1":
-            body = mono.render()
+    plus, minus = f"{space}+{space}", f"{space}-{space}"
+    parts: list[str] = []
+    for mono, coeff in p.sorted_terms():
+        mag = str(coeff)
+        if mag[0] == "-":
+            parts.append(minus)
+            mag = mag[1:]
         else:
-            body = f"{mag}*{mono.render()}"
-        if i == 0:
-            chunks.append(f"-{body}" if neg else body)
+            parts.append(plus)
+        if not mono.exps:
+            parts.append(mag)
         else:
-            chunks.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(chunks)
+            factors = _factors_text(mono.exps, var_name)
+            parts.append(factors if mag == "1" else f"{mag}*{factors}")
+    parts[0] = "-" if parts[0] == minus else ""
+    return "".join(parts)

@@ -111,16 +111,14 @@ def catalecticant(profile: ScrollProfile) -> CatalecticantMatrix:
     return CatalecticantMatrix(profile, (tuple(top), tuple(bottom)))
 
 
-def minors_2x2(matrix: CatalecticantMatrix, dedup: bool = False) -> list[Polynomial]:
+def minors_2x2(matrix: CatalecticantMatrix) -> list[Polynomial]:
     """All 2 x 2 minors, columns c1 < c2, top-left*bottom-right - bottom-left*top-right.
 
-    ``dedup`` drops syntactically repeated minors; with distinct variable
-    entries per column pair the list is already duplicate-free, so the flag
-    is a safety valve only.
+    Distinct column pairs carry distinct variable entries, so the list is
+    duplicate-free.
     """
     top, bottom = matrix.rows
     out: list[Polynomial] = []
-    seen = set()
     k = matrix.num_cols
     for c1 in range(k):
         for c2 in range(c1 + 1, k):
@@ -133,11 +131,6 @@ def minors_2x2(matrix: CatalecticantMatrix, dedup: bool = False) -> list[Polynom
                     Monomial(_accumulate([(bottom[c1], 1), (top[c2], 1)])): -1,
                 },
             )
-            if dedup:
-                key = frozenset(minor.terms.items())
-                if key in seen:
-                    continue
-                seen.add(key)
             out.append(minor)
     return out
 
@@ -381,9 +374,7 @@ class EquationSet:
 
 
 def equation_set(
-    profile: ScrollProfile,
-    dedup_minors: bool = False,
-    warn_degree: int = DEFAULT_DEGREE_WARN,
+    profile: ScrollProfile, warn_degree: int = DEFAULT_DEGREE_WARN
 ) -> EquationSet:
     """Build the full defining system for a profile.
 
@@ -399,7 +390,7 @@ def equation_set(
         (g.k, g_polynomial(profile, g, warn_degree=warn_degree))
         for g in weight_groups(profile)
     ]
-    minors = minors_2x2(catalecticant(profile), dedup=dedup_minors)
+    minors = minors_2x2(catalecticant(profile))
     return EquationSet(profile, tuple(curves), tuple(weights), tuple(minors))
 
 

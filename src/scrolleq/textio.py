@@ -312,12 +312,6 @@ def _decode_var(i: int, j: int) -> VarId:
     return VarId(NS_AUX, kind, 0)
 
 
-def _coeff_to_string(c) -> str:
-    if isinstance(c, Fraction):
-        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    return str(c)
-
-
 def _coeff_from_string(s: str, dom: Domain):
     if "/" in s:
         num, den = s.split("/", 1)
@@ -343,7 +337,8 @@ def poly_to_json(p: Polynomial) -> dict:
     terms = []
     for mono, coeff in p.sorted_terms():
         exps = sorted([*_encode_var(v), e] for v, e in mono.exps)
-        terms.append({"coeff": _coeff_to_string(coeff), "exps": exps})
+        # Same coefficient text as format_poly: an integer or a reduced a/b.
+        terms.append({"coeff": str(coeff), "exps": exps})
     return {"domain": domain_to_json(p.domain), "terms": terms}
 
 

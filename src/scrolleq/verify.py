@@ -214,71 +214,42 @@ def _eval_rows(rows: _Rows, point: Sequence[int], q: int) -> int:
     return acc
 
 
-def _chunks(n: int, q: int) -> list[tuple[int, int | None]]:
-    """Disjoint chunks of the representative space, keyed by the position of
-    the leading 1 and, where available, the next coordinate's value."""
-    out: list[tuple[int, int | None]] = []
-    for k in range(n):
-        if k == n - 1:
-            out.append((k, None))
-        else:
-            out.extend((k, v) for v in range(q))
-    return out
-
-
-def _scan_chunk(
-    groups: Sequence[_Rows], n: int, q: int, chunk: tuple[int, int | None]
-) -> tuple[int, list[list[tuple[int, ...]]]]:
-    """Visit one chunk's representatives; collect, per generator group, the
-    points where the whole group vanishes.  Returns (visited, hits)."""
-    k, fixed = chunk
-    hits: list[list[tuple[int, ...]]] = [[] for _ in groups]
-    visited = 0
-    head = (0,) * k + (1,)
-    if fixed is None:
-        tail_len = 0
-        prefix = head
-    else:
-        tail_len = n - k - 2
-        prefix = head + (fixed,)
-    for tail in itertools.product(range(q), repeat=tail_len):
-        point = prefix + tail
-        visited += 1
-        for gi, group in enumerate(groups):
-            if all(_eval_rows(rows, point, q) == 0 for rows in group):
-                hits[gi].append(point)
-    return visited, hits
-
-
-def _scan_chunk_task(args):
-    return _scan_chunk(*args)
-
-
 def _scan(
-    groups: Sequence[_Rows], n: int, q: int, workers: int = 1
+    groups: Sequence[Sequence[Polynomial]],
+    variables: Sequence[VarId],
+    q: int,
+    budget: int,
 ) -> tuple[int, list[list[tuple[int, ...]]]]:
-    chunks = _chunks(n, q)
-    visited = 0
-    hits: list[list[tuple[int, ...]]] = [[] for _ in groups]
-    if workers <= 1:
-        for chunk in chunks:
-            got, chunk_hits = _scan_chunk(groups, n, q, chunk)
-            visited += got
-            for gi, pts in enumerate(chunk_hits):
-                hits[gi].extend(pts)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    """Visit every representative of projective space over GF(q) once and
+    collect, per generator group, the points where the whole group vanishes.
 
-        tasks = [(groups, n, q, chunk) for chunk in chunks]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for got, chunk_hits in pool.map(_scan_chunk_task, tasks):
-                visited += got
-                for gi, pts in enumerate(chunk_hits):
-                    hits[gi].extend(pts)
-    expected = (q**n - 1) // (q - 1)
-    if visited != expected:
+    Representatives have their first nonzero coordinate equal to 1: for each
+    position k of that leading 1, the coordinates after it run over all of
+    GF(q).  Refuses up front when representatives times generators exceeds
+    the budget.  Returns (visited, sorted hits per group).
+    """
+    if not is_prime(q):
+        raise ValueError(f"{q} is not prime")
+    n = len(variables)
+    reps = projective_size(n, q)
+    estimate = reps * max(1, sum(len(gens) for gens in groups))
+    if estimate > budget:
+        raise BudgetExceededError(estimate, budget)
+    var_index = {v: i for i, v in enumerate(variables)}
+    compiled = [_compile_polys(gens, var_index) for gens in groups]
+    hits: list[list[tuple[int, ...]]] = [[] for _ in groups]
+    visited = 0
+    for k in range(n):
+        head = (0,) * k + (1,)
+        for tail in itertools.product(range(q), repeat=n - k - 1):
+            point = head + tail
+            visited += 1
+            for gi, group in enumerate(compiled):
+                if all(_eval_rows(rows, point, q) == 0 for rows in group):
+                    hits[gi].append(point)
+    if visited != reps:
         raise AssertionError(
-            f"representative counter mismatch: visited {visited}, expected {expected}"
+            f"representative counter mismatch: visited {visited}, expected {reps}"
         )
     return visited, [sorted(pts) for pts in hits]
 
@@ -293,7 +264,6 @@ def enumerate_variety(
     variables: Sequence[VarId],
     q: int | None = None,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> list[tuple[int, ...]]:
     """All projective points over GF(q) where every generator vanishes.
 
@@ -311,17 +281,8 @@ def enumerate_variety(
             raise ValueError("generators live over different prime fields")
     if q is None:
         raise ValueError("q is required when no generators are given")
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
-    n = len(variables)
-    reps = projective_size(n, q)
-    estimate = reps * max(1, len(gens))
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget)
-    var_index = {v: i for i, v in enumerate(variables)}
-    compiled = _compile_polys(gens, var_index)
-    _, hits = _scan([compiled], n, q, workers=workers)
-    return hits[0]
+    _, (hits,) = _scan([gens], variables, q, budget)
+    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +323,6 @@ def compare_varieties(
     profile: ScrollProfile,
     q: int,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
     seed: int | None = None,
     eqset: EquationSet | None = None,
 ) -> VarietyReport:
@@ -374,23 +334,13 @@ def compare_varieties(
     always contained in the system locus; the converse inclusion is the
     content of the check.
     """
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
     start = time.perf_counter()
     eqset = eqset if eqset is not None else equation_set(profile)
     system_q = [p.reduce_mod(q) for p in eqset.system_polys()]
     minors_q = [p.reduce_mod(q) for p in eqset.minor_gens]
-    n = profile.num_vars
-    reps = projective_size(n, q)
-    estimate = reps * max(1, len(system_q) + len(minors_q))
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget)
-    var_index = {v: i for i, v in enumerate(profile.variables())}
-    groups = (
-        _compile_polys(system_q, var_index),
-        _compile_polys(minors_q, var_index),
+    visited, (in_system, in_minors) = _scan(
+        (system_q, minors_q), profile.variables(), q, budget
     )
-    visited, (in_system, in_minors) = _scan(groups, n, q, workers=workers)
     minor_set = set(in_minors)
     system_set = set(in_system)
     stray = sorted(minor_set - system_set)
@@ -511,11 +461,12 @@ def schwartz_zippel_equal(
 ) -> IdentityTestResult:
     """Randomized equality test for polynomials too large to expand or compare.
 
-    Evaluates p - r at uniform points of GF(q_large); a nonzero value proves
-    inequality (with the point as witness), while all-zero outcomes are
-    reported probably-equal with failure bound trials * degree / q_large.
-    The modulus must exceed the difference's total degree by the safety
-    factor.  Exactly equal inputs can never be reported different.
+    Evaluates p and r at uniform points of GF(q_large); differing values
+    prove inequality (with the point as witness), while all-equal outcomes
+    are reported probably-equal with failure bound trials * degree / q_large,
+    where degree is the larger total degree of the two.  The modulus must
+    exceed that degree by the safety factor.  Exactly equal inputs can never
+    be reported different.
     """
     if p.domain != r.domain:
         raise ValueError("operands must share a coefficient domain")
@@ -523,27 +474,27 @@ def schwartz_zippel_equal(
         raise ValueError("trials must be >= 1")
     if not is_prime(q_large):
         raise ValueError(f"{q_large} is not prime")
-    diff = p - r
-    if diff.is_zero():
+    if p == r:
         return IdentityTestResult("probably-equal", trials, 0.0)
-    deg = diff.total_degree()
+    deg = max(p.total_degree(), r.total_degree())
     if q_large <= deg * safety_factor:
         raise ValueError(
             f"modulus {q_large} too small for degree {deg} "
             f"(needs > {deg * safety_factor})"
         )
-    if diff.domain.kind == "Z":
-        diff_q = diff.reduce_mod(q_large)
-    elif diff.domain.kind == "Fp" and diff.domain.p == q_large:
-        diff_q = diff
-    else:
+    if p.domain.kind == "Z":
+        p, r = p.reduce_mod(q_large), r.reduce_mod(q_large)
+    elif p.domain.kind != "Fp" or p.domain.p != q_large:
         raise ValueError("inputs must be over Z or over GF(q_large)")
-    variables = diff_q.variables()
+    variables = tuple(sorted(set(p.variables()) | set(r.variables())))
+    rows_p, rows_r = _compile_polys(
+        (p, r), {v: i for i, v in enumerate(variables)}
+    )
     rng = random.Random(seed)
     bound = trials * deg / q_large
     for _ in range(trials):
-        point = {v: rng.randrange(q_large) for v in variables}
-        if diff_q.eval(point) != 0:
-            witness = tuple(sorted(point.items()))
+        point = tuple(rng.randrange(q_large) for _ in variables)
+        if _eval_rows(rows_p, point, q_large) != _eval_rows(rows_r, point, q_large):
+            witness = tuple(zip(variables, point))
             return IdentityTestResult("definitely-different", trials, 0.0, witness)
     return IdentityTestResult("probably-equal", trials, bound)

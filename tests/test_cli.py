@@ -1,5 +1,6 @@
 """Command-line interface tests: outputs, exit codes, flag handling."""
 
+import hashlib
 import json
 
 import pytest
@@ -123,6 +124,24 @@ def test_budget_env_default(capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5", ""])
+def test_bad_budget_env_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("SCROLLEQ_BUDGET", value)
+    assert run(["--profile", "1,1", "enumerate", "--field", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SCROLLEQ_BUDGET must be a positive integer")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_bad_budget_flag_is_usage_error(capsys, value):
+    assert run(["--profile", "1,1", "enumerate", "--field", "3", "--budget", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --budget must be a positive integer")
+    assert "budget exceeded" not in err
+    assert err.count("\n") == 1
+
+
 def test_nonprime_field_is_usage_error(capsys):
     assert run(["--profile", "1,1", "enumerate", "--field", "4"]) == 2
     assert "not prime" in capsys.readouterr().err
@@ -139,10 +158,34 @@ def test_export_deterministic_file(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_export_cas_alias_is_m2(capsys):
-    assert run(["--profile", "1,1", "export", "--format", "cas"]) == 0
+def test_unwritable_out_path_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.m2"
+    assert run(["--profile", "1,1", "export", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}:")
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
+# SHA-256 of CLI outputs that must stay byte-identical: any drift in the
+# renderer, the term order or the generators changes them.
+PINNED_OUTPUTS = [
+    (["--profile", "2,3", "export", "--format", "m2"],
+     "a06bc1436e8064597e97c6ce115f03b6b36aa84483e3e0fd31613aabe2b3c483"),
+    (["--profile", "2,3", "export", "--format", "singular"],
+     "61eb8db4dd9564a0a180d5d946bf88ca3b15c7ae1db1b499b91ce11e8c5516cc"),
+    (["--profile", "2,2,3,4", "export", "--format", "m2"],
+     "194854e3fbf917f206cbd227feb09af1710c5ddf82463ffce49c72a989e6d03c"),
+    (["--profile", "2,2,3,4", "equations"],
+     "4b782aad554d7f95b3b0402cd9c1d303012a0e28e9bbae1330a6c961511eec61"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS)
+def test_output_bytes_are_pinned(capsys, argv, digest):
+    assert run(argv) == 0
     out = capsys.readouterr().out
-    assert "QQ[" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_export_singular(capsys):

@@ -346,8 +346,48 @@ def test_fp_coefficients_normalized():
     assert p.terms[monomial([(X0, 1)])] == 6
 
 
+def test_coerce_rejects_non_integral_values():
+    from fractions import Fraction
+
+    m = monomial([(X0, 1)])
+    for dom in (ZZ, GF(5)):
+        with pytest.raises(ValueError, match="non-integral"):
+            Polynomial(dom, {m: 2.5})
+    with pytest.raises(ValueError, match="non-integral"):
+        Polynomial(ZZ, {m: Fraction(1, 2)})
+    with pytest.raises(ValueError, match="5 divides the denominator"):
+        Polynomial(GF(5), {m: Fraction(1, 5)})
+    assert Polynomial(ZZ, {m: 2.0}) == Polynomial(ZZ, {m: 2})
+    assert Polynomial(ZZ, {m: Fraction(6, 3)}) == Polynomial(ZZ, {m: 2})
+
+
+def test_coerce_fraction_into_prime_field_is_exact():
+    from fractions import Fraction
+
+    m = monomial([(X0, 1)])
+    # 1/2 in GF(5) is the inverse of 2, which is 3; -2/3 is -2 * 2 = 1.
+    assert Polynomial(GF(5), {m: Fraction(1, 2)}).terms[m] == 3
+    assert Polynomial(GF(5), {m: Fraction(-2, 3)}).terms[m] == 1
+    assert Polynomial(GF(7), {m: Fraction(14, 3)}).is_zero()
+
+
 def test_printing_examples():
     assert str(Polynomial.zero(ZZ)) == "0"
     assert str(conic()) == "-x[1][1]^2 + x[1][0]*x[1][2]"
     assert str(Polynomial.const(-3)) == "-3"
     assert str(conic().reduce_mod(5)) == "4*x[1][1]^2 + x[1][0]*x[1][2]"
+
+
+def test_format_poly_dialect_arguments():
+    from fractions import Fraction
+
+    from scrolleq import format_poly
+
+    def name(v):
+        return f"x_({v.block},{v.slot})"
+
+    assert format_poly(conic(), name, space="") == "-x_(1,1)^2+x_(1,0)*x_(1,2)"
+    p = Polynomial(QQ, {monomial([(X0, 2)]): Fraction(-1, 2), Monomial(): 3})
+    assert format_poly(p) == "-1/2*x[1][0]^2 + 3"
+    assert format_poly(p, name, space="") == "-1/2*x_(1,0)^2+3"
+    assert format_poly(Polynomial.zero(ZZ), name, space="") == "0"

@@ -214,6 +214,25 @@ def test_eval_commutes_with_reduction(p, q):
     assert p.reduce_mod(q).eval(reduced_point) == p.eval(point) % q
 
 
+@given(
+    st.dictionaries(monomials(), coeffs, max_size=5),
+    st.integers(1, 40),
+    st.sampled_from([2, 3, 5, 101]),
+)
+def test_coercion_commutes_with_reduction(terms, den, q):
+    # Over Z and GF(q) an integer coefficient lands on the same residue;
+    # over Q and GF(q) the fraction c/den, scaled back by den, gives c again.
+    reduced = Polynomial(ZZ, terms).reduce_mod(q)
+    assert Polynomial(GF(q), terms) == reduced
+    fractions = {m: Fraction(c, den) for m, c in terms.items()}
+    assert Polynomial(ZZ, Polynomial(QQ, fractions).scale(den).terms).reduce_mod(q) == reduced
+    if den % q:
+        assert Polynomial(GF(q), fractions).scale(den) == reduced
+    elif any(c % q for c in terms.values()):
+        with pytest.raises(ValueError):
+            Polynomial(GF(q), {m: Fraction(c, den) for m, c in terms.items() if c % q})
+
+
 # -- parse / print round trip --------------------------------------------------------
 
 

@@ -203,12 +203,16 @@ def test_compare_varieties_deterministic():
     assert (a.count_j, a.count_p, a.witnesses) == (b.count_j, b.count_p, b.witnesses)
 
 
-def test_compare_varieties_workers_agree():
-    sequential = compare_varieties(build_profile([2, 2]), 3)
-    parallel = compare_varieties(build_profile([2, 2]), 3, workers=2)
-    assert sequential.count_j == parallel.count_j
-    assert sequential.count_p == parallel.count_p
-    assert sequential.witnesses == parallel.witnesses
+@pytest.mark.parametrize("n, q", [((2, 2), 5), ((2, 2, 3, 4), 2)])
+def test_compare_varieties_counts_match_enumerate_variety(n, q):
+    profile = build_profile(n)
+    eqset = equation_set(profile)
+    report = compare_varieties(profile, q, eqset=eqset)
+    system_q = [p.reduce_mod(q) for p in eqset.system_polys()]
+    minors_q = [p.reduce_mod(q) for p in eqset.minor_gens]
+    assert report.count_j == len(enumerate_variety(system_q, profile.variables(), q))
+    assert report.count_p == len(enumerate_variety(minors_q, profile.variables(), q))
+    assert report.visited == projective_size(profile.num_vars, q)
 
 
 def test_compare_varieties_report_json_keys():
@@ -275,6 +279,17 @@ def test_sz_detects_difference():
     res = schwartz_zippel_equal(p, r, 10007, trials=8, seed=0)
     assert res.verdict == "definitely-different"
     assert res.witness is not None
+
+
+def test_sz_witness_separates_inputs():
+    # The reference evaluator must also see the two inputs differ there.
+    p = Polynomial.term(3, [(x_var(1, 0), 2), (VAR_S, 1)]) - Polynomial.variable(VAR_T)
+    r = p + Polynomial.term(1, [(x_var(1, 1), 3)])
+    res = schwartz_zippel_equal(p, r, 10007, trials=8, seed=4)
+    assert res.verdict == "definitely-different"
+    point = dict(res.witness)
+    assert set(point) == set(p.variables()) | set(r.variables())
+    assert p.reduce_mod(10007).eval(point) != r.reduce_mod(10007).eval(point)
 
 
 def test_sz_identical_never_differ():
