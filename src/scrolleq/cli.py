@@ -13,6 +13,7 @@ evaluation budget was exceeded.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -121,9 +122,32 @@ def _budget(flag: int | None) -> int:
     return budget
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse an ``--out`` path that cannot be written before any work is
+    done: its directory must exist and be writable, and an existing target
+    must be writable and not a directory.  ``_emit`` still reports a write
+    that fails later."""
+    if not out:
+        return
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        problem = errno.EISDIR
+    elif os.path.exists(out):
+        problem = None if os.access(out, os.W_OK) else errno.EACCES
+    elif not os.path.exists(parent):
+        problem = errno.ENOENT
+    elif not os.path.isdir(parent):
+        problem = errno.ENOTDIR
+    else:
+        problem = None if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if problem is not None:
+        raise ValueError(f"cannot write {out}: {os.strerror(problem)}")
+
+
 def _config(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> RunConfig:
     if ns.profile is None:
         parser.error("--profile is required")
+    _check_out(ns.out)
     fmt = ns.fmt
     if fmt is None:
         fmt = "m2" if ns.command == "export" else "plain"

@@ -583,8 +583,9 @@ class Polynomial:
     def eval(self, point: Mapping[VarId, object]):
         """Evaluate at a point; every variable of the polynomial must be mapped.
 
-        Over GF(p) this is the fast path used by the variety enumerator: it
-        caches per-variable powers and works directly on residues.
+        This is the reference evaluator: the finite-field scan, the sampler
+        and the identity test run generated code instead, and the tests
+        check that code against this method.
         """
         dom = self.domain
         p = dom.p

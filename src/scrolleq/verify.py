@@ -179,39 +179,82 @@ def plucker_identity(d: int) -> tuple[bool, list[tuple[int, int, int, int]]]:
 # Finite-field enumeration
 # ---------------------------------------------------------------------------
 
-_Rows = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+
+def _indexed_terms(
+    poly: Polynomial, var_index: Mapping[VarId, int]
+) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """The terms of a polynomial over GF(q) as integers: (coefficient,
+    ((variable index, exponent), ...))."""
+    terms = []
+    for mono, coeff in poly.terms.items():
+        try:
+            factors = tuple((var_index[v], int(e)) for v, e in mono.exps)
+        except KeyError as exc:
+            raise ValueError(
+                f"generator variable {exc.args[0]} is outside the ambient space"
+            ) from None
+        terms.append((int(coeff), factors))
+    return terms
 
 
-def _compile_polys(polys: Sequence[Polynomial], var_index: Mapping[VarId, int]) -> tuple[_Rows, ...]:
-    compiled = []
-    for p in polys:
-        rows = []
-        for mono, coeff in p.terms.items():
-            try:
-                facs = tuple((var_index[v], e) for v, e in mono.exps)
-            except KeyError as exc:
-                raise ValueError(
-                    f"generator variable {exc.args[0]} is outside the ambient space"
-                ) from None
-            rows.append((int(coeff), facs))
-        compiled.append(tuple(rows))
-    return tuple(compiled)
+def _residue_source(
+    terms: Sequence[tuple[int, tuple[tuple[int, int], ...]]], names: Sequence[str], q: int
+) -> str | None:
+    """Python source for the value mod q of the polynomial with these indexed
+    terms, at a point whose coordinate i reads ``names[i]``: an identifier,
+    or "0" or "1" for a coordinate fixed to that value.
 
-
-def _eval_rows(rows: _Rows, point: Sequence[int], q: int) -> int:
-    acc = 0
-    for coeff, facs in rows:
-        term = coeff
-        for idx, e in facs:
-            v = point[idx]
-            if v == 0:
-                term = 0
+    Terms with a factor fixed to 0 are dropped and factors fixed to 1 are
+    left out; None when no term is left.  The text is built only from
+    integers and generated names, never from user text.
+    """
+    sources = []
+    for coeff, factors in terms:
+        parts = []
+        for i, e in factors:
+            name = names[i]
+            if name == "0":
                 break
-            if v != 1:
-                term = term * pow(v, e, q) % q
-        if term:
-            acc = (acc + term) % q
-    return acc
+            if name != "1":
+                parts.append(f"{name}**{e}" if e > 1 else name)
+        else:
+            if coeff != 1 or not parts:
+                parts.insert(0, str(coeff))
+            sources.append("*".join(parts))
+    return f"{_sum_source(sources)} % {q}" if sources else None
+
+
+def _sum_source(terms: Sequence[str]) -> str:
+    # A balanced tree of "+", nested log2(len(terms)) deep.  A flat chain of
+    # "+" overflows the recursion limit of CPython's compiler at a few
+    # thousand terms, and sum() over a tuple costs about twice as much per
+    # point on the 2- and 3-term generators that dominate a scan.
+    if len(terms) == 1:
+        return terms[0]
+    mid = len(terms) // 2
+    return f"({_sum_source(terms[:mid])} + {_sum_source(terms[mid:])})"
+
+
+def _tuple_source(items: Sequence[str]) -> str:
+    return f"({''.join(item + ', ' for item in items)})"
+
+
+def _compile(source: str, name: str, **env):
+    namespace = dict(env)
+    exec(compile(source, f"<scrolleq {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _residues_function(polys: Sequence[Polynomial], variables: Sequence[VarId], q: int):
+    """Compile ``residues(*point)``: the tuple of each polynomial's value at
+    ``point`` mod q, with the coordinates of ``point`` in ``variables`` order."""
+    var_index = {v: i for i, v in enumerate(variables)}
+    names = [f"x{i}" for i in range(len(variables))]
+    values = [
+        _residue_source(_indexed_terms(p, var_index), names, q) or "0" for p in polys
+    ]
+    source = f"def residues({', '.join(names)}):\n    return {_tuple_source(values)}\n"
+    return _compile(source, "residues")
 
 
 def _scan(
@@ -226,7 +269,10 @@ def _scan(
     Representatives have their first nonzero coordinate equal to 1: for each
     position k of that leading 1, the coordinates after it run over all of
     GF(q).  Refuses up front when representatives times generators exceeds
-    the budget.  Returns (visited, sorted hits per group).
+    the budget.  The pass is one function generated and compiled per call:
+    one loop per k, with the coordinates before k fixed to 0 and the one at
+    k fixed to 1, testing each group as one short-circuit ``and`` of its
+    generators.  Returns (visited, sorted hits per group).
     """
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
@@ -236,17 +282,23 @@ def _scan(
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
     var_index = {v: i for i, v in enumerate(variables)}
-    compiled = [_compile_polys(gens, var_index) for gens in groups]
-    hits: list[list[tuple[int, ...]]] = [[] for _ in groups]
-    visited = 0
+    indexed = [[_indexed_terms(p, var_index) for p in gens] for gens in groups]
+    lines = ["def scan(hits):", "    visited = 0"]
+    lines += [f"    hit{gi} = hits[{gi}].append" for gi in range(len(groups))]
     for k in range(n):
-        head = (0,) * k + (1,)
-        for tail in itertools.product(range(q), repeat=n - k - 1):
-            point = head + tail
-            visited += 1
-            for gi, group in enumerate(compiled):
-                if all(_eval_rows(rows, point, q) == 0 for rows in group):
-                    hits[gi].append(point)
+        names = ["0"] * k + ["1"] + [f"x{i}" for i in range(k + 1, n)]
+        tail = ", ".join(names[k + 1:]) + "," if k + 1 < n else "_"
+        lines.append(f"    for {tail} in product(range({q}), repeat={n - k - 1}):")
+        lines.append("        visited += 1")
+        for gi, group in enumerate(indexed):
+            sources = (_residue_source(terms, names, q) for terms in group)
+            test = " and ".join(f"not {s}" for s in sources if s is not None)
+            lines.append(f"        if {test or 'True'}:")
+            lines.append(f"            hit{gi}({_tuple_source(names)})")
+    lines.append("    return visited")
+    scan = _compile("\n".join(lines) + "\n", "scan", product=itertools.product)
+    hits: list[list[tuple[int, ...]]] = [[] for _ in groups]
+    visited = scan(hits)
     if visited != reps:
         raise AssertionError(
             f"representative counter mismatch: visited {visited}, expected {reps}"
@@ -404,9 +456,10 @@ def sample_scroll_points(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     eqset = eqset if eqset is not None else equation_set(profile)
-    labeled = [(label, p.reduce_mod(q)) for label, p in eqset.system()]
-    var_index = {v: i for i, v in enumerate(profile.variables())}
-    compiled = [(label, _compile_polys([p], var_index)[0]) for label, p in labeled]
+    labels = [label for label, _ in eqset.system()]
+    residues = _residues_function(
+        [p.reduce_mod(q) for p in eqset.system_polys()], profile.variables(), q
+    )
     rng = random.Random(seed)
     tested = skipped = 0
     failures = []
@@ -423,8 +476,8 @@ def sample_scroll_points(
             continue
         tested += 1
         pt = tuple(point)
-        for label, rows in compiled:
-            if _eval_rows(rows, pt, q) != 0:
+        for label, value in zip(labels, residues(*pt)):
+            if value:
                 failures.append((pt, label))
     return SampleReport(
         profile=profile.n,
@@ -487,14 +540,13 @@ def schwartz_zippel_equal(
     elif p.domain.kind != "Fp" or p.domain.p != q_large:
         raise ValueError("inputs must be over Z or over GF(q_large)")
     variables = tuple(sorted(set(p.variables()) | set(r.variables())))
-    rows_p, rows_r = _compile_polys(
-        (p, r), {v: i for i, v in enumerate(variables)}
-    )
+    residues = _residues_function((p, r), variables, q_large)
     rng = random.Random(seed)
     bound = trials * deg / q_large
     for _ in range(trials):
         point = tuple(rng.randrange(q_large) for _ in variables)
-        if _eval_rows(rows_p, point, q_large) != _eval_rows(rows_r, point, q_large):
+        value_p, value_r = residues(*point)
+        if value_p != value_r:
             witness = tuple(zip(variables, point))
             return IdentityTestResult("definitely-different", trials, 0.0, witness)
     return IdentityTestResult("probably-equal", trials, bound)

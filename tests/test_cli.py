@@ -167,6 +167,21 @@ def test_unwritable_out_path_is_usage_error(capsys, tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("target", ["missing/x.txt", ""], ids=["no-parent", "directory"])
+def test_unwritable_out_path_is_refused_before_any_work(capsys, monkeypatch, tmp_path, target):
+    from scrolleq import cli
+
+    def no_work(profile):
+        raise AssertionError("the command ran before --out was checked")
+
+    monkeypatch.setattr(cli, "equation_set", no_work)
+    path = tmp_path / target
+    assert run(["--profile", "2,2,3,4", "verify", "--field", "2", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}:")
+    assert err.count("\n") == 1
+
+
 # SHA-256 of CLI outputs that must stay byte-identical: any drift in the
 # renderer, the term order or the generators changes them.
 PINNED_OUTPUTS = [

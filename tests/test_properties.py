@@ -1,5 +1,6 @@
 """Property-based tests: ring axioms, homomorphism laws, canonical form."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,10 +16,12 @@ from scrolleq import (
     Monomial,
     ParseContext,
     Polynomial,
+    enumerate_variety,
     parse_poly,
     u_var,
     x_var,
 )
+from scrolleq.verify import _residues_function
 
 VARS = [x_var(1, 0), x_var(1, 1), x_var(1, 2), x_var(2, 0), x_var(2, 1), VAR_S, VAR_T, u_var(1)]
 
@@ -27,16 +30,16 @@ coeffs = st.integers(min_value=-30, max_value=30)
 
 
 @st.composite
-def monomials(draw, max_vars=3, max_exp=3):
-    chosen = draw(st.lists(st.sampled_from(VARS), max_size=max_vars, unique=True))
+def monomials(draw, max_vars=3, max_exp=3, pool=VARS):
+    chosen = draw(st.lists(st.sampled_from(pool), max_size=max_vars, unique=True))
     return Monomial({v: draw(st.integers(1, max_exp)) for v in chosen})
 
 
 @st.composite
-def polys(draw, domain=None, max_terms=5):
+def polys(draw, domain=None, max_terms=5, pool=VARS):
     dom = domain if domain is not None else draw(domains)
     terms = draw(
-        st.dictionaries(monomials(), coeffs, max_size=max_terms)
+        st.dictionaries(monomials(pool=pool), coeffs, max_size=max_terms)
     )
     return Polynomial(dom, terms)
 
@@ -231,6 +234,43 @@ def test_coercion_commutes_with_reduction(terms, den, q):
     elif any(c % q for c in terms.values()):
         with pytest.raises(ValueError):
             Polynomial(GF(q), {m: Fraction(c, den) for m, c in terms.items() if c % q})
+
+
+# -- generated evaluator against the reference evaluator ---------------------------
+
+
+@st.composite
+def prime_field_polys_and_point(draw):
+    p = draw(st.sampled_from([2, 5, 101]))
+    dom = GF(p)
+    drawn = draw(st.lists(polys(domain=dom), max_size=4))
+    # The zero and a constant polynomial, whatever was drawn.
+    fs = drawn + [Polynomial.zero(dom), Polynomial.const(draw(coeffs), dom)]
+    point = [draw(st.integers(0, p - 1)) for _ in VARS]
+    return p, fs, point
+
+
+@given(prime_field_polys_and_point())
+def test_generated_evaluator_matches_eval(data):
+    p, fs, point = data
+    residues = _residues_function(fs, VARS, p)
+    assert residues(*point) == tuple(f.eval(dict(zip(VARS, point))) for f in fs)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_generated_scan_matches_brute_force(q, data):
+    # The scan specializes each generator per leading-1 position: terms with
+    # a coordinate before it are dropped and factors at it are left out.
+    variables = VARS[:4]
+    gens = data.draw(st.lists(polys(GF(q), max_terms=4, pool=variables), max_size=3))
+    expected = []
+    for tup in itertools.product(range(q), repeat=len(variables)):
+        lead = next((v for v in tup if v), None)
+        point = dict(zip(variables, tup))
+        if lead == 1 and all(g.eval(point) == 0 for g in gens):
+            expected.append(tup)
+    assert enumerate_variety(gens, variables, q) == expected
 
 
 # -- parse / print round trip --------------------------------------------------------

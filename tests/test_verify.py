@@ -14,6 +14,7 @@ from scrolleq import (
     VAR_Z,
     ZZ,
     BudgetExceededError,
+    Monomial,
     Polynomial,
     build_profile,
     check_bridge_determinant_power,
@@ -163,6 +164,22 @@ def test_enumerate_empty_system_gives_whole_space():
     assert len(set(pts)) == 40
 
 
+def test_enumerate_line_has_no_generators():
+    # Profile (1,): the line P^1, cut out by nothing, so both generator
+    # groups are empty and every representative is a hit.
+    report = compare_varieties(build_profile([1]), 3)
+    assert report.visited == 4
+    assert report.count_j == report.count_p == 4
+    assert report.passed
+
+
+def test_enumerate_rejects_variable_outside_space():
+    variables = build_profile([1, 1]).variables()
+    stray = Polynomial.variable(x_var(3, 0)).reduce_mod(3)
+    with pytest.raises(ValueError, match="outside the ambient space"):
+        enumerate_variety([stray], variables, 3)
+
+
 def test_enumerate_representatives_are_canonical():
     variables = build_profile([1, 1]).variables()
     for pt in enumerate_variety([], variables, 5):
@@ -289,6 +306,22 @@ def test_sz_witness_separates_inputs():
     assert res.verdict == "definitely-different"
     point = dict(res.witness)
     assert set(point) == set(p.variables()) | set(r.variables())
+    assert p.reduce_mod(10007).eval(point) != r.reduce_mod(10007).eval(point)
+
+
+def test_sz_handles_polynomials_past_5000_terms():
+    # 5,600 terms: the generated evaluator must compile a sum this long.
+    terms = {
+        Monomial({x_var(1, 0): a, x_var(1, 1): b}): (a * b) % 97 + 1
+        for a in range(1, 81)
+        for b in range(1, 71)
+    }
+    p = Polynomial(ZZ, terms)
+    r = p + Polynomial.variable(x_var(2, 0))
+    assert len(p.terms) == 5600
+    res = schwartz_zippel_equal(p, r, 10007, trials=4, seed=1)
+    assert res.verdict == "definitely-different"
+    point = dict(res.witness)
     assert p.reduce_mod(10007).eval(point) != r.reduce_mod(10007).eval(point)
 
 
