@@ -19,15 +19,25 @@ then slot), auxiliary parameters after them (all ``u[i]``, then all ``t[i]``,
 then ``s < t < z < w < v``).  Monomials are compared by total degree first and
 reverse-lexicographically on this variable order to break ties, which gives
 the canonical term order used for printing and serialization.
+
+``Monomial`` (a sorted tuple of (variable, exponent) pairs) is the public
+form of a monomial, and ``Polynomial.terms`` always maps monomials to
+coefficients.  Multiplication, powers and substitution compute on a packed
+form instead (Monagan and Pearce, CASC 2007): each operation gives every
+variable it involves a fixed bit field of one Python int, so a monomial
+product is an integer addition.  Each field is as wide as an exact bound on
+the exponents the operation can produce, so no field carries into the next.
+The operation packs its inputs once and unpacks its result once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 
 class DomainMismatchError(ValueError):
@@ -253,16 +263,6 @@ class Monomial:
     def __lt__(self, other: "Monomial") -> bool:
         return _grevlex_cmp(self, other) < 0
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return _raw_monomial(_merge_exps(self.exps, other.exps))
-
-    def __pow__(self, e: int) -> "Monomial":
-        if e < 0:
-            raise ValueError("negative monomial power")
-        if e == 0:
-            return _ONE_MONOMIAL
-        return _raw_monomial(tuple((v, k * e) for v, k in self.exps))
-
     def exponent(self, v: VarId) -> int:
         for w, e in self.exps:
             if w == v:
@@ -289,32 +289,6 @@ def _raw_monomial(sorted_exps: tuple[tuple[VarId, int], ...]) -> Monomial:
 
 
 _ONE_MONOMIAL = Monomial()
-
-
-def _merge_exps(a: tuple, b: tuple) -> tuple:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    ia = ib = 0
-    la, lb = len(a), len(b)
-    while ia < la and ib < lb:
-        va, ea = a[ia]
-        vb, eb = b[ib]
-        if va == vb:
-            out.append((va, ea + eb))
-            ia += 1
-            ib += 1
-        elif va < vb:
-            out.append(a[ia])
-            ia += 1
-        else:
-            out.append(b[ib])
-            ib += 1
-    out.extend(a[ia:])
-    out.extend(b[ib:])
-    return tuple(out)
 
 
 def _grevlex_cmp(a: Monomial, b: Monomial) -> int:
@@ -483,25 +457,11 @@ class Polynomial:
         dom = self.domain
         if not self.terms or not other.terms:
             return _raw_poly(dom, {})
-        # Iterate the shorter operand on the outside to keep merges cheap.
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[Monomial, object] = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                mono = ma * mb
-                c = dom.mul(ca, cb)
-                prev = out.get(mono)
-                if prev is None:
-                    out[mono] = c
-                else:
-                    s = dom.add(prev, c)
-                    if s == 0:
-                        del out[mono]
-                    else:
-                        out[mono] = s
-        return _raw_poly(dom, out)
+        packing = _Packing(
+            {*self.variables(), *other.variables()}, self.total_degree() + other.total_degree()
+        )
+        product = _packed_mul(packing.pack(self.terms), packing.pack(other.terms), dom.p)
+        return packing.unpack(dom, product)
 
     def scale(self, value) -> "Polynomial":
         dom = self.domain
@@ -513,16 +473,13 @@ class Polynomial:
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.const(1, self.domain)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base_needed = e > 1
-            e >>= 1
-            if base_needed:
-                base = base * base
-        return result
+        if e == 0:
+            return Polynomial.const(1, self.domain)
+        if not self.terms:
+            return self
+        packing = _Packing(self.variables(), self.total_degree() * e)
+        power = _packed_pow(packing.pack(self.terms), e, self.domain.p)
+        return packing.unpack(self.domain, power)
 
     def __eq__(self, other) -> bool:
         return (
@@ -555,30 +512,44 @@ class Polynomial:
                 raise DomainMismatchError(
                     f"image of {v.render()} lives in {img.domain}, not {dom}"
                 )
-        power_cache: dict[tuple[VarId, int], Polynomial] = {}
+        targets: dict[VarId, Polynomial] = {}
+        for mono in self.terms:
+            for v, _ in mono.exps:
+                if v not in targets:
+                    if v not in images and strict:
+                        raise ValueError(f"no image for variable {v.render()}")
+                    targets[v] = images[v] if v in images else Polynomial.variable(v, dom)
+        # A zero image has degree -1 and empties every term it is in.
+        degree = {v: max(0, img.total_degree()) for v, img in targets.items()}
+        packing = _Packing(
+            {w for img in targets.values() for w in img.variables()},
+            max((sum(e * degree[v] for v, e in m.exps) for m in self.terms), default=0),
+        )
+        packed = {v: packing.pack(img.terms) for v, img in targets.items()}
 
-        def image_power(v: VarId, e: int) -> Polynomial:
-            key = (v, e)
-            hit = power_cache.get(key)
-            if hit is not None:
-                return hit
-            img = images.get(v)
-            if img is None:
-                if strict:
-                    raise ValueError(f"no image for variable {v.render()}")
-                val = Polynomial.term(1, [(v, e)], dom)
-            else:
-                val = img**e
-            power_cache[key] = val
-            return val
-
-        acc = Polynomial.zero(dom)
+        p = dom.p
+        powers: dict[tuple[VarId, int], dict] = {}
+        out: dict[int, object] = {}
         for mono, coeff in self.terms.items():
-            prod = Polynomial.const(coeff, dom)
+            # Single-term factors only shift the key and scale the coefficient;
+            # the others are multiplied out after them.
+            key, c, factors = 0, coeff, []
             for v, e in mono.exps:
-                prod = prod * image_power(v, e)
-            acc = acc + prod
-        return acc
+                f = powers.get((v, e))
+                if f is None:
+                    f = powers[v, e] = _packed_pow(packed[v], e, p)
+                if len(f) == 1:
+                    ((k, fc),) = f.items()
+                    key += k
+                    c *= fc
+                else:
+                    factors.append(f)
+            prod = {key: c}
+            for f in factors:
+                prod = _packed_mul(prod, f, p)
+            for k, c in prod.items():
+                out[k] = out.get(k, 0) + c
+        return packing.unpack(dom, _canonical(out, p))
 
     def eval(self, point: Mapping[VarId, object]):
         """Evaluate at a point; every variable of the polynomial must be mapped.
@@ -636,6 +607,69 @@ def _raw_poly(domain: Domain, terms: dict) -> Polynomial:
     object.__setattr__(p, "terms", terms)
     object.__setattr__(p, "_hash", None)
     return p
+
+
+# ---------------------------------------------------------------------------
+# Packed exponent vectors
+# ---------------------------------------------------------------------------
+
+
+class _Packing:
+    """Bit fields for one operation: the i-th variable in the fixed order owns
+    bits [i * width, (i + 1) * width) of a packed key.  ``bound`` must bound
+    every exponent the operation produces, so adding keys never carries.
+    """
+
+    __slots__ = ("width", "shift")
+
+    def __init__(self, variables: Iterable[VarId], bound: int):
+        self.width = bound.bit_length()
+        self.shift = {v: i * self.width for i, v in enumerate(sorted(variables))}
+
+    def pack(self, terms: Mapping[Monomial, object]) -> dict[int, object]:
+        shift = self.shift
+        return {sum(e << shift[v] for v, e in m.exps): c for m, c in terms.items()}
+
+    def unpack(self, domain: Domain, packed: Mapping[int, object]) -> Polynomial:
+        """The polynomial of canonical packed terms."""
+        mask = (1 << self.width) - 1
+        fields = self.shift.items()
+        terms = {}
+        for key, c in packed.items():
+            exps = tuple([(v, e) for v, s in fields if (e := key >> s & mask)])
+            terms[_raw_monomial(exps)] = c
+        return _raw_poly(domain, terms)
+
+
+def _canonical(packed: dict, p: int | None) -> dict:
+    """Drop zero coefficients; over GF(p) (``p`` set) reduce the rest first."""
+    if p is None:
+        return {k: c for k, c in packed.items() if c}
+    return {k: r for k, c in packed.items() if (r := c % p)}
+
+
+def _packed_mul(a: dict, b: dict, p: int | None) -> dict:
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict[int, object] = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return _canonical(out, p)
+
+
+def _packed_pow(base: dict, e: int, p: int | None) -> dict:
+    """``base ** e`` for e >= 1, by repeated squaring."""
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else _packed_mul(result, base, p)
+        e >>= 1
+        if not e:
+            return result
+        base = _packed_mul(base, base, p)
 
 
 # ---------------------------------------------------------------------------

@@ -238,39 +238,6 @@ def bridge(
     return meta, Polynomial(ZZ, terms)
 
 
-def bridge_via_lists(a: int, b: int, x_block: int = 1, y_block: int = 2) -> Polynomial:
-    """Alternative bridge construction through the two explicit monomial lists.
-
-    The first-block list runs through all degree-p monomials in consecutive
-    variable pairs in descending slot order; the second-block list runs
-    through the degree-q monomials in ascending order.  Both have m + 1
-    entries; entry alpha of each are multiplied and weighted by
-    (-1)^alpha * C(m, alpha).  Must agree with ``bridge`` term for term.
-    """
-    meta = bridge_meta(a, b)
-    if x_block == y_block:
-        raise ValueError("a bridge couples two distinct blocks")
-    p, q, m = meta.p, meta.q, meta.m
-
-    xs: list[dict[VarId, int]] = []
-    for v in range(a, 0, -1):
-        for r in range(p):
-            xs.append(_accumulate([(x_var(x_block, v), p - r), (x_var(x_block, v - 1), r)]))
-    xs.append({x_var(x_block, 0): p})
-
-    ys: list[dict[VarId, int]] = []
-    for h in range(b):
-        for f in range(q):
-            ys.append(_accumulate([(x_var(y_block, h), q - f), (x_var(y_block, h + 1), f)]))
-    ys.append({x_var(y_block, b): q})
-
-    assert len(xs) == m + 1 and len(ys) == m + 1
-    terms: dict[Monomial, int] = {}
-    for alpha, (mx, my) in enumerate(zip(xs, ys)):
-        terms[Monomial({**mx, **my})] = (-1) ** alpha * binomial(m, alpha)
-    return Polynomial(ZZ, terms)
-
-
 def block_degree(mono: Monomial, block: int) -> int:
     """Total exponent a monomial carries on one block's variables."""
     return sum(e for v, e in mono.exps if v.ns == NS_SCROLL and v.block == block)

@@ -22,11 +22,11 @@ from golden import (
     bridge_from_table,
     curve_from_table,
 )
+from reference import bridge_via_lists
 from scrolleq import (
     Polynomial,
     ZZ,
     bridge,
-    bridge_via_lists,
     build_profile,
     check_bridge_determinant_power,
     check_bridge_scroll_vanishing,

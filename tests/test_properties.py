@@ -4,9 +4,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import schoolbook_mul, schoolbook_pow, schoolbook_substitute
 from scrolleq import (
     GF,
     QQ,
@@ -148,6 +149,99 @@ def test_substitution_homomorphism(data):
     p, q, images = data
     assert (p + q).substitute(images) == p.substitute(images) + q.substitute(images)
     assert (p * q).substitute(images) == p.substitute(images) * q.substitute(images)
+
+
+# -- packed arithmetic against the schoolbook reference -------------------------------
+#
+# Multiply, power and substitute pack each exponent into a bit field as wide
+# as an exact bound on the result's exponents.  Single-variable terms with
+# exponents 2^k - 1 and 2^k put result exponents exactly on that bound, so a
+# field one bit too narrow carries into its neighbour or loses its top bit.
+
+BOUNDARY_EXPS = (1, 2, 3, 4, 7, 8, 15, 16)
+
+
+@st.composite
+def boundary_polys(draw, domain, exps=BOUNDARY_EXPS):
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        chosen = draw(st.lists(st.sampled_from(VARS[:3]), min_size=1, max_size=2, unique=True))
+        terms[Monomial({v: draw(st.sampled_from(exps)) for v in chosen})] = draw(coeffs)
+    return Polynomial(domain, terms)
+
+
+def _x(i, e=1):
+    return Polynomial.term(1, [(VARS[i], e)], ZZ)
+
+
+@st.composite
+def mul_cases(draw):
+    dom = draw(domains)
+    return tuple(draw(st.one_of(polys(dom), boundary_polys(dom))) for _ in range(2))
+
+
+@settings(deadline=None)
+@given(mul_cases())
+@example((_x(0, 7) + _x(1), _x(0, 8) - _x(2, 8)))  # x^15 fills a 4-bit field
+@example((_x(0, 16) - _x(1, 15), _x(0, 15) + _x(1, 16)))  # 31 fills 5 bits
+def test_mul_matches_schoolbook(case):
+    p, r = case
+    assert p * r == schoolbook_mul(p, r)
+
+
+@st.composite
+def pow_cases(draw):
+    # Degrees 1, 2, 4 or 8 times e in {2, 4, 8} make deg * e a power of two,
+    # the bound at which the field width steps up.
+    dom = draw(domains)
+    p = draw(st.one_of(polys(dom, max_terms=3), boundary_polys(dom, exps=(1, 2, 4, 7, 8))))
+    return p, draw(st.sampled_from([0, 1, 2, 3, 4, 8]))
+
+
+_DEG4 = _x(0, 4) + _x(1) * _x(2, 3) - _x(1, 4)
+
+
+@settings(deadline=None)
+@given(pow_cases())
+@example((_DEG4, 2))
+@example((_DEG4, 4))
+@example((_DEG4, 8))
+def test_pow_matches_schoolbook(case):
+    p, e = case
+    assert p**e == schoolbook_pow(p, e)
+
+
+@st.composite
+def substitute_cases(draw):
+    """A polynomial and images that include zero, constants, single
+    variables and polynomials of more than one term."""
+    dom = draw(domains)
+    p = draw(st.one_of(polys(dom, max_terms=4), boundary_polys(dom, exps=(1, 3, 4, 7, 8))))
+    images = {}
+    for v in draw(st.lists(st.sampled_from(VARS), max_size=4, unique=True)):
+        images[v] = draw(
+            st.one_of(
+                st.just(Polynomial.zero(dom)),
+                coeffs.map(lambda c: Polynomial.const(c, dom)),
+                st.sampled_from(VARS).map(lambda w: Polynomial.variable(w, dom)),
+                polys(domain=dom, max_terms=3),
+            )
+        )
+    return p, images
+
+
+_SUBST = _x(0, 7) * _x(1) + _x(1, 8) - _x(2) * _x(0, 3) + Polynomial.const(5)
+
+
+@settings(deadline=None)
+@given(substitute_cases())
+@example((_SUBST, {VARS[0]: Polynomial.zero(ZZ)}))
+@example((_SUBST, {VARS[0]: Polynomial.const(-2), VARS[1]: _x(0) + _x(2)}))
+@example((_SUBST, {VARS[0]: _x(1) - _x(2), VARS[1]: Polynomial.zero(ZZ), VARS[2]: _x(0, 15)}))
+@example((_SUBST, {VARS[0]: _x(2, 2) + _x(1), VARS[2]: _x(0)}))
+def test_substitute_matches_schoolbook(case):
+    p, images = case
+    assert p.substitute(images) == schoolbook_substitute(p, images)
 
 
 # -- homogeneity ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from golden import (
     bridge_from_table,
     curve_from_table,
 )
+from reference import bridge_via_lists
 from scrolleq import (
     ZZ,
     Polynomial,
@@ -23,7 +24,6 @@ from scrolleq import (
     block_degree,
     bridge,
     bridge_meta,
-    bridge_via_lists,
     build_profile,
     catalecticant,
     curve_equation,

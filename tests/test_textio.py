@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from reference import bridge_via_lists
 from scrolleq import (
     GF,
     QQ,
@@ -13,7 +14,6 @@ from scrolleq import (
     ParseContext,
     ParseError,
     Polynomial,
-    bridge_via_lists,
     monomial,
     parse_poly,
     poly_from_json,

@@ -283,7 +283,8 @@ def test_sample_requires_positive_trials():
 
 
 def test_sz_equal_inputs():
-    from scrolleq import bridge, bridge_via_lists
+    from reference import bridge_via_lists
+    from scrolleq import bridge
 
     res = schwartz_zippel_equal(bridge(2, 4)[1], bridge_via_lists(2, 4), 10007, seed=3)
     assert res.probably_equal
