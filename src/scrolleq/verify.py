@@ -143,10 +143,8 @@ def check_bridge_determinant_power(a: int, b: int) -> bool:
     for h in range(b + 1):
         images[x_var(2, h)] = Polynomial.term(1, [(VAR_Z, b - h), (VAR_W, h)], ZZ)
     lhs = br.substitute(images, strict=True)
-    det = Polynomial.term(1, [(VAR_T, 1), (VAR_Z, 1)], ZZ) - Polynomial.term(
-        1, [(VAR_S, 1), (VAR_W, 1)], ZZ
-    )
-    return lhs == det**meta.m
+    s, t, z, w = (Polynomial.variable(v, ZZ) for v in (VAR_S, VAR_T, VAR_Z, VAR_W))
+    return lhs == (t * z - s * w) ** meta.m
 
 
 def generic_minor(i: int, j: int) -> Polynomial:

@@ -37,7 +37,7 @@ def monomials(draw, max_vars=3, max_exp=3, pool=VARS):
 
 
 @st.composite
-def polys(draw, domain=None, max_terms=5, pool=VARS):
+def polys(draw, domain=None, max_terms=5, pool=VARS, coeffs=coeffs):
     dom = domain if domain is not None else draw(domains)
     terms = draw(
         st.dictionaries(monomials(pool=pool), coeffs, max_size=max_terms)
@@ -161,29 +161,47 @@ def test_substitution_homomorphism(data):
 BOUNDARY_EXPS = (1, 2, 3, 4, 7, 8, 15, 16)
 
 
+def domain_coeffs(dom):
+    """Integers, or over Q fractions with small denominators, so that the
+    packed paths also meet non-integral coefficients and their cancellation."""
+    if dom == QQ:
+        return st.fractions(min_value=-30, max_value=30, max_denominator=6)
+    return coeffs
+
+
 @st.composite
 def boundary_polys(draw, domain, exps=BOUNDARY_EXPS):
     terms = {}
     for _ in range(draw(st.integers(1, 3))):
         chosen = draw(st.lists(st.sampled_from(VARS[:3]), min_size=1, max_size=2, unique=True))
-        terms[Monomial({v: draw(st.sampled_from(exps)) for v in chosen})] = draw(coeffs)
+        terms[Monomial({v: draw(st.sampled_from(exps)) for v in chosen})] = draw(
+            domain_coeffs(domain)
+        )
     return Polynomial(domain, terms)
 
 
-def _x(i, e=1):
-    return Polynomial.term(1, [(VARS[i], e)], ZZ)
+def _x(i, e=1, c=1, domain=ZZ):
+    return Polynomial.term(c, [(VARS[i], e)], domain)
 
 
 @st.composite
 def mul_cases(draw):
     dom = draw(domains)
-    return tuple(draw(st.one_of(polys(dom), boundary_polys(dom))) for _ in range(2))
+    cases = st.one_of(polys(dom, coeffs=domain_coeffs(dom)), boundary_polys(dom))
+    return draw(cases), draw(cases)
+
+
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
 
 
 @settings(deadline=None)
 @given(mul_cases())
 @example((_x(0, 7) + _x(1), _x(0, 8) - _x(2, 8)))  # x^15 fills a 4-bit field
 @example((_x(0, 16) - _x(1, 15), _x(0, 15) + _x(1, 16)))  # 31 fills 5 bits
+@example((  # over Q the cross terms cancel: x^2/4 - y^2/9
+    _x(0, 1, _HALF, QQ) + _x(1, 1, _THIRD, QQ),
+    _x(0, 1, _HALF, QQ) - _x(1, 1, _THIRD, QQ),
+))
 def test_mul_matches_schoolbook(case):
     p, r = case
     assert p * r == schoolbook_mul(p, r)
@@ -194,7 +212,11 @@ def pow_cases(draw):
     # Degrees 1, 2, 4 or 8 times e in {2, 4, 8} make deg * e a power of two,
     # the bound at which the field width steps up.
     dom = draw(domains)
-    p = draw(st.one_of(polys(dom, max_terms=3), boundary_polys(dom, exps=(1, 2, 4, 7, 8))))
+    p = draw(
+        st.one_of(
+            polys(dom, 3, coeffs=domain_coeffs(dom)), boundary_polys(dom, exps=(1, 2, 4, 7, 8))
+        )
+    )
     return p, draw(st.sampled_from([0, 1, 2, 3, 4, 8]))
 
 
@@ -206,6 +228,7 @@ _DEG4 = _x(0, 4) + _x(1) * _x(2, 3) - _x(1, 4)
 @example((_DEG4, 2))
 @example((_DEG4, 4))
 @example((_DEG4, 8))
+@example((_x(0, 1, _HALF, QQ) - _x(1, 2, _THIRD, QQ), 4))
 def test_pow_matches_schoolbook(case):
     p, e = case
     assert p**e == schoolbook_pow(p, e)
@@ -216,15 +239,19 @@ def substitute_cases(draw):
     """A polynomial and images that include zero, constants, single
     variables and polynomials of more than one term."""
     dom = draw(domains)
-    p = draw(st.one_of(polys(dom, max_terms=4), boundary_polys(dom, exps=(1, 3, 4, 7, 8))))
+    p = draw(
+        st.one_of(
+            polys(dom, 4, coeffs=domain_coeffs(dom)), boundary_polys(dom, exps=(1, 3, 4, 7, 8))
+        )
+    )
     images = {}
     for v in draw(st.lists(st.sampled_from(VARS), max_size=4, unique=True)):
         images[v] = draw(
             st.one_of(
                 st.just(Polynomial.zero(dom)),
-                coeffs.map(lambda c: Polynomial.const(c, dom)),
+                domain_coeffs(dom).map(lambda c: Polynomial.const(c, dom)),
                 st.sampled_from(VARS).map(lambda w: Polynomial.variable(w, dom)),
-                polys(domain=dom, max_terms=3),
+                polys(dom, 3, coeffs=domain_coeffs(dom)),
             )
         )
     return p, images
@@ -239,6 +266,14 @@ _SUBST = _x(0, 7) * _x(1) + _x(1, 8) - _x(2) * _x(0, 3) + Polynomial.const(5)
 @example((_SUBST, {VARS[0]: Polynomial.const(-2), VARS[1]: _x(0) + _x(2)}))
 @example((_SUBST, {VARS[0]: _x(1) - _x(2), VARS[1]: Polynomial.zero(ZZ), VARS[2]: _x(0, 15)}))
 @example((_SUBST, {VARS[0]: _x(2, 2) + _x(1), VARS[2]: _x(0)}))
+@example((  # single-term images over Q: x0/2 + x1/3 -> x2/3 - x2/3 = 0
+    _x(0, 1, _HALF, QQ) + _x(1, 1, _THIRD, QQ),
+    {VARS[0]: _x(2, 1, Fraction(2, 3), QQ), VARS[1]: _x(2, 1, -1, QQ)},
+))
+@example((  # a multi-term image over Q: the x1^2 terms cancel
+    _x(0, 2, _HALF, QQ) - _x(1, 2, Fraction(9, 8), QQ),
+    {VARS[0]: _x(2, 1, 1, QQ) + _x(1, 1, Fraction(3, 2), QQ)},
+))
 def test_substitute_matches_schoolbook(case):
     p, images = case
     assert p.substitute(images) == schoolbook_substitute(p, images)
