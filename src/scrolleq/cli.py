@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .export import cas_script
+from .polyring import is_prime
 from .scroll import ScrollProfile, build_profile, equation_set
 from .textio import poly_to_json
 from .verify import (
@@ -28,6 +29,7 @@ from .verify import (
     DEFAULT_BUDGET,
     check_bridge_determinant_power,
     check_bridge_scroll_vanishing,
+    check_construction_budget,
     check_parametrization,
     compare_varieties,
     plucker_identity,
@@ -148,6 +150,8 @@ def _config(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> RunConfi
     if ns.profile is None:
         parser.error("--profile is required")
     _check_out(ns.out)
+    if ns.field is not None and not is_prime(ns.field):
+        raise ValueError(f"--field {ns.field} is not prime")
     fmt = ns.fmt
     if fmt is None:
         fmt = "m2" if ns.command == "export" else "plain"
@@ -180,6 +184,7 @@ def _rank_summary(eqset) -> str:
 
 def cmd_equations(config: RunConfig) -> int:
     eqset = equation_set(config.profile)
+    check_construction_budget(eqset, config.budget)
     profile = config.profile
     if config.fmt == "json":
         doc = {
@@ -209,17 +214,22 @@ def _run_checks(config: RunConfig):
     profile = config.profile
     eqset = equation_set(profile)
     checks = []
+    # Both bridge identities depend only on the block degrees (a, b).
+    identities = {}
     for i in range(1, profile.d + 1):
         for j in range(i + 1, profile.d + 1):
             a, b = profile.n[i - 1], profile.n[j - 1]
-            ok, residual = check_bridge_scroll_vanishing(a, b)
+            if (a, b) not in identities:
+                identities[a, b] = (
+                    check_bridge_scroll_vanishing(a, b), check_bridge_determinant_power(a, b)
+                )
+            (ok, residual), power_ok = identities[a, b]
             checks.append((
                 f"bridge-scroll-vanishing blocks ({i},{j})",
                 ok,
                 "" if ok else f"residual {residual}",
             ))
-            ok = check_bridge_determinant_power(a, b)
-            checks.append((f"bridge-determinant-power blocks ({i},{j})", ok, ""))
+            checks.append((f"bridge-determinant-power blocks ({i},{j})", power_ok, ""))
     param = check_parametrization(profile, eqset=eqset)
     total = len(param.checks)
     good = sum(1 for c in param.checks if c.ok)
@@ -301,6 +311,7 @@ def cmd_export(config: RunConfig, parser: argparse.ArgumentParser) -> int:
     if config.fmt not in ("m2", "singular"):
         parser.error(f"export needs --format m2|singular, got {config.fmt!r}")
     eqset = equation_set(config.profile)
+    check_construction_budget(eqset, config.budget)
     _emit(cas_script(eqset, config.fmt), config.out)
     return EXIT_OK
 

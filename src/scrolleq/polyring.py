@@ -27,7 +27,8 @@ form instead (Monagan and Pearce, CASC 2007): each operation gives every
 variable it involves a fixed bit field of one Python int, so a monomial
 product is an integer addition.  Each field is as wide as an exact bound on
 the exponents the operation can produce, so no field carries into the next.
-The operation packs its inputs once and unpacks its result once.
+The operation packs its inputs once and unpacks its result once; a
+``Substitution`` packs its images once and then maps many polynomials.
 """
 
 from __future__ import annotations
@@ -504,52 +505,13 @@ class Polynomial:
 
         Unmapped variables map to themselves unless ``strict`` is set, in
         which case they raise.  All images must share this polynomial's
-        domain.
+        domain.  This is a ``Substitution`` prepared for this one polynomial.
         """
-        dom = self.domain
-        for v, img in images.items():
-            if img.domain != dom:
-                raise DomainMismatchError(
-                    f"image of {v.render()} lives in {img.domain}, not {dom}"
-                )
-        targets: dict[VarId, Polynomial] = {}
-        for mono in self.terms:
-            for v, _ in mono.exps:
-                if v not in targets:
-                    if v not in images and strict:
-                        raise ValueError(f"no image for variable {v.render()}")
-                    targets[v] = images[v] if v in images else Polynomial.variable(v, dom)
-        # A zero image has degree -1 and empties every term it is in.
-        degree = {v: max(0, img.total_degree()) for v, img in targets.items()}
-        packing = _Packing(
-            {w for img in targets.values() for w in img.variables()},
-            max((sum(e * degree[v] for v, e in m.exps) for m in self.terms), default=0),
-        )
-        packed = {v: packing.pack(img.terms) for v, img in targets.items()}
-
-        p = dom.p
-        powers: dict[tuple[VarId, int], dict] = {}
-        out: dict[int, object] = {}
-        for mono, coeff in self.terms.items():
-            # Single-term factors only shift the key and scale the coefficient;
-            # the others are multiplied out after them.
-            key, c, factors = 0, coeff, []
-            for v, e in mono.exps:
-                f = powers.get((v, e))
-                if f is None:
-                    f = powers[v, e] = _packed_pow(packed[v], e, p)
-                if len(f) == 1:
-                    ((k, fc),) = f.items()
-                    key += k
-                    c *= fc
-                else:
-                    factors.append(f)
-            prod = {key: c}
-            for f in factors:
-                prod = _packed_mul(prod, f, p)
-            for k, c in prod.items():
-                out[k] = out.get(k, 0) + c
-        return packing.unpack(dom, _canonical(out, p))
+        targets = dict(images)
+        if not strict:
+            for v in self.variables():
+                targets.setdefault(v, Polynomial.variable(v, self.domain))
+        return Substitution(targets, self.domain, max(0, self.total_degree()))(self)
 
     def eval(self, point: Mapping[VarId, object]):
         """Evaluate at a point; every variable of the polynomial must be mapped.
@@ -670,6 +632,69 @@ def _packed_pow(base: dict, e: int, p: int | None) -> dict:
         if not e:
             return result
         base = _packed_mul(base, base, p)
+
+
+class Substitution:
+    """The ring homomorphism ``v -> images[v]``, prepared once to map any
+    number of polynomials over ``domain`` of total degree at most ``degree``.
+
+    The domain of every image is checked and every image is packed here, so
+    each polynomial then maps by integer key arithmetic alone.  A field is as
+    wide as ``degree`` times the largest image degree, which bounds every
+    exponent an image can produce.  Every variable of a mapped polynomial
+    needs an image.
+    """
+
+    __slots__ = ("domain", "degree", "_packing", "_packed", "_powers")
+
+    def __init__(self, images: Mapping[VarId, Polynomial], domain: Domain, degree: int):
+        for v, img in images.items():
+            if img.domain != domain:
+                raise DomainMismatchError(
+                    f"image of {v.render()} lives in {img.domain}, not {domain}"
+                )
+        # A zero image has degree -1 and empties every term it is in.
+        top = max((img.total_degree() for img in images.values()), default=0)
+        self.domain = domain
+        self.degree = degree
+        self._packing = _Packing(
+            {w for img in images.values() for w in img.variables()}, degree * max(0, top)
+        )
+        self._packed = {v: self._packing.pack(img.terms) for v, img in images.items()}
+        self._powers: dict[tuple[VarId, int], dict] = {}
+
+    def __call__(self, poly: Polynomial) -> Polynomial:
+        if poly.domain != self.domain:
+            raise DomainMismatchError(f"domain mismatch: {poly.domain} vs {self.domain}")
+        p, degree = self.domain.p, self.degree
+        packed, powers = self._packed, self._powers
+        out: dict[int, object] = {}
+        for mono, coeff in poly.terms.items():
+            if mono.degree > degree:
+                raise ValueError(
+                    f"degree {poly.total_degree()} exceeds the prepared bound {degree}"
+                )
+            # Single-term factors only shift the key and scale the coefficient;
+            # the others are multiplied out after them.
+            key, c, factors = 0, coeff, []
+            for v, e in mono.exps:
+                f = powers.get((v, e))
+                if f is None:
+                    if v not in packed:
+                        raise ValueError(f"no image for variable {v.render()}")
+                    f = powers[v, e] = _packed_pow(packed[v], e, p)
+                if len(f) == 1:
+                    ((k, fc),) = f.items()
+                    key += k
+                    c *= fc
+                else:
+                    factors.append(f)
+            prod = {key: c}
+            for f in factors:
+                prod = _packed_mul(prod, f, p)
+            for k, c in prod.items():
+                out[k] = out.get(k, 0) + c
+        return self._packing.unpack(self.domain, _canonical(out, p))
 
 
 # ---------------------------------------------------------------------------

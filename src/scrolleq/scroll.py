@@ -19,20 +19,17 @@ This module builds, over the integers:
   bridges of one weight are combined into a single generator by raising each
   to the lcm-balancing power and summing;
 * the assembled defining system: all curve equations followed by all weight
-  generators, N - 2 polynomials in total (for d >= 2).
-
-Everything here is a pure function of the profile, so independent generators
-can be built in parallel with no shared mutable state.
+  generators, N - 2 polynomials in total (for d >= 2).  A weight generator is
+  kept as its group and expanded only when it is read.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 from .polyring import (
-    NS_SCROLL,
     ZZ,
     Monomial,
     Polynomial,
@@ -40,10 +37,6 @@ from .polyring import (
     binomial,
     x_var,
 )
-
-# Weight-group degrees above this trigger a coefficient blow-up warning:
-# raising a bridge to power c multiplies coefficient sizes like C(m, .)^c.
-DEFAULT_DEGREE_WARN = 64
 
 
 @dataclass(frozen=True)
@@ -238,11 +231,6 @@ def bridge(
     return meta, Polynomial(ZZ, terms)
 
 
-def block_degree(mono: Monomial, block: int) -> int:
-    """Total exponent a monomial carries on one block's variables."""
-    return sum(e for v, e in mono.exps if v.ns == NS_SCROLL and v.block == block)
-
-
 # ---------------------------------------------------------------------------
 # Weight groups and the assembled system
 # ---------------------------------------------------------------------------
@@ -281,43 +269,62 @@ def weight_groups(profile: ScrollProfile) -> list[WeightGroup]:
     return groups
 
 
-def g_polynomial(
-    profile: ScrollProfile,
-    group: WeightGroup,
-    warn_degree: int = DEFAULT_DEGREE_WARN,
-) -> Polynomial:
+def group_bridges(profile: ScrollProfile, group: WeightGroup) -> list[Polynomial]:
+    """The group's bridges, in the order of ``group.pairs``."""
+    return [bridge(profile.n[i - 1], profile.n[j - 1], i, j)[1] for i, j in group.pairs]
+
+
+def g_polynomial(profile: ScrollProfile, group: WeightGroup) -> Polynomial:
     """Sum of the group's bridges, each raised to its balancing power."""
-    if group.degree > warn_degree:
-        warnings.warn(
-            f"weight-{group.k} generator has degree {group.degree}; "
-            "expect large exact coefficients",
-            stacklevel=2,
-        )
     acc = Polynomial.zero(ZZ)
-    for (i, j), power in zip(group.pairs, group.powers):
-        _, br = bridge(profile.n[i - 1], profile.n[j - 1], i, j)
+    for br, power in zip(group_bridges(profile, group), group.powers):
         acc = acc + br**power
     return acc
+
+
+def term_bound(group: WeightGroup) -> int:
+    """An upper bound on the terms of the group's generator, from its
+    structure alone.
+
+    A bridge has m + 1 terms, so its c-th power has at most C(m + c, c), one
+    per multiset of c terms.  Each term of that power is also a monomial of
+    degree p*c in the a + 1 variables of one block times one of degree q*c in
+    the b + 1 variables of the other.  The generator has at most the sum over
+    its bridges of the smaller count.
+    """
+    return sum(
+        min(
+            math.comb(meta.m + c, c),
+            math.comb(meta.p * c + meta.a, meta.a) * math.comb(meta.q * c + meta.b, meta.b),
+        )
+        for meta, c in zip(group.metas, group.powers)
+    )
 
 
 @dataclass(frozen=True)
 class EquationSet:
     """The assembled defining system plus the minors it is measured against.
 
-    ``curve_gens`` holds (block, index, polynomial); ``weight_gens`` holds
-    (weight, polynomial).  The system is curve generators in block-then-index
-    order followed by weight generators in weight order; for d >= 2 it has
-    exactly N - 2 members.
+    ``curve_gens`` holds (block, index, polynomial) and ``groups`` the weight
+    groups, one per weight generator.  The system is curve generators in
+    block-then-index order followed by weight generators in weight order; for
+    d >= 2 it has exactly N - 2 members.  A weight generator is expanded only
+    when ``weight_gens`` (or ``system()``) is read, once per equation set.
     """
 
     profile: ScrollProfile
     curve_gens: tuple[tuple[int, int, Polynomial], ...]
-    weight_gens: tuple[tuple[int, Polynomial], ...]
+    groups: tuple[WeightGroup, ...]
     minor_gens: tuple[Polynomial, ...]
 
     @property
     def system_size(self) -> int:
-        return len(self.curve_gens) + len(self.weight_gens)
+        return len(self.curve_gens) + len(self.groups)
+
+    @cached_property
+    def weight_gens(self) -> tuple[tuple[int, Polynomial], ...]:
+        """(weight, expanded generator) per group."""
+        return tuple((g.k, g_polynomial(self.profile, g)) for g in self.groups)
 
     @property
     def claimed_arithmetic_rank(self) -> int:
@@ -328,9 +335,16 @@ class EquationSet:
 
     def system(self) -> list[tuple[str, Polynomial]]:
         """Labeled defining system, in canonical order."""
-        out = [(f"curve[{i}][{j}]", p) for i, j, p in self.curve_gens]
+        out = self.labeled_curves()
         out.extend((f"weight[{k}]", p) for k, p in self.weight_gens)
         return out
+
+    def labeled_curves(self) -> list[tuple[str, Polynomial]]:
+        return [(f"curve[{i}][{j}]", p) for i, j, p in self.curve_gens]
+
+    def labeled_bridges(self) -> list[tuple[str, list[Polynomial]]]:
+        """Each weight generator's label with its bridges, unexpanded."""
+        return [(f"weight[{g.k}]", group_bridges(self.profile, g)) for g in self.groups]
 
     def system_polys(self) -> list[Polynomial]:
         return [p for _, p in self.system()]
@@ -340,10 +354,9 @@ class EquationSet:
         return list(zip(labels, self.minor_gens))
 
 
-def equation_set(
-    profile: ScrollProfile, warn_degree: int = DEFAULT_DEGREE_WARN
-) -> EquationSet:
-    """Build the full defining system for a profile.
+def equation_set(profile: ScrollProfile) -> EquationSet:
+    """Build the full defining system for a profile, weight generators
+    unexpanded.
 
     For d >= 2 this emits sum(n_i) - d curve equations and 2d - 3 weight
     generators, N - 2 in total.  A single-block profile degenerates to the
@@ -353,20 +366,5 @@ def equation_set(
     for i, ni in enumerate(profile.n, start=1):
         for j in range(1, ni):
             curves.append((i, j, curve_equation(ni, j, block=i)))
-    weights = [
-        (g.k, g_polynomial(profile, g, warn_degree=warn_degree))
-        for g in weight_groups(profile)
-    ]
     minors = minors_2x2(catalecticant(profile))
-    return EquationSet(profile, tuple(curves), tuple(weights), tuple(minors))
-
-
-def generator_count(profile: ScrollProfile) -> int:
-    """Size of the defining system, from the group structure alone.
-
-    Counts curve indices and materialized weight groups without expanding
-    any polynomial, so it stays cheap even when the balancing powers are
-    huge.  Agrees with ``equation_set(...).system_size``.
-    """
-    curve_count = sum(ni - 1 for ni in profile.n)
-    return curve_count + len(weight_groups(profile))
+    return EquationSet(profile, tuple(curves), tuple(weight_groups(profile)), tuple(minors))

@@ -5,10 +5,11 @@ out exactly the scroll:
 
 * symbolically, over the integers: every generator (and every minor) reduces
   to the zero polynomial under the scroll parametrization
-  ``x[i][j] -> u[i] * s^(n_i - j) * t^j``; each bridge vanishes under the
-  same substitution and collapses to a power of a 2 x 2 determinant when the
-  block scales are dropped; and the three-term relation among the minors of a
-  generic 2 x d matrix holds identically;
+  ``x[i][j] -> u[i] * s^(n_i - j) * t^j``, a weight generator through each of
+  its bridges; each bridge vanishes under the same substitution and collapses
+  to a power of a 2 x 2 determinant when the block scales are dropped; and the
+  three-term relation among the minors of a generic 2 x d matrix holds
+  identically;
 * exhaustively, over a small prime field: every projective point satisfying
   the defining system also satisfies all minors, checked by enumerating
   canonical representatives (first nonzero coordinate normalized to 1).
@@ -33,6 +34,7 @@ from .polyring import (
     VAR_Z,
     ZZ,
     Polynomial,
+    Substitution,
     VarId,
     is_prime,
     t_var,
@@ -45,21 +47,30 @@ from .scroll import (
     bridge,
     bridge_meta,
     equation_set,
+    term_bound,
 )
 
 DEFAULT_BUDGET = 10**8
 
 
 class BudgetExceededError(RuntimeError):
-    """Enumeration would exceed the evaluation budget."""
+    """Enumeration or construction would exceed the budget."""
 
-    def __init__(self, estimate: int, budget: int):
-        super().__init__(
-            f"enumeration needs an estimated {estimate} generator evaluations, "
-            f"budget is {budget}"
-        )
+    def __init__(
+        self, estimate: int, budget: int, work: str = "enumeration",
+        unit: str = "generator evaluations",
+    ):
+        super().__init__(f"{work} needs an estimated {estimate} {unit}, budget is {budget}")
         self.estimate = estimate
         self.budget = budget
+
+
+def check_construction_budget(eqset: EquationSet, budget: int) -> None:
+    """Refuse, before any weight generator is expanded, an equation set whose
+    weight generators may together have more terms than the budget."""
+    estimate = sum(term_bound(g) for g in eqset.groups)
+    if estimate > budget:
+        raise BudgetExceededError(estimate, budget, "construction", "weight-generator terms")
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +113,24 @@ def check_parametrization(
     profile: ScrollProfile, eqset: EquationSet | None = None
 ) -> ParamReport:
     """Verify that every system generator and every minor vanishes identically
-    under the scroll parametrization, by exact substitution over Z."""
+    under the scroll parametrization, by exact substitution over Z.
+
+    A weight generator is a sum of powers of its bridges, so it vanishes when
+    every one of its bridges does: the bridges are substituted and the
+    generator is never expanded.  The parametrization is prepared once.
+    """
     eqset = eqset if eqset is not None else equation_set(profile)
-    images = scroll_param_map(profile)
+    entries = (
+        [(label, [p]) for label, p in eqset.labeled_curves()]
+        + eqset.labeled_bridges()
+        + [(label, [p]) for label, p in eqset.labeled_minors()]
+    )
+    degree = max((p.total_degree() for _, polys in entries for p in polys), default=0)
+    param = Substitution(scroll_param_map(profile), ZZ, degree)
     checks = []
-    for label, p in eqset.system() + eqset.labeled_minors():
-        residual = p.substitute(images)
-        checks.append(
-            GeneratorCheck(label, residual.is_zero(), "" if residual.is_zero() else str(residual))
-        )
+    for label, polys in entries:
+        residuals = [str(r) for r in map(param, polys) if not r.is_zero()]
+        checks.append(GeneratorCheck(label, not residuals, "; ".join(residuals)))
     return ParamReport(profile.n, tuple(checks))
 
 
@@ -272,13 +292,8 @@ def _scan(
     k fixed to 1, testing each group as one short-circuit ``and`` of its
     generators.  Returns (visited, sorted hits per group).
     """
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
     n = len(variables)
-    reps = projective_size(n, q)
-    estimate = reps * max(1, sum(len(gens) for gens in groups))
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget)
+    reps = _scan_size(n, q, sum(len(gens) for gens in groups), budget)
     var_index = {v: i for i, v in enumerate(variables)}
     indexed = [[_indexed_terms(p, var_index) for p in gens] for gens in groups]
     lines = ["def scan(hits):", "    visited = 0"]
@@ -307,6 +322,19 @@ def _scan(
 def projective_size(n: int, q: int) -> int:
     """Number of points of projective (n-1)-space over GF(q), n coordinates."""
     return (q**n - 1) // (q - 1)
+
+
+def _scan_size(n: int, q: int, generators: int, budget: int) -> int:
+    """The representatives a scan of n coordinates over GF(q) visits; refuses
+    a q that is not prime, and representatives times generators beyond the
+    budget."""
+    if not is_prime(q):
+        raise ValueError(f"{q} is not prime")
+    reps = projective_size(n, q)
+    estimate = reps * max(1, generators)
+    if estimate > budget:
+        raise BudgetExceededError(estimate, budget)
+    return reps
 
 
 def enumerate_variety(
@@ -382,10 +410,13 @@ def compare_varieties(
     Generators are built over Z and reduced mod q, so characteristics that
     divide bridge coefficients are probed faithfully.  The minor locus is
     always contained in the system locus; the converse inclusion is the
-    content of the check.
+    content of the check.  Both the scan and the expansion of the weight
+    generators are checked against the budget before either starts.
     """
     start = time.perf_counter()
     eqset = eqset if eqset is not None else equation_set(profile)
+    _scan_size(profile.num_vars, q, eqset.system_size + len(eqset.minor_gens), budget)
+    check_construction_budget(eqset, budget)
     system_q = [p.reduce_mod(q) for p in eqset.system_polys()]
     minors_q = [p.reduce_mod(q) for p in eqset.minor_gens]
     visited, (in_system, in_minors) = _scan(

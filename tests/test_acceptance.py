@@ -33,8 +33,8 @@ from scrolleq import (
     check_parametrization,
     compare_varieties,
     equation_set,
-    generator_count,
     plucker_identity,
+    term_bound,
     weight_groups,
     x_var,
 )
@@ -119,10 +119,13 @@ def test_criterion_3_count_law_on_random_profiles():
             d = rng.randint(2, 6)
             profile = build_profile([rng.randint(1, 6) for _ in range(d)])
             target = profile.N - 2
-            assert generator_count(profile) == target, profile
+            eqset = equation_set(profile)
+            assert eqset.system_size == target, profile
             # fully expand whenever the balancing powers stay tame
-            if max(g.degree for g in weight_groups(profile)) <= 24:
-                assert equation_set(profile).system_size == target, profile
+            if max(g.degree for g in eqset.groups) <= 24:
+                assert len(eqset.system()) == target, profile
+                for group, (_, generator) in zip(eqset.groups, eqset.weight_gens):
+                    assert term_bound(group) >= generator.num_terms(), (profile, group.k)
                 expanded += 1
         assert expanded >= 10  # the sample must exercise the full path too
 
@@ -210,3 +213,16 @@ def test_criterion_9_lower_bound_is_cited_not_verified(capsys):
         "ACCEPTANCE 9 NOTE: constructive upper bound exercised by criteria 1-8; "
         "the matching lower bound is cited from the literature."
     )
+
+
+def test_criterion_10_large_profiles_verify_through_bridges(capsys):
+    # Expanded, the weight-5 generator of (2,3,5,7) has 369,469 terms and
+    # that of (3,5,7,8) more than fit the default budget; verify proves each
+    # weight generator through its bridges and expands neither.
+    with criterion(10, "verify passes on (2,3,5,7) and (3,5,7,8)", 5.0):
+        for n, k in (("2,3,5,7", 154), ("3,5,7,8", 277)):
+            assert run(["--profile", n, "verify"]) == 0
+            out = capsys.readouterr().out
+            assert "FAIL" not in out
+            assert f"PASS parametrization-vanishing ({k}/{k} generators vanish)" in out
+            assert out.endswith(f"PASS suite for profile ({n.replace(',', ', ')})\n")

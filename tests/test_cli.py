@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -145,6 +146,53 @@ def test_bad_budget_flag_is_usage_error(capsys, value):
 def test_nonprime_field_is_usage_error(capsys):
     assert run(["--profile", "1,1", "enumerate", "--field", "4"]) == 2
     assert "not prime" in capsys.readouterr().err
+
+
+def test_nonprime_field_is_refused_before_any_work(capsys, no_expansion):
+    assert run(["--profile", "2,3,5,7", "verify", "--field", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --field 4 is not prime\n"
+
+
+def test_scan_budget_is_checked_before_expansion(capsys, no_expansion):
+    assert run(["--profile", "2,3,5,7", "enumerate", "--field", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: enumeration needs an estimated")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (["--profile", "3,5,7,8", "equations"], 10**8),
+    (["--profile", "3,5,7,8", "export"], 10**8),
+    # 8.1e10 evaluations fit this budget, 9.4e10 generator terms do not.
+    (["--profile", "4,6,7,7", "enumerate", "--field", "2"], 9 * 10**10),
+])
+def test_construction_budget_refuses_before_expansion(capsys, no_expansion, argv, budget):
+    # Weight 5 of (3,5,7,8) raises bridge(3, 8) to the 12th power and
+    # bridge(5, 7) to the 11th; the group structure alone bounds the terms.
+    start = time.perf_counter()
+    code = run(argv + ["--budget", str(budget)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget exceeded: construction needs an estimated ")
+    assert captured.err.endswith(f" weight-generator terms, budget is {budget}\n")
+
+
+def test_construction_budget_boundary(capsys):
+    # The five weight generators of (2,2,3,4) are bounded by 3 + 7 + 210 + 5
+    # + 13 = 238 terms (they have 224).
+    assert run(["--profile", "2,2,3,4", "equations", "--budget", "237"]) == 3
+    assert "needs an estimated 238 weight-generator terms" in capsys.readouterr().err
+    assert run(["--profile", "2,2,3,4", "equations", "--budget", "238"]) == 0
+    capsys.readouterr()
+    # (2,3,5,7) is bounded by about 1.6e6 terms: under the default budget,
+    # so `equations` still expands and prints it.
+    from scrolleq import build_profile, equation_set
+    from scrolleq.verify import DEFAULT_BUDGET, check_construction_budget
+
+    check_construction_budget(equation_set(build_profile([2, 3, 5, 7])), DEFAULT_BUDGET)
 
 
 # -- export ------------------------------------------------------------------------------

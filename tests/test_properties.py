@@ -11,12 +11,14 @@ from reference import schoolbook_mul, schoolbook_pow, schoolbook_substitute
 from scrolleq import (
     GF,
     QQ,
+    DomainMismatchError,
     VAR_S,
     VAR_T,
     ZZ,
     Monomial,
     ParseContext,
     Polynomial,
+    Substitution,
     enumerate_variety,
     parse_poly,
     u_var,
@@ -277,6 +279,75 @@ _SUBST = _x(0, 7) * _x(1) + _x(1, 8) - _x(2) * _x(0, 3) + Polynomial.const(5)
 def test_substitute_matches_schoolbook(case):
     p, images = case
     assert p.substitute(images) == schoolbook_substitute(p, images)
+
+
+@st.composite
+def prepared_map_cases(draw):
+    """Images for every variable of VARS, and polynomials of several degrees
+    for one prepared map to take in turn."""
+    dom = draw(domains)
+    images = {
+        v: draw(
+            st.one_of(
+                st.just(Polynomial.zero(dom)),
+                domain_coeffs(dom).map(lambda c: Polynomial.const(c, dom)),
+                st.sampled_from(VARS).map(lambda w: Polynomial.variable(w, dom)),
+                polys(dom, 3, coeffs=domain_coeffs(dom)),
+            )
+        )
+        for v in VARS
+    }
+    ps = draw(
+        st.lists(
+            st.one_of(
+                polys(dom, 4, coeffs=domain_coeffs(dom)), boundary_polys(dom, exps=(1, 3, 4, 7, 8))
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return images, ps
+
+
+def _images(domain=ZZ, **mapped):
+    """Images of every variable of VARS: ``x<i>=poly`` for VARS[i], the
+    variable itself for the rest."""
+    images = {v: Polynomial.variable(v, domain) for v in VARS}
+    images.update({VARS[int(name[1:])]: img for name, img in mapped.items()})
+    return images
+
+
+@settings(deadline=None)
+@given(prepared_map_cases())
+# A field is as wide as degree * (largest image degree): these put an output
+# exponent exactly on that bound, at 15 (4 bits), 16 (5 bits) and 31 (5 bits).
+@example((_images(x0=_x(1)), [_x(0, 15), _x(0, 3) * _x(2), Polynomial.const(2)]))
+@example((_images(x0=_x(1, 4)), [_x(0, 4), _x(0) * _x(2, 3)]))
+@example((_images(x0=_x(1, 3) + _x(2)), [_x(0, 5), _x(0) * _x(1)]))
+@example((_images(x0=_x(1, 31) - _x(2), x2=Polynomial.zero(ZZ)), [_x(0), _x(2, 1)]))
+@example((  # over Q: x0/2 -> x2/3 cancels x1/3 -> -x2/3, at two degrees
+    _images(QQ, x0=_x(2, 1, Fraction(2, 3), QQ), x1=_x(2, 1, -1, QQ)),
+    [_x(0, 1, _HALF, QQ) + _x(1, 1, _THIRD, QQ), _x(0, 2, _HALF, QQ)],
+))
+def test_prepared_map_matches_schoolbook(case):
+    images, ps = case
+    dom = ps[0].domain
+    param = Substitution(images, dom, max(p.total_degree() for p in ps + [Polynomial.zero(dom)]))
+    for p in ps:
+        assert param(p) == schoolbook_substitute(p, images)
+
+
+def test_prepared_map_refuses_what_it_was_not_prepared_for():
+    param = Substitution({VARS[0]: _x(1, 2)}, ZZ, 3)
+    assert param(_x(0, 3)) == _x(1, 6)
+    with pytest.raises(ValueError, match="exceeds the prepared bound 3"):
+        param(_x(0, 4))
+    with pytest.raises(ValueError, match="no image for variable"):
+        param(_x(1))
+    with pytest.raises(DomainMismatchError):
+        param(_x(0, 1, 1, GF(5)))
+    with pytest.raises(DomainMismatchError):
+        Substitution({VARS[0]: _x(1, 1, 1, GF(5))}, ZZ, 3)
 
 
 # -- homogeneity ----------------------------------------------------------------------

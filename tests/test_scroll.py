@@ -1,7 +1,9 @@
 """Tests for profiles, matrices, curve equations, bridges and equation sets."""
 
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,12 +18,11 @@ from golden import (
     bridge_from_table,
     curve_from_table,
 )
-from reference import bridge_via_lists
+from reference import bridge_via_lists, schoolbook_pow
 from scrolleq import (
     ZZ,
     Polynomial,
     binomial,
-    block_degree,
     bridge,
     bridge_meta,
     build_profile,
@@ -29,12 +30,14 @@ from scrolleq import (
     curve_equation,
     equation_set,
     g_polynomial,
-    generator_count,
+    group_bridges,
     minors_2x2,
     monomial,
+    term_bound,
     weight_groups,
     x_var,
 )
+from scrolleq import scroll
 
 # -- profiles -----------------------------------------------------------------
 
@@ -181,8 +184,10 @@ def test_bridge_homogeneity_and_block_degrees():
             assert p.is_homogeneous()
             assert p.total_degree() == meta.degree
             for mono in p.terms:
-                assert block_degree(mono, 3) == meta.p
-                assert block_degree(mono, 5) == meta.q
+                block_degree = {3: 0, 5: 0}
+                for v, e in mono.exps:
+                    block_degree[v.block] += e
+                assert block_degree == {3: meta.p, 5: meta.q}
 
 
 def test_bridge_swap_symmetry():
@@ -259,11 +264,53 @@ def test_g_polynomial_degree_and_structure():
     assert g_polynomial(profile, groups[3]) == bridge_from_table(BRIDGE_2_2, 1, 2)
 
 
-def test_g_polynomial_warns_on_large_degree():
-    profile = build_profile([2, 2, 3, 4])
-    g5 = next(g for g in weight_groups(profile) if g.k == 5)
-    with pytest.warns(UserWarning, match="degree 15"):
-        g_polynomial(profile, g5, warn_degree=10)
+# Profiles of the benchmark's symbolic pool, with the weight-generator terms
+# recorded for each; the pool keeps those with at most 3,000 terms.
+SYMBOLIC_POOL = Path(__file__).resolve().parent.parent / "scrollbench" / "reference.json"
+
+
+def test_weight_gens_expand_to_sum_of_bridge_powers():
+    # The lazy form (groups) against the schoolbook expansion of each
+    # bridge power, on every symbolic pool profile; the term bound must cover
+    # every expanded generator.
+    pool = json.loads(SYMBOLIC_POOL.read_text())["symbolic"]
+    profiles = [tuple(map(int, key.split(","))) for key, e in pool.items() if e["terms"] <= 3000]
+    assert len(profiles) == 233
+    powers = {}  # (a, b, i, j, c) -> schoolbook bridge power; pools share many
+    for n in profiles:
+        profile = build_profile(n)
+        es = equation_set(profile)
+        assert [k for k, _ in es.weight_gens] == [g.k for g in es.groups]
+        for group, (_, generator) in zip(es.groups, es.weight_gens):
+            expected = Polynomial.zero(ZZ)
+            for br, (i, j), c in zip(group_bridges(profile, group), group.pairs, group.powers):
+                key = (n[i - 1], n[j - 1], i, j, c)
+                if key not in powers:
+                    powers[key] = schoolbook_pow(br, c)
+                expected = expected + powers[key]
+            assert generator == expected, (n, group.k)
+            assert term_bound(group) >= generator.num_terms(), (n, group.k)
+
+
+def test_equation_set_expands_only_when_read(monkeypatch):
+    calls = []
+    monkeypatch.setattr(scroll, "g_polynomial", lambda profile, group: calls.append(group.k))
+    es = equation_set(build_profile([3, 5, 7, 8]))
+    assert es.system_size == es.profile.N - 2 == 24
+    assert len(es.labeled_curves()) == 19 and len(es.labeled_bridges()) == 5
+    assert calls == []
+    es.weight_gens
+    es.system()
+    assert calls == [3, 4, 5, 6, 7]  # once per group, on the first read
+
+
+def test_term_bound_examples():
+    groups = {g.k: g for g in weight_groups(build_profile([2, 3, 5, 7]))}
+    # bridge (1,4) = bridge(2, 7) has m = 14, raised to 8: C(22, 8); bridge
+    # (2,3) = bridge(3, 5) has m = 15, raised to 9: C(24, 9).
+    assert term_bound(groups[5]) == math.comb(22, 8) + math.comb(24, 9) == 1_627_274
+    # A single bridge, unraised, has exactly m + 1 terms.
+    assert term_bound(groups[3]) == math.lcm(2, 3) + 1
 
 
 # -- equation sets ------------------------------------------------------------------------
@@ -314,18 +361,6 @@ def test_claimed_rank_matches_codimension_bound():
         es = equation_set(build_profile(n))
         assert es.claimed_arithmetic_rank == es.profile.N - 2
         assert es.system_size == es.profile.N - 2
-
-
-def test_generator_count_matches_full_construction():
-    rng = random.Random(20260810)
-    for _ in range(15):
-        d = rng.randint(2, 5)
-        profile = build_profile([rng.randint(1, 4) for _ in range(d)])
-        structural = generator_count(profile)
-        assert structural == profile.N - 2
-        groups = weight_groups(profile)
-        if max((g.degree for g in groups), default=0) <= 24:
-            assert equation_set(profile).system_size == structural
 
 
 def test_every_generator_homogeneous():

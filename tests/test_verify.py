@@ -68,6 +68,40 @@ def test_parametrization_check_counts_generators():
     assert len(report.checks) == 14
 
 
+def test_parametrization_proves_weight_generators_through_bridges(no_expansion):
+    profile = build_profile([2, 3, 5, 7])
+    report = check_parametrization(profile)
+    labels = [c.label for c in report.checks]
+    assert labels[:13] == [label for label, _ in equation_set(profile).labeled_curves()]
+    assert labels[13:18] == [f"weight[{k}]" for k in range(3, 8)]
+    assert len(labels) == 18 + 136 and report.passed
+
+
+def test_bridge_mutant_fails_lazy_and_expanded_checks(monkeypatch):
+    # One coefficient of bridge (1,4) off by one: the bridge-wise check must
+    # fail weight 5, and so must substitution into the expanded generator.
+    from scrolleq import scroll
+
+    bridge = scroll.bridge
+
+    def mutant(a, b, x_block=1, y_block=2):
+        meta, br = bridge(a, b, x_block, y_block)
+        if (x_block, y_block) == (1, 4):
+            lead, _ = br.sorted_terms()[0]
+            br = br + Polynomial(ZZ, {lead: 1})
+        return meta, br
+
+    monkeypatch.setattr(scroll, "bridge", mutant)
+    profile = build_profile([2, 2, 3, 4])
+    eqset = equation_set(profile)
+    report = check_parametrization(profile, eqset=eqset)
+    assert [c.label for c in report.failures()] == ["weight[5]"]
+    assert report.failures()[0].residual
+    images = scroll_param_map(profile)
+    residuals = {label: p.substitute(images) for label, p in eqset.system()}
+    assert [label for label, r in residuals.items() if not r.is_zero()] == ["weight[5]"]
+
+
 # -- bridge identities ------------------------------------------------------------
 
 
