@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from .export import cas_script
 from .polyring import is_prime
 from .scroll import ScrollProfile, build_profile, equation_set
-from .textio import poly_to_json
+from .textio import json_array_text, poly_json_text
 from .verify import (
     BudgetExceededError,
     DEFAULT_BUDGET,
@@ -61,39 +61,33 @@ def _profile_arg(text: str) -> ScrollProfile:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    default = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--profile", type=_profile_arg, default=default,
-                        help="comma-separated block degrees, e.g. 2,2,3,4")
-    parser.add_argument("--field", type=int, default=default, metavar="Q",
-                        help="prime field size for enumeration")
-    parser.add_argument("--format", dest="fmt", default=default,
-                        choices=["plain", "json", "m2", "singular"],
-                        help="output format (export: m2|singular)")
-    parser.add_argument("--seed", type=int, default=default,
-                        help="seed recorded in reports")
-    parser.add_argument("--budget", type=int, default=default,
-                        help=f"evaluation budget (default ${BUDGET_ENV} or {DEFAULT_BUDGET})")
-    parser.add_argument("--out", default=default, metavar="PATH",
-                        help="write output to a file instead of stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="scrolleq",
-        description="Defining equations for rational normal scrolls, with verification.",
-    )
-    _add_common(parser, suppress=False)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in (
+    commands = (
         ("equations", "print the N-2 defining polynomials"),
         ("verify", "run the symbolic check suite, plus enumeration when --field is given"),
         ("enumerate", "compare the system's zero set with the minors' over GF(q)"),
         ("export", "emit a computer-algebra script declaring both ideals"),
         ("bench", "time construction, symbolic checks and enumeration"),
-    ):
-        sp = sub.add_parser(name, help=help_)
-        _add_common(sp, suppress=True)
+    )
+    parser = argparse.ArgumentParser(
+        prog="scrolleq",
+        description="Defining equations for rational normal scrolls, with verification.",
+        epilog="commands:\n" + "\n".join(f"  {name:<10} {help_}" for name, help_ in commands),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=[name for name, _ in commands], metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("--profile", type=_profile_arg,
+                        help="comma-separated block degrees, e.g. 2,2,3,4")
+    parser.add_argument("--field", type=int, metavar="Q",
+                        help="prime field size for enumeration")
+    parser.add_argument("--format", dest="fmt", choices=["plain", "json", "m2", "singular"],
+                        help="output format (export: m2|singular)")
+    parser.add_argument("--seed", type=int, help="seed recorded in reports")
+    parser.add_argument("--budget", type=int,
+                        help=f"evaluation budget (default ${BUDGET_ENV} or {DEFAULT_BUDGET})")
+    parser.add_argument("--out", metavar="PATH",
+                        help="write output to a file instead of stdout")
     return parser
 
 
@@ -187,18 +181,27 @@ def cmd_equations(config: RunConfig) -> int:
     check_construction_budget(eqset, config.budget)
     profile = config.profile
     if config.fmt == "json":
-        doc = {
+        # The bytes json.dumps(doc, indent=2) gives: the scalar fields through
+        # json, cut before their closing "\n}", then the polynomials written
+        # directly by poly_json_text.
+        header = json.dumps({
             "profile": list(profile.n),
             "d": profile.d,
             "N": profile.N,
             "system_size": eqset.system_size,
             "arithmetic_rank": eqset.claimed_arithmetic_rank,
-            "generators": [
-                {"label": label, "poly": poly_to_json(p)} for label, p in eqset.system()
-            ],
-            "minors": [poly_to_json(p) for p in eqset.minor_gens],
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", config.out)
+        }, indent=2)
+        generators = [
+            f'{{\n      "label": {json.dumps(label)},\n'
+            f'      "poly": {poly_json_text(p, 3)}\n    }}'
+            for label, p in eqset.system()
+        ]
+        minors = [poly_json_text(p, 2) for p in eqset.minor_gens]
+        _emit(
+            f'{header[:-2]},\n  "generators": {json_array_text(generators, 1)},\n'
+            f'  "minors": {json_array_text(minors, 1)}\n}}\n',
+            config.out,
+        )
         return EXIT_OK
     lines = [
         f"# scroll profile {profile}: d={profile.d}, N={profile.N}, "

@@ -34,6 +34,8 @@ from .polyring import (
     Monomial,
     Polynomial,
     VarId,
+    _raw_monomial,
+    _raw_poly,
     binomial,
     x_var,
 )
@@ -108,24 +110,25 @@ def minors_2x2(matrix: CatalecticantMatrix) -> list[Polynomial]:
     """All 2 x 2 minors, columns c1 < c2, top-left*bottom-right - bottom-left*top-right.
 
     Distinct column pairs carry distinct variable entries, so the list is
-    duplicate-free.
+    duplicate-free, and the two monomials of a minor always differ.
     """
     top, bottom = matrix.rows
     out: list[Polynomial] = []
     k = matrix.num_cols
     for c1 in range(k):
         for c2 in range(c1 + 1, k):
-            # Adjacent columns of one block share a variable, so exponents
-            # must accumulate rather than collapse as duplicate dict keys.
-            minor = Polynomial(
-                ZZ,
-                {
-                    Monomial(_accumulate([(top[c1], 1), (bottom[c2], 1)])): 1,
-                    Monomial(_accumulate([(bottom[c1], 1), (top[c2], 1)])): -1,
-                },
-            )
-            out.append(minor)
+            out.append(_raw_poly(ZZ, {
+                _product(top[c1], bottom[c2]): 1,
+                _product(bottom[c1], top[c2]): -1,
+            }))
     return out
+
+
+def _product(a: VarId, b: VarId) -> Monomial:
+    # Adjacent columns of one block share a variable, which becomes a square.
+    if a == b:
+        return _raw_monomial(((a, 2),))
+    return _raw_monomial(((a, 1), (b, 1)) if a < b else ((b, 1), (a, 1)))
 
 
 def minor_labels(matrix: CatalecticantMatrix) -> list[str]:

@@ -167,23 +167,22 @@ class _Parser:
     # grammar productions ----------------------------------------------------
 
     def parse(self) -> Polynomial:
-        dom = self.ctx.domain
-        total = Polynomial.zero(dom)
         sign = 1
         tok = self.peek()
         if tok.kind in ("+", "-"):
             sign = -1 if tok.kind == "-" else 1
             self.advance()
-        total = total + self.term(sign)
+        terms = [self.term(sign)]
         while self.peek().kind in ("+", "-"):
             sign = -1 if self.advance().kind == "-" else 1
-            total = total + self.term(sign)
+            terms.append(self.term(sign))
         end = self.peek()
         if end.kind != "end":
             raise ParseError(f"trailing input {end.kind!r}", end.line, end.col)
-        return total
+        # The constructor merges repeated monomials and drops zero sums.
+        return Polynomial(self.ctx.domain, terms)
 
-    def term(self, sign: int) -> Polynomial:
+    def term(self, sign: int) -> tuple[Monomial, object]:
         dom = self.ctx.domain
         tok = self.peek()
         if tok.kind == "int":
@@ -198,7 +197,7 @@ class _Parser:
             mono = self.powers()
         else:
             raise self.fail("expected a coefficient or a variable")
-        return Polynomial(dom, {mono: dom.mul(dom.coerce(coeff), dom.coerce(sign))})
+        return mono, dom.mul(dom.coerce(coeff), dom.coerce(sign))
 
     def coefficient(self):
         value = self.expect("int").value
@@ -340,6 +339,38 @@ def poly_to_json(p: Polynomial) -> dict:
         # Same coefficient text as format_poly: an integer or a reduced a/b.
         terms.append({"coeff": str(coeff), "exps": exps})
     return {"domain": domain_to_json(p.domain), "terms": terms}
+
+
+def json_array_text(items: list[str], level: int) -> str:
+    """An ``indent=2`` JSON array at depth ``level`` of items already
+    rendered at depth ``level + 1``."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (level + 1)
+    return f"[{inner}{f',{inner}'.join(items)}\n{'  ' * level}]"
+
+
+def poly_json_text(p: Polynomial, level: int = 0) -> str:
+    """``json.dumps(poly_to_json(p), indent=2)`` for ``p`` at depth ``level``
+    of an indented document, written directly: any ``indent`` puts json on
+    its pure-Python encoder."""
+    n1, n2, n3, n4, n5 = ("\n" + "  " * (level + k) for k in range(1, 6))
+    dom = p.domain
+    domain = f'{{{n2}"Fp": {dom.p}{n1}}}' if dom.kind == "Fp" else f'"{dom.kind}"'
+    terms = []
+    for mono, coeff in p.sorted_terms():
+        exps = [
+            f"[{n5}{i},{n5}{j},{n5}{e}{n4}]"
+            for i, j, e in sorted((*_encode_var(v), e) for v, e in mono.exps)
+        ]
+        # The coefficient is an integer or a reduced a/b: nothing to escape.
+        terms.append(
+            f'{{{n3}"coeff": "{coeff}",{n3}"exps": {json_array_text(exps, level + 3)}{n2}}}'
+        )
+    return (
+        f'{{{n1}"domain": {domain},{n1}"terms": {json_array_text(terms, level + 1)}'
+        f'\n{"  " * level}}}'
+    )
 
 
 def poly_from_json(obj) -> Polynomial:

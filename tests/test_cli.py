@@ -241,6 +241,10 @@ PINNED_OUTPUTS = [
      "194854e3fbf917f206cbd227feb09af1710c5ddf82463ffce49c72a989e6d03c"),
     (["--profile", "2,2,3,4", "equations"],
      "4b782aad554d7f95b3b0402cd9c1d303012a0e28e9bbae1330a6c961511eec61"),
+    (["--profile", "2,2,3,4", "equations", "--format", "json"],
+     "bdb3caa20f757d7102dad3c3824d6aee5f44293d5245a6aaa8319b8e615628d9"),
+    (["--profile", "1", "equations", "--format", "json"],
+     "702f81c1638c33fb25e7d3c3cccc066106eb3a5326eb3ef3cd0a17190cd50d7a"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Property-based tests: ring axioms, homomorphism laws, canonical form."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from scrolleq import (
     DomainMismatchError,
     VAR_S,
     VAR_T,
+    VAR_W,
     ZZ,
     Monomial,
     ParseContext,
@@ -21,9 +23,11 @@ from scrolleq import (
     Substitution,
     enumerate_variety,
     parse_poly,
+    t_var,
     u_var,
     x_var,
 )
+from scrolleq.textio import poly_json_text, poly_to_json
 from scrolleq.verify import _residues_function
 
 VARS = [x_var(1, 0), x_var(1, 1), x_var(1, 2), x_var(2, 0), x_var(2, 1), VAR_S, VAR_T, u_var(1)]
@@ -501,3 +505,27 @@ def rational_polys(draw):
 @given(rational_polys())
 def test_round_trip_rationals(p):
     assert parse_poly(str(p), ParseContext(domain=QQ)) == p
+
+
+# -- direct JSON writer ---------------------------------------------------------------
+
+
+# Every auxiliary kind, each encoded with block 0 and its own slot code.
+JSON_VARS = VARS + [VAR_W, u_var(12), t_var(3)]
+
+
+@st.composite
+def json_polys(draw):
+    dom = draw(st.sampled_from([ZZ, QQ, GF(2), GF(101)]))
+    p = draw(polys(dom, pool=JSON_VARS, coeffs=domain_coeffs(dom)))
+    # A constant term writes "exps": []; the zero polynomial "terms": [].
+    return p + Polynomial.const(draw(domain_coeffs(dom)), dom)
+
+
+@given(json_polys(), st.integers(0, 4))
+@example(Polynomial.zero(QQ), 2)
+@example(Polynomial.const(Fraction(-3, 4), QQ), 0)
+@example(Polynomial.const(3, GF(7)), 3)
+def test_json_writer_matches_indented_dumps(p, level):
+    expected = json.dumps(poly_to_json(p), indent=2).replace("\n", "\n" + "  " * level)
+    assert poly_json_text(p, level) == expected

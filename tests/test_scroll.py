@@ -1,5 +1,6 @@
 """Tests for profiles, matrices, curve equations, bridges and equation sets."""
 
+import itertools
 import json
 import math
 import random
@@ -104,6 +105,23 @@ def test_minor_count_and_dedup():
     assert len(minors) == math.comb(11, 2) == 55
     assert len(set(minors)) == 55
     assert all(p.is_homogeneous() and p.total_degree() == 2 for p in minors)
+
+
+def test_minors_match_products_of_variables():
+    # Every profile with d <= 4 and block degrees 1-3 (orders included).
+    for d in range(1, 5):
+        for n in itertools.product((1, 2, 3), repeat=d):
+            matrix = catalecticant(build_profile(n))
+            top, bottom = matrix.rows
+            expected = [
+                Polynomial.variable(top[c1]) * Polynomial.variable(bottom[c2])
+                - Polynomial.variable(bottom[c1]) * Polynomial.variable(top[c2])
+                for c1 in range(matrix.num_cols)
+                for c2 in range(c1 + 1, matrix.num_cols)
+            ]
+            minors = minors_2x2(matrix)
+            assert minors == expected, n
+            assert all(m.sorted_terms() == e.sorted_terms() for m, e in zip(minors, expected))
 
 
 # -- curve equations ---------------------------------------------------------------

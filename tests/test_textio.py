@@ -57,6 +57,12 @@ def test_parse_auxiliary_variables():
     assert monomial([(VAR_S, 1), (VAR_T, 1)]) in p.terms
 
 
+def test_parse_cancelling_terms_give_zero():
+    assert parse_poly("3*x[1][0] + 4*x[1][0]", ParseContext(domain=GF(7))).is_zero()
+    assert parse_poly("1/2*x[1][0] - 1/2*x[1][0]", ParseContext(domain=QQ)).is_zero()
+    assert parse_poly("x[1][0] + 2 - x[1][0] + x[1][1] - 2") == Polynomial.variable(X1)
+
+
 def test_parse_repeated_variable_accumulates():
     assert parse_poly("x[1][1]*x[1][1]") == Polynomial.term(1, [(X1, 2)])
 
