@@ -321,11 +321,13 @@ def _grevlex_cmp(a: Monomial, b: Monomial) -> int:
 
 
 def monomial(pairs: Iterable[tuple[VarId, int]] | Mapping[VarId, int]) -> Monomial:
-    """Public monomial constructor; merges duplicates and drops zero exponents."""
+    """Public monomial constructor: merges duplicates, drops zeros, refuses negatives."""
     if isinstance(pairs, Mapping):
         return Monomial(pairs)
     acc: dict[VarId, int] = {}
     for v, e in pairs:
+        if e < 0:
+            raise ValueError(f"negative exponent {e} for {v.render()}")
         acc[v] = acc.get(v, 0) + e
     return Monomial(acc)
 
@@ -496,7 +498,7 @@ class Polynomial:
             object.__setattr__(self, "_hash", h)
         return h
 
-    # -- substitution and evaluation ------------------------------------------
+    # -- substitution ---------------------------------------------------------
 
     def substitute(
         self, images: Mapping[VarId, "Polynomial"], strict: bool = False
@@ -512,34 +514,6 @@ class Polynomial:
             for v in self.variables():
                 targets.setdefault(v, Polynomial.variable(v, self.domain))
         return Substitution(targets, self.domain, max(0, self.total_degree()))(self)
-
-    def eval(self, point: Mapping[VarId, object]):
-        """Evaluate at a point; every variable of the polynomial must be mapped.
-
-        This is the reference evaluator: the finite-field scan, the sampler
-        and the identity test run generated code instead, and the tests
-        check that code against this method.
-        """
-        dom = self.domain
-        p = dom.p
-        power_cache: dict[tuple[VarId, int], object] = {}
-        acc = dom.zero
-        for mono, coeff in self.terms.items():
-            val = coeff
-            for v, e in mono.exps:
-                key = (v, e)
-                pw = power_cache.get(key)
-                if pw is None:
-                    try:
-                        base = point[v]
-                    except KeyError:
-                        raise ValueError(f"no value for variable {v.render()}")
-                    base = dom.coerce(base)
-                    pw = pow(base, e, p) if p is not None else base**e
-                    power_cache[key] = pw
-                val = dom.mul(val, pw)
-            acc = dom.add(acc, val)
-        return acc
 
     def reduce_mod(self, q: int) -> "Polynomial":
         """Coefficientwise reduction of an integer polynomial into GF(q)."""

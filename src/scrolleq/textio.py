@@ -52,6 +52,7 @@ from .polyring import (
     Monomial,
     Polynomial,
     VarId,
+    monomial,
     t_var,
     u_var,
     x_var,
@@ -313,8 +314,10 @@ def _decode_var(i: int, j: int) -> VarId:
 
 def _coeff_from_string(s: str, dom: Domain):
     if "/" in s:
-        num, den = s.split("/", 1)
-        return dom.coerce(Fraction(int(num), int(den)))
+        num, den = (int(part) for part in s.split("/", 1))
+        if den == 0:
+            raise ValueError("zero denominator")
+        return dom.coerce(Fraction(num, den))
     return dom.coerce(int(s))
 
 
@@ -377,10 +380,11 @@ def poly_from_json(obj) -> Polynomial:
     if isinstance(obj, str):
         obj = json.loads(obj)
     dom = domain_from_json(obj["domain"])
-    terms = {}
+    terms = []
     for entry in obj["terms"]:
-        mono = Monomial({_decode_var(i, j): e for i, j, e in entry["exps"]})
-        terms[mono] = _coeff_from_string(entry["coeff"], dom)
+        mono = monomial([(_decode_var(i, j), e) for i, j, e in entry["exps"]])
+        terms.append((mono, _coeff_from_string(entry["coeff"], dom)))
+    # As in the text parser, the constructor merges repeated monomials.
     return Polynomial(dom, terms)
 
 

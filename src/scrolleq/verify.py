@@ -13,17 +13,13 @@ out exactly the scroll:
 * exhaustively, over a small prime field: every projective point satisfying
   the defining system also satisfies all minors, checked by enumerating
   canonical representatives (first nonzero coordinate normalized to 1).
-
-A seeded sampler and a randomized identity test cover instances too large
-for exact expansion or exhaustive enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .polyring import (
@@ -45,7 +41,6 @@ from .scroll import (
     EquationSet,
     ScrollProfile,
     bridge,
-    bridge_meta,
     equation_set,
     term_bound,
 )
@@ -78,14 +73,23 @@ def check_construction_budget(eqset: EquationSet, budget: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _curve_images(
+    block: int, n: int, s: VarId, t: VarId, scale: VarId | None = None
+) -> dict[VarId, Polynomial]:
+    """The images x[block][j] -> [scale *] s^(n - j) * t^j for j = 0..n, which
+    put the block on the cone over the rational normal curve of degree n."""
+    lead = [(scale, 1)] if scale is not None else []
+    return {
+        x_var(block, j): Polynomial.term(1, lead + [(s, n - j), (t, j)], ZZ)
+        for j in range(n + 1)
+    }
+
+
 def scroll_param_map(profile: ScrollProfile) -> dict[VarId, Polynomial]:
     """The scroll parametrization: x[i][j] -> u[i] * s^(n_i - j) * t^j."""
     images: dict[VarId, Polynomial] = {}
     for i, ni in enumerate(profile.n, start=1):
-        for j in range(ni + 1):
-            images[x_var(i, j)] = Polynomial.term(
-                1, [(u_var(i), 1), (VAR_S, ni - j), (VAR_T, j)], ZZ
-            )
+        images.update(_curve_images(i, ni, VAR_S, VAR_T, u_var(i)))
     return images
 
 
@@ -141,11 +145,10 @@ def check_bridge_scroll_vanishing(a: int, b: int) -> tuple[bool, Polynomial]:
     the bridge on blocks (1, 2); returns (vanished, residual).
     """
     _, br = bridge(a, b, 1, 2)
-    images: dict[VarId, Polynomial] = {}
-    for j in range(a + 1):
-        images[x_var(1, j)] = Polynomial.term(1, [(u_var(1), 1), (VAR_S, a - j), (VAR_T, j)], ZZ)
-    for h in range(b + 1):
-        images[x_var(2, h)] = Polynomial.term(1, [(VAR_V, 1), (VAR_S, b - h), (VAR_T, h)], ZZ)
+    images = {
+        **_curve_images(1, a, VAR_S, VAR_T, u_var(1)),
+        **_curve_images(2, b, VAR_S, VAR_T, VAR_V),
+    }
     residual = br.substitute(images, strict=True)
     return residual.is_zero(), residual
 
@@ -157,11 +160,7 @@ def check_bridge_determinant_power(a: int, b: int) -> bool:
     exactly (t*z - s*w)^m with m = lcm(a, b).
     """
     meta, br = bridge(a, b, 1, 2)
-    images: dict[VarId, Polynomial] = {}
-    for j in range(a + 1):
-        images[x_var(1, j)] = Polynomial.term(1, [(VAR_S, a - j), (VAR_T, j)], ZZ)
-    for h in range(b + 1):
-        images[x_var(2, h)] = Polynomial.term(1, [(VAR_Z, b - h), (VAR_W, h)], ZZ)
+    images = {**_curve_images(1, a, VAR_S, VAR_T), **_curve_images(2, b, VAR_Z, VAR_W)}
     lhs = br.substitute(images, strict=True)
     s, t, z, w = (Polynomial.variable(v, ZZ) for v in (VAR_S, VAR_T, VAR_Z, VAR_W))
     return lhs == (t * z - s * w) ** meta.m
@@ -261,18 +260,6 @@ def _compile(source: str, name: str, **env):
     namespace = dict(env)
     exec(compile(source, f"<scrolleq {name}>", "exec"), namespace)
     return namespace[name]
-
-
-def _residues_function(polys: Sequence[Polynomial], variables: Sequence[VarId], q: int):
-    """Compile ``residues(*point)``: the tuple of each polynomial's value at
-    ``point`` mod q, with the coordinates of ``point`` in ``variables`` order."""
-    var_index = {v: i for i, v in enumerate(variables)}
-    names = [f"x{i}" for i in range(len(variables))]
-    values = [
-        _residue_source(_indexed_terms(p, var_index), names, q) or "0" for p in polys
-    ]
-    source = f"def residues({', '.join(names)}):\n    return {_tuple_source(values)}\n"
-    return _compile(source, "residues")
 
 
 def _scan(
@@ -443,139 +430,3 @@ def compare_varieties(
         elapsed_ms=elapsed_ms,
         visited=visited,
     )
-
-
-# ---------------------------------------------------------------------------
-# Randomized checks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SampleReport:
-    """Outcome of random scroll-point sampling."""
-
-    profile: tuple[int, ...]
-    q: int
-    trials: int
-    tested: int
-    skipped: int
-    seed: int
-    failures: tuple[tuple[tuple[int, ...], str], ...] = field(default=())
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def sample_scroll_points(
-    profile: ScrollProfile,
-    q: int,
-    trials: int,
-    seed: int = 0,
-    eqset: EquationSet | None = None,
-) -> SampleReport:
-    """Draw random parametrized scroll points over GF(q) and evaluate the
-    defining system on each; every generator must vanish.
-
-    Draws that produce the zero tuple (for instance s = t = 0, or all block
-    scales zero) are skipped as non-projective.
-    """
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    eqset = eqset if eqset is not None else equation_set(profile)
-    labels = [label for label, _ in eqset.system()]
-    residues = _residues_function(
-        [p.reduce_mod(q) for p in eqset.system_polys()], profile.variables(), q
-    )
-    rng = random.Random(seed)
-    tested = skipped = 0
-    failures = []
-    for _ in range(trials):
-        s = rng.randrange(q)
-        t = rng.randrange(q)
-        scales = [rng.randrange(q) for _ in profile.n]
-        point = []
-        for ui, ni in zip(scales, profile.n):
-            for j in range(ni + 1):
-                point.append(ui * pow(s, ni - j, q) * pow(t, j, q) % q)
-        if not any(point):
-            skipped += 1
-            continue
-        tested += 1
-        pt = tuple(point)
-        for label, value in zip(labels, residues(*pt)):
-            if value:
-                failures.append((pt, label))
-    return SampleReport(
-        profile=profile.n,
-        q=q,
-        trials=trials,
-        tested=tested,
-        skipped=skipped,
-        seed=seed,
-        failures=tuple(failures),
-    )
-
-
-@dataclass(frozen=True)
-class IdentityTestResult:
-    """Outcome of randomized polynomial-identity testing."""
-
-    verdict: str  # "probably-equal" | "definitely-different"
-    trials: int
-    failure_bound: float
-    witness: tuple[tuple[VarId, int], ...] | None = None
-
-    @property
-    def probably_equal(self) -> bool:
-        return self.verdict == "probably-equal"
-
-
-def schwartz_zippel_equal(
-    p: Polynomial,
-    r: Polynomial,
-    q_large: int,
-    trials: int = 16,
-    seed: int = 0,
-    safety_factor: int = 16,
-) -> IdentityTestResult:
-    """Randomized equality test for polynomials too large to expand or compare.
-
-    Evaluates p and r at uniform points of GF(q_large); differing values
-    prove inequality (with the point as witness), while all-equal outcomes
-    are reported probably-equal with failure bound trials * degree / q_large,
-    where degree is the larger total degree of the two.  The modulus must
-    exceed that degree by the safety factor.  Exactly equal inputs can never
-    be reported different.
-    """
-    if p.domain != r.domain:
-        raise ValueError("operands must share a coefficient domain")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not is_prime(q_large):
-        raise ValueError(f"{q_large} is not prime")
-    if p == r:
-        return IdentityTestResult("probably-equal", trials, 0.0)
-    deg = max(p.total_degree(), r.total_degree())
-    if q_large <= deg * safety_factor:
-        raise ValueError(
-            f"modulus {q_large} too small for degree {deg} "
-            f"(needs > {deg * safety_factor})"
-        )
-    if p.domain.kind == "Z":
-        p, r = p.reduce_mod(q_large), r.reduce_mod(q_large)
-    elif p.domain.kind != "Fp" or p.domain.p != q_large:
-        raise ValueError("inputs must be over Z or over GF(q_large)")
-    variables = tuple(sorted(set(p.variables()) | set(r.variables())))
-    residues = _residues_function((p, r), variables, q_large)
-    rng = random.Random(seed)
-    bound = trials * deg / q_large
-    for _ in range(trials):
-        point = tuple(rng.randrange(q_large) for _ in variables)
-        value_p, value_r = residues(*point)
-        if value_p != value_r:
-            witness = tuple(zip(variables, point))
-            return IdentityTestResult("definitely-different", trials, 0.0, witness)
-    return IdentityTestResult("probably-equal", trials, bound)

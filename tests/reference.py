@@ -6,6 +6,9 @@
   on dicts of ``Monomial`` directly, with no packed exponents: the multiply
   is the one ``Polynomial.__mul__`` used before packing, the power is
   repeated multiplication and the substitution expands term by term.
+* ``evaluate`` computes a polynomial's value at a point term by term; the
+  finite-field scan runs generated code instead, and the tests check that
+  code against it.
 """
 
 from scrolleq import ZZ, Polynomial, binomial, bridge_meta, monomial, x_var
@@ -83,4 +86,26 @@ def schoolbook_substitute(a: Polynomial, images) -> Polynomial:
             img = images.get(v, Polynomial.variable(v, dom))
             prod = schoolbook_mul(prod, schoolbook_pow(img, e))
         acc = acc + prod
+    return acc
+
+
+def evaluate(p: Polynomial, point):
+    """The value of ``p`` at ``point``, a map that must give every variable
+    of ``p`` a value in (or coercible into) its domain."""
+    dom = p.domain
+    power_cache = {}
+    acc = dom.zero
+    for mono, coeff in p.terms.items():
+        val = coeff
+        for v, e in mono.exps:
+            pw = power_cache.get((v, e))
+            if pw is None:
+                try:
+                    base = dom.coerce(point[v])
+                except KeyError:
+                    raise ValueError(f"no value for variable {v.render()}") from None
+                pw = pow(base, e, dom.p) if dom.p is not None else base**e
+                power_cache[v, e] = pw
+            val = dom.mul(val, pw)
+        acc = dom.add(acc, val)
     return acc

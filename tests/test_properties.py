@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import schoolbook_mul, schoolbook_pow, schoolbook_substitute
+from reference import evaluate, schoolbook_mul, schoolbook_pow, schoolbook_substitute
 from scrolleq import (
     GF,
     QQ,
@@ -28,7 +28,6 @@ from scrolleq import (
     x_var,
 )
 from scrolleq.textio import poly_json_text, poly_to_json
-from scrolleq.verify import _residues_function
 
 VARS = [x_var(1, 0), x_var(1, 1), x_var(1, 2), x_var(2, 0), x_var(2, 1), VAR_S, VAR_T, u_var(1)]
 
@@ -418,7 +417,7 @@ def test_reduction_commutes_with_substitution(p, images, q):
 def test_eval_commutes_with_reduction(p, q):
     point = {v: 2 + i for i, v in enumerate(VARS)}
     reduced_point = {v: c % q for v, c in point.items()}
-    assert p.reduce_mod(q).eval(reduced_point) == p.eval(point) % q
+    assert evaluate(p.reduce_mod(q), reduced_point) == evaluate(p, point) % q
 
 
 @given(
@@ -440,25 +439,7 @@ def test_coercion_commutes_with_reduction(terms, den, q):
             Polynomial(GF(q), {m: Fraction(c, den) for m, c in terms.items() if c % q})
 
 
-# -- generated evaluator against the reference evaluator ---------------------------
-
-
-@st.composite
-def prime_field_polys_and_point(draw):
-    p = draw(st.sampled_from([2, 5, 101]))
-    dom = GF(p)
-    drawn = draw(st.lists(polys(domain=dom), max_size=4))
-    # The zero and a constant polynomial, whatever was drawn.
-    fs = drawn + [Polynomial.zero(dom), Polynomial.const(draw(coeffs), dom)]
-    point = [draw(st.integers(0, p - 1)) for _ in VARS]
-    return p, fs, point
-
-
-@given(prime_field_polys_and_point())
-def test_generated_evaluator_matches_eval(data):
-    p, fs, point = data
-    residues = _residues_function(fs, VARS, p)
-    assert residues(*point) == tuple(f.eval(dict(zip(VARS, point))) for f in fs)
+# -- generated scan against the reference evaluator ---------------------------------
 
 
 @settings(deadline=None)
@@ -466,15 +447,20 @@ def test_generated_evaluator_matches_eval(data):
 def test_generated_scan_matches_brute_force(q, data):
     # The scan specializes each generator per leading-1 position: terms with
     # a coordinate before it are dropped and factors at it are left out.
+    # The zero polynomial rules no point out and a nonzero constant rules out
+    # every point; the scan is checked with the first and then with both.
     variables = VARS[:4]
     gens = data.draw(st.lists(polys(GF(q), max_terms=4, pool=variables), max_size=3))
-    expected = []
-    for tup in itertools.product(range(q), repeat=len(variables)):
-        lead = next((v for v in tup if v), None)
-        point = dict(zip(variables, tup))
-        if lead == 1 and all(g.eval(point) == 0 for g in gens):
-            expected.append(tup)
-    assert enumerate_variety(gens, variables, q) == expected
+    gens.append(Polynomial.zero(GF(q)))
+    constant = Polynomial.const(data.draw(st.integers(1, q - 1)), GF(q))
+    for system in (gens, gens + [constant]):
+        expected = []
+        for tup in itertools.product(range(q), repeat=len(variables)):
+            lead = next((v for v in tup if v), None)
+            point = dict(zip(variables, tup))
+            if lead == 1 and all(evaluate(g, point) == 0 for g in system):
+                expected.append(tup)
+        assert enumerate_variety(system, variables, q) == expected
 
 
 # -- parse / print round trip --------------------------------------------------------

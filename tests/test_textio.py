@@ -190,3 +190,33 @@ def test_json_exps_sorted():
     p = Polynomial.term(5, [(x_var(2, 1), 1), (X0, 2), (VAR_S, 3)])
     entry = poly_to_json(p)["terms"][0]["exps"]
     assert entry == sorted(entry)
+
+
+def test_json_repeated_monomials_add_up():
+    # As in the text parser, repeated monomials merge instead of the last
+    # one winning, and a sum that vanishes drops out.
+    doc = {
+        "domain": "Z",
+        "terms": [{"coeff": "1", "exps": [[1, 0, 1]]}, {"coeff": "2", "exps": [[1, 0, 1]]}],
+    }
+    assert poly_from_json(doc) == parse_poly("x[1][0] + 2*x[1][0]") == parse_poly("3*x[1][0]")
+    doc = {
+        "domain": {"Fp": 7},
+        "terms": [{"coeff": "3", "exps": [[1, 0, 1]]}, {"coeff": "4", "exps": [[1, 0, 1]]}],
+    }
+    assert poly_from_json(doc).is_zero()
+
+
+def test_json_repeated_variable_exponents_add_up():
+    doc = {"domain": "Z", "terms": [{"coeff": "1", "exps": [[1, 0, 1], [1, 0, 2]]}]}
+    assert poly_from_json(doc) == parse_poly("x[1][0]*x[1][0]^2") == parse_poly("x[1][0]^3")
+    # A negative exponent is refused before it can cancel a positive one.
+    doc = {"domain": "Z", "terms": [{"coeff": "1", "exps": [[1, 0, 2], [1, 0, -1]]}]}
+    with pytest.raises(ValueError, match="negative exponent"):
+        poly_from_json(doc)
+
+
+def test_json_zero_denominator_is_a_value_error():
+    doc = {"domain": "Q", "terms": [{"coeff": "1/0", "exps": [[1, 0, 1]]}]}
+    with pytest.raises(ValueError, match="zero denominator"):
+        poly_from_json(doc)

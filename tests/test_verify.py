@@ -5,11 +5,11 @@ import json
 
 import pytest
 
+from reference import evaluate
 from scrolleq import (
     GF,
     VAR_S,
     VAR_T,
-    VAR_V,
     VAR_W,
     VAR_Z,
     ZZ,
@@ -26,10 +26,7 @@ from scrolleq import (
     generic_minor,
     plucker_identity,
     projective_size,
-    sample_scroll_points,
-    schwartz_zippel_equal,
     scroll_param_map,
-    t_var,
     u_var,
     x_var,
 )
@@ -167,7 +164,7 @@ def brute_force_variety(gens, variables, q):
     for tup in itertools.product(range(q), repeat=n):
         if not any(tup):
             continue
-        if any(g.eval(dict(zip(variables, tup))) != 0 for g in gens):
+        if any(evaluate(g, dict(zip(variables, tup))) != 0 for g in gens):
             continue
         lead = next(v for v in tup if v)
         inv = pow(lead, q - 2, q)
@@ -181,6 +178,28 @@ def test_enumerate_matches_brute_force_segre():
     pts = enumerate_variety(gens, profile.variables(), 3)
     assert len(pts) == 16
     assert pts == brute_force_variety(gens, profile.variables(), 3)
+
+
+def test_enumerate_compiles_a_generator_past_5000_terms():
+    # The scan sums a generator's terms as a balanced tree of "+"; a flat
+    # chain of 5,050 terms overflows the recursion limit of the compiler.
+    xs = [x_var(1, j) for j in range(3)]
+    g = Polynomial(
+        GF(7),
+        {
+            Monomial({xs[0]: a, xs[1]: b, xs[2]: 99 - a - b}): a * b % 6 + 1
+            for a in range(100)
+            for b in range(100 - a)
+        },
+    )
+    assert len(g.terms) == 5050
+    expected = [
+        tup
+        for tup in itertools.product(range(7), repeat=3)
+        if next((v for v in tup if v), None) == 1 and evaluate(g, dict(zip(xs, tup))) == 0
+    ]
+    assert 0 < len(expected) < projective_size(3, 7)
+    assert enumerate_variety([g], xs, 7) == expected
 
 
 def test_enumerate_matches_brute_force_surface_system():
@@ -284,109 +303,3 @@ def test_compare_varieties_nonprime_field():
     with pytest.raises(ValueError):
         compare_varieties(build_profile([1, 1]), 4)
 
-
-# -- random sampling -----------------------------------------------------------------------
-
-
-def test_sample_scroll_points_pass():
-    report = sample_scroll_points(build_profile([2, 3]), 101, 200, seed=5)
-    assert report.passed
-    assert report.tested + report.skipped == 200
-
-
-def test_sample_scroll_points_large_profile():
-    report = sample_scroll_points(build_profile([2, 2, 3, 4]), 101, 1000, seed=7)
-    assert report.passed
-    assert report.tested + report.skipped == 1000
-
-
-def test_sample_scroll_points_skips_degenerate():
-    # Over GF(2) many draws hit the zero tuple; they must be skipped, not fail.
-    report = sample_scroll_points(build_profile([1, 1]), 2, 64, seed=1)
-    assert report.passed
-    assert report.skipped > 0
-    assert report.tested + report.skipped == 64
-
-
-def test_sample_requires_positive_trials():
-    with pytest.raises(ValueError):
-        sample_scroll_points(build_profile([1, 1]), 3, 0)
-
-
-# -- randomized identity testing --------------------------------------------------------------
-
-
-def test_sz_equal_inputs():
-    from reference import bridge_via_lists
-    from scrolleq import bridge
-
-    res = schwartz_zippel_equal(bridge(2, 4)[1], bridge_via_lists(2, 4), 10007, seed=3)
-    assert res.probably_equal
-    assert res.witness is None
-
-
-def test_sz_detects_difference():
-    p = Polynomial.variable(x_var(1, 0))
-    r = Polynomial.variable(x_var(1, 1))
-    res = schwartz_zippel_equal(p, r, 10007, trials=8, seed=0)
-    assert res.verdict == "definitely-different"
-    assert res.witness is not None
-
-
-def test_sz_witness_separates_inputs():
-    # The reference evaluator must also see the two inputs differ there.
-    p = Polynomial.term(3, [(x_var(1, 0), 2), (VAR_S, 1)]) - Polynomial.variable(VAR_T)
-    r = p + Polynomial.term(1, [(x_var(1, 1), 3)])
-    res = schwartz_zippel_equal(p, r, 10007, trials=8, seed=4)
-    assert res.verdict == "definitely-different"
-    point = dict(res.witness)
-    assert set(point) == set(p.variables()) | set(r.variables())
-    assert p.reduce_mod(10007).eval(point) != r.reduce_mod(10007).eval(point)
-
-
-def test_sz_handles_polynomials_past_5000_terms():
-    # 5,600 terms: the generated evaluator must compile a sum this long.
-    terms = {
-        Monomial({x_var(1, 0): a, x_var(1, 1): b}): (a * b) % 97 + 1
-        for a in range(1, 81)
-        for b in range(1, 71)
-    }
-    p = Polynomial(ZZ, terms)
-    r = p + Polynomial.variable(x_var(2, 0))
-    assert len(p.terms) == 5600
-    res = schwartz_zippel_equal(p, r, 10007, trials=4, seed=1)
-    assert res.verdict == "definitely-different"
-    point = dict(res.witness)
-    assert p.reduce_mod(10007).eval(point) != r.reduce_mod(10007).eval(point)
-
-
-def test_sz_identical_never_differ():
-    p = Polynomial.term(3, [(x_var(1, 0), 2), (VAR_S, 1)]) - Polynomial.variable(VAR_T)
-    for seed in range(10):
-        assert schwartz_zippel_equal(p, p, 101, trials=4, seed=seed).probably_equal
-
-
-def test_sz_failure_bound():
-    p = Polynomial.term(1, [(x_var(1, 0), 3)])
-    r = Polynomial.term(1, [(x_var(1, 0), 2)])
-    res = schwartz_zippel_equal(p, r, 10007, trials=5, seed=12)
-    if res.probably_equal:  # pragma: no cover - astronomically unlikely
-        pytest.fail("distinct polynomials reported equal")
-    assert res.failure_bound == 0.0
-    eq = schwartz_zippel_equal(p, p + Polynomial.zero(ZZ), 10007, trials=5)
-    assert eq.failure_bound == 0.0
-
-
-def test_sz_refuses_small_modulus():
-    p = Polynomial.term(1, [(x_var(1, 0), 40)])
-    with pytest.raises(ValueError):
-        schwartz_zippel_equal(p, Polynomial.zero(ZZ), 101, trials=2)
-
-
-def test_sz_loose_bound_formula():
-    # A difference divisible by the modulus evaluates to zero everywhere, so
-    # only the probabilistic guarantee applies: trials * degree / modulus.
-    x = Polynomial.variable(x_var(1, 0))
-    res = schwartz_zippel_equal(x.scale(10008), x, 10007, trials=7, seed=2)
-    assert res.probably_equal
-    assert res.failure_bound == pytest.approx(7 * 1 / 10007)
