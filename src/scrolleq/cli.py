@@ -299,7 +299,7 @@ def cmd_enumerate(config: RunConfig) -> int:
     else:
         lines = [
             f"profile {config.profile} over GF({report.q}): "
-            f"visited {report.visited} representatives",
+            f"visited {report.visited} points",
             f"count_J = {report.count_j}, count_P = {report.count_p}, "
             f"witnesses = {len(report.witnesses)}",
         ]

@@ -88,6 +88,10 @@ class ParseContext:
 # -- tokenizer ---------------------------------------------------------------
 
 _PUNCT = set("+-*/^[]")
+# str.isdigit and str.isalpha accept non-ASCII digits and letters, such as
+# "\u0663" and "\u00b2", which int() then reads or refuses without a position.
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
 class _Token:
@@ -120,17 +124,17 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", int(text[i:j]), line, col))
             col += j - i
             i = j
             continue
-        if ch.isalpha():
+        if ch in _LETTERS:
             j = i
-            while j < n and text[j].isalpha():
+            while j < n and text[j] in _LETTERS:
                 j += 1
             tokens.append(_Token("name", text[i:j], line, col))
             col += j - i
@@ -298,6 +302,8 @@ def _encode_var(v: VarId) -> tuple[int, int]:
 
 
 def _decode_var(i: int, j: int) -> VarId:
+    if type(i) is not int or type(j) is not int:
+        raise ValueError(f"invalid variable encoding [{i!r}, {j!r}]")
     if i >= 1:
         return x_var(i, j)
     if i != 0:
@@ -382,7 +388,16 @@ def poly_from_json(obj) -> Polynomial:
     dom = domain_from_json(obj["domain"])
     terms = []
     for entry in obj["terms"]:
-        mono = monomial([(_decode_var(i, j), e) for i, j, e in entry["exps"]])
+        factors = []
+        for i, j, e in entry["exps"]:
+            # A bool is an int to isinstance, so the type is compared exactly.
+            # A negative exponent is refused by the monomial constructor.
+            if type(e) is not int:
+                raise ValueError(f"exponent {e!r} is not an integer")
+            if e > MAX_EXPONENT:
+                raise ValueError(f"exponent overflow ({e} > {MAX_EXPONENT})")
+            factors.append((_decode_var(i, j), e))
+        mono = monomial(factors)
         terms.append((mono, _coeff_from_string(entry["coeff"], dom)))
     # As in the text parser, the constructor merges repeated monomials.
     return Polynomial(dom, terms)

@@ -11,16 +11,18 @@ out exactly the scroll:
   three-term relation among the minors of a generic 2 x d matrix holds
   identically;
 * exhaustively, over a small prime field: every projective point satisfying
-  the defining system also satisfies all minors, checked by enumerating
-  canonical representatives (first nonzero coordinate normalized to 1).
+  the defining system also satisfies all minors, checked on canonical
+  representatives (first nonzero coordinate normalized to 1) of every point
+  whose blocks each lie on the cone cut out by the block's own equations.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TypeAlias
 
 from .polyring import (
     VAR_S,
@@ -42,10 +44,18 @@ from .scroll import (
     ScrollProfile,
     bridge,
     equation_set,
+    group_bridges,
     term_bound,
 )
 
 DEFAULT_BUDGET = 10**8
+
+# A generator as the scan evaluates it: the sum of each polynomial over GF(q)
+# raised to its power.  A weight generator is its group's bridges with their
+# balancing powers, so it is never expanded; any other is one polynomial.  The
+# alias is a string: subscripting typing.Sequence caches its arguments for the
+# life of the process, which would keep every imported copy of Polynomial.
+Summands: TypeAlias = "Sequence[tuple[Polynomial, int]]"
 
 
 class BudgetExceededError(RuntimeError):
@@ -197,48 +207,27 @@ def plucker_identity(d: int) -> tuple[bool, list[tuple[int, int, int, int]]]:
 # ---------------------------------------------------------------------------
 
 
-def _indexed_terms(
-    poly: Polynomial, var_index: Mapping[VarId, int]
-) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-    """The terms of a polynomial over GF(q) as integers: (coefficient,
-    ((variable index, exponent), ...))."""
-    terms = []
-    for mono, coeff in poly.terms.items():
-        try:
-            factors = tuple((var_index[v], int(e)) for v, e in mono.exps)
-        except KeyError as exc:
-            raise ValueError(
-                f"generator variable {exc.args[0]} is outside the ambient space"
-            ) from None
-        terms.append((int(coeff), factors))
-    return terms
-
-
-def _residue_source(
-    terms: Sequence[tuple[int, tuple[tuple[int, int], ...]]], names: Sequence[str], q: int
-) -> str | None:
-    """Python source for the value mod q of the polynomial with these indexed
-    terms, at a point whose coordinate i reads ``names[i]``: an identifier,
-    or "0" or "1" for a coordinate fixed to that value.
-
-    Terms with a factor fixed to 0 are dropped and factors fixed to 1 are
-    left out; None when no term is left.  The text is built only from
-    integers and generated names, never from user text.
-    """
-    sources = []
-    for coeff, factors in terms:
-        parts = []
-        for i, e in factors:
-            name = names[i]
-            if name == "0":
-                break
-            if name != "1":
-                parts.append(f"{name}**{e}" if e > 1 else name)
-        else:
-            if coeff != 1 or not parts:
-                parts.insert(0, str(coeff))
-            sources.append("*".join(parts))
-    return f"{_sum_source(sources)} % {q}" if sources else None
+def _generator_source(summands: Summands, names: Mapping[VarId, str], q: int) -> str:
+    """Python source for a generator's value mod q at a point whose
+    coordinate v reads ``names[v]``: the sum of its polynomials, each written
+    out term by term and raised to its power with ``pow(., c, q)``.  The text
+    is built only from integers and generated names, never from user text."""
+    parts = []
+    for poly, power in summands:
+        terms = []
+        for mono, coeff in poly.terms.items():
+            try:
+                factors = [names[v] + (f"**{int(e)}" if e > 1 else "") for v, e in mono.exps]
+            except KeyError as exc:
+                raise ValueError(
+                    f"generator variable {exc.args[0]} is outside the ambient space"
+                ) from None
+            if coeff != 1 or not factors:
+                factors.insert(0, str(int(coeff)))
+            terms.append("*".join(factors))
+        source = _sum_source(terms) if terms else "0"
+        parts.append(source if power == 1 else f"pow({source}, {power}, {q})")
+    return f"{_sum_source(parts)} % {q}"
 
 
 def _sum_source(terms: Sequence[str]) -> str:
@@ -256,54 +245,40 @@ def _tuple_source(items: Sequence[str]) -> str:
     return f"({''.join(item + ', ' for item in items)})"
 
 
-def _compile(source: str, name: str, **env):
-    namespace = dict(env)
-    exec(compile(source, f"<scrolleq {name}>", "exec"), namespace)
-    return namespace[name]
-
-
 def _scan(
-    groups: Sequence[Sequence[Polynomial]],
-    variables: Sequence[VarId],
+    groups: Sequence[Sequence[Summands]],
+    blocks: Sequence[Sequence[VarId]],
+    points: Iterable,
+    size: int,
     q: int,
-    budget: int,
-) -> tuple[int, list[list[tuple[int, ...]]]]:
-    """Visit every representative of projective space over GF(q) once and
-    collect, per generator group, the points where the whole group vanishes.
+) -> list[list[tuple[int, ...]]]:
+    """Visit each of the ``size`` points once and return, per generator
+    group, the sorted points where the whole group vanishes.
 
-    Representatives have their first nonzero coordinate equal to 1: for each
-    position k of that leading 1, the coordinates after it run over all of
-    GF(q).  Refuses up front when representatives times generators exceeds
-    the budget.  The pass is one function generated and compiled per call:
-    one loop per k, with the coordinates before k fixed to 0 and the one at
-    k fixed to 1, testing each group as one short-circuit ``and`` of its
-    generators.  Returns (visited, sorted hits per group).
+    A point holds one coordinate tuple per block, or is that tuple when there
+    is one block; a hit is the flat coordinate tuple.  The pass is one
+    function generated and compiled per call: one loop over ``points`` that
+    tests each group as one short-circuit ``and`` of its generators.
     """
-    n = len(variables)
-    reps = _scan_size(n, q, sum(len(gens) for gens in groups), budget)
-    var_index = {v: i for i, v in enumerate(variables)}
-    indexed = [[_indexed_terms(p, var_index) for p in gens] for gens in groups]
-    lines = ["def scan(hits):", "    visited = 0"]
+    names = {v: f"x{i}" for i, v in enumerate(v for block in blocks for v in block)}
+    target = ", ".join(_tuple_source([names[v] for v in block]) for block in blocks)
+    lines = ["def scan(points, hits):", "    visited = 0"]
     lines += [f"    hit{gi} = hits[{gi}].append" for gi in range(len(groups))]
-    for k in range(n):
-        names = ["0"] * k + ["1"] + [f"x{i}" for i in range(k + 1, n)]
-        tail = ", ".join(names[k + 1:]) + "," if k + 1 < n else "_"
-        lines.append(f"    for {tail} in product(range({q}), repeat={n - k - 1}):")
-        lines.append("        visited += 1")
-        for gi, group in enumerate(indexed):
-            sources = (_residue_source(terms, names, q) for terms in group)
-            test = " and ".join(f"not {s}" for s in sources if s is not None)
-            lines.append(f"        if {test or 'True'}:")
-            lines.append(f"            hit{gi}({_tuple_source(names)})")
+    lines.append(f"    for {target} in points:")
+    lines.append("        visited += 1")
+    for gi, group in enumerate(groups):
+        test = " and ".join(f"not {_generator_source(gen, names, q)}" for gen in group)
+        lines.append(f"        if {test or 'True'}:")
+        lines.append(f"            hit{gi}({_tuple_source(list(names.values()))})")
     lines.append("    return visited")
-    scan = _compile("\n".join(lines) + "\n", "scan", product=itertools.product)
+    namespace: dict = {}
+    exec(compile("\n".join(lines) + "\n", "<scrolleq scan>", "exec"), namespace)
+    scan = namespace["scan"]
     hits: list[list[tuple[int, ...]]] = [[] for _ in groups]
-    visited = scan(hits)
-    if visited != reps:
-        raise AssertionError(
-            f"representative counter mismatch: visited {visited}, expected {reps}"
-        )
-    return visited, [sorted(pts) for pts in hits]
+    visited = scan(points, hits)
+    if visited != size:
+        raise AssertionError(f"point counter mismatch: visited {visited}, expected {size}")
+    return [sorted(pts) for pts in hits]
 
 
 def projective_size(n: int, q: int) -> int:
@@ -311,17 +286,31 @@ def projective_size(n: int, q: int) -> int:
     return (q**n - 1) // (q - 1)
 
 
-def _scan_size(n: int, q: int, generators: int, budget: int) -> int:
-    """The representatives a scan of n coordinates over GF(q) visits; refuses
-    a q that is not prime, and representatives times generators beyond the
-    budget."""
+def _representatives(n: int, q: int) -> Iterator[tuple[int, ...]]:
+    """The canonical representatives of projective (n-1)-space over GF(q): for
+    each position of the leading 1, zeros before it and GF(q) after it."""
+    return itertools.chain.from_iterable(
+        itertools.product(*[(0,)] * k, (1,), *[range(q)] * (n - k - 1)) for k in range(n)
+    )
+
+
+def _projective_scan(
+    groups: Sequence[Sequence[Summands]], variables: Sequence[VarId], q: int
+) -> list[list[tuple[int, ...]]]:
+    """Hits per group over every representative of projective space on
+    ``variables``."""
+    n = len(variables)
+    return _scan(groups, [variables], _representatives(n, q), projective_size(n, q), q)
+
+
+def _check_field(q: int) -> None:
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
-    reps = projective_size(n, q)
-    estimate = reps * max(1, generators)
+
+
+def _check_budget(estimate: int, budget: int) -> None:
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
-    return reps
 
 
 def enumerate_variety(
@@ -335,7 +324,8 @@ def enumerate_variety(
     Representatives have their first nonzero coordinate equal to 1 and are
     returned sorted.  ``q`` is read off the generators' domain when omitted;
     an empty generator list returns the whole projective space and then
-    requires an explicit ``q``.
+    requires an explicit ``q``.  Refuses up front when representatives times
+    generators exceeds the budget.
     """
     for g in gens:
         if g.domain.kind != "Fp":
@@ -346,7 +336,9 @@ def enumerate_variety(
             raise ValueError("generators live over different prime fields")
     if q is None:
         raise ValueError("q is required when no generators are given")
-    _, (hits,) = _scan([gens], variables, q, budget)
+    _check_field(q)
+    _check_budget(projective_size(len(variables), q) * max(1, len(gens)), budget)
+    (hits,) = _projective_scan([[[(g, 1)] for g in gens]], variables, q)
     return hits
 
 
@@ -391,24 +383,29 @@ def compare_varieties(
     seed: int | None = None,
     eqset: EquationSet | None = None,
 ) -> VarietyReport:
-    """Enumerate the zero sets of the defining system and of the minors in one
-    pass and report counts plus any system-only points (expected none).
+    """Enumerate the zero sets of the defining system and of the minors and
+    report counts plus any system-only points (expected none).
 
     Generators are built over Z and reduced mod q, so characteristics that
-    divide bridge coefficients are probed faithfully.  The minor locus is
-    always contained in the system locus; the converse inclusion is the
-    content of the check.  Both the scan and the expansion of the weight
-    generators are checked against the budget before either starts.
+    divide bridge coefficients are probed faithfully; a weight generator is
+    evaluated through its bridges, never expanded.  The minor locus is always
+    contained in the system locus; the converse inclusion is the content of
+    the check.
+
+    A single block is scanned over all of projective space.  With d >= 2
+    blocks the scan is block-factored, and exact: curve equations and
+    within-block minors use only their block's coordinates, so each block of
+    a point of either locus lies in the cone C_i = {0} u GF(q)* (Z_i u M_i)
+    over their projective zero sets Z_i and M_i.  Each block with n_i >= 2 is
+    scanned for Z_i and M_i; with n_i = 1 the cone is all of GF(q)^2.  One
+    pass then evaluates the whole system and all minors on the canonical
+    points of the product of the cones.  Each stage is checked against the
+    budget before it starts.
     """
     start = time.perf_counter()
+    _check_field(q)
     eqset = eqset if eqset is not None else equation_set(profile)
-    _scan_size(profile.num_vars, q, eqset.system_size + len(eqset.minor_gens), budget)
-    check_construction_budget(eqset, budget)
-    system_q = [p.reduce_mod(q) for p in eqset.system_polys()]
-    minors_q = [p.reduce_mod(q) for p in eqset.minor_gens]
-    visited, (in_system, in_minors) = _scan(
-        (system_q, minors_q), profile.variables(), q, budget
-    )
+    visited, in_system, in_minors = _loci(eqset, q, budget)
     minor_set = set(in_minors)
     system_set = set(in_system)
     stray = sorted(minor_set - system_set)
@@ -430,3 +427,54 @@ def compare_varieties(
         elapsed_ms=elapsed_ms,
         visited=visited,
     )
+
+
+def _loci(eqset: EquationSet, q: int, budget: int) -> tuple[int, list, list]:
+    """(points visited, system locus, minor locus) over GF(q), as
+    ``compare_varieties`` computes them."""
+    profile = eqset.profile
+    blocks = [[x_var(i, j) for j in range(ni + 1)] for i, ni in enumerate(profile.n, start=1)]
+    curves = [[(p.reduce_mod(q), 1)] for _, _, p in eqset.curve_gens]
+    minors = [[(p.reduce_mod(q), 1)] for p in eqset.minor_gens]
+    if profile.d == 1:
+        size = projective_size(profile.num_vars, q)
+        _check_budget(size * max(1, len(curves) + len(minors)), budget)
+        return (size, *_projective_scan((curves, minors), blocks[0], q))
+    # The curve equations and within-block minors of each block, by block
+    # index; a block with n_i = 1 has neither and is not scanned.
+    scans: dict[int, tuple[list, list]] = {}
+    for gen, (i, _, _) in zip(curves, eqset.curve_gens):
+        scans.setdefault(i - 1, ([], []))[0].append(gen)
+    for gen, p in zip(minors, eqset.minor_gens):
+        at = {v.block for v in p.variables()}
+        if len(at) == 1:
+            scans.setdefault(at.pop() - 1, ([], []))[1].append(gen)
+    block_points = {i: projective_size(len(blocks[i]), q) for i in scans}
+    work = sum(block_points[i] * (len(c) + len(m)) for i, (c, m) in scans.items())
+    _check_budget(work, budget)
+    # Leading-1 representatives of each block's cone: Z_i u M_i, or the
+    # whole projective line for a block with n_i = 1.
+    reps = [list(_representatives(2, q)) for _ in blocks]
+    for i, groups in scans.items():
+        on_curves, on_minors = _projective_scan(groups, blocks[i], q)
+        reps[i] = sorted(set(on_curves) | set(on_minors))
+    cones = [
+        [(0,) * len(block)] + [tuple(c * x % q for x in r) for c in range(1, q) for r in rs]
+        for block, rs in zip(blocks, reps)
+    ]
+    # The canonical points of the product of the cones: the blocks before the
+    # leading one are zero, the leading block is a representative and the
+    # blocks after it run over their cones.
+    d = profile.d
+    zeros = [[(0,) * len(block)] for block in blocks]
+    size = sum(len(reps[i]) * math.prod(map(len, cones[i + 1:])) for i in range(d))
+    _check_budget(size * (eqset.system_size + len(minors)), budget)
+    weights = [
+        list(zip((b.reduce_mod(q) for b in group_bridges(profile, g)), g.powers))
+        for g in eqset.groups
+    ]
+    points = itertools.chain.from_iterable(
+        itertools.product(*zeros[:i], reps[i], *cones[i + 1:]) for i in range(d)
+    )
+    in_system, in_minors = _scan((curves + weights, minors), blocks, points, size, q)
+    return sum(block_points.values()) + size, in_system, in_minors

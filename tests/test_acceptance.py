@@ -178,7 +178,12 @@ def test_criterion_7_radical_equality_oracle():
                 if n in ((1, 1), (1, 2)):
                     assert report.count_p == (q + 1) ** 2, (n, q)
                 if n == (2, 2, 3, 4):
-                    assert report.visited == 2**15 - 1 <= 32768
+                    # Each block with n_i >= 2 over its own projective space,
+                    # then the canonical points of the product of the block
+                    # cones, which have q^2 points each.
+                    blocks = sum((q ** (ni + 1) - 1) // (q - 1) for ni in n if ni >= 2)
+                    candidates = (q ** (2 * len(n)) - 1) // (q - 1)
+                    assert report.visited == blocks + candidates < 2**15 - 1
 
 
 def test_criterion_8_small_characteristic_robustness():
@@ -226,3 +231,16 @@ def test_criterion_10_large_profiles_verify_through_bridges(capsys):
             assert "FAIL" not in out
             assert f"PASS parametrization-vanishing ({k}/{k} generators vanish)" in out
             assert out.endswith(f"PASS suite for profile ({n.replace(',', ', ')})\n")
+
+
+def test_criterion_11_block_factored_comparison_expands_nothing(no_expansion):
+    # Whole-space scans of these would visit 2.1e6 to 7.6e9 points; the
+    # block-factored comparison evaluates each weight generator through its
+    # bridges and expands none.
+    with criterion(11, "point sets agree on (2,2,3,4) over GF(3), GF(5) and "
+                       "on (2,3,5,7), (3,5,7,8) over GF(2)", 10.0):
+        for n, q in [((2, 2, 3, 4), 3), ((2, 2, 3, 4), 5), ((2, 3, 5, 7), 2), ((3, 5, 7, 8), 2)]:
+            report = compare_varieties(build_profile(n), q)
+            d = len(n)
+            assert report.count_j == report.count_p == (q + 1) * (q**d - 1) // (q - 1), (n, q)
+            assert report.witnesses == (), (n, q)

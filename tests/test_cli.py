@@ -155,7 +155,8 @@ def test_nonprime_field_is_refused_before_any_work(capsys, no_expansion):
 
 
 def test_scan_budget_is_checked_before_expansion(capsys, no_expansion):
-    assert run(["--profile", "2,3,5,7", "enumerate", "--field", "2"]) == 3
+    # The block of degree 7 alone has about 1.1e14 points over GF(101).
+    assert run(["--profile", "2,3,5,7", "enumerate", "--field", "101"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("budget exceeded: enumeration needs an estimated")
     assert err.count("\n") == 1
@@ -164,8 +165,6 @@ def test_scan_budget_is_checked_before_expansion(capsys, no_expansion):
 @pytest.mark.parametrize("argv, budget", [
     (["--profile", "3,5,7,8", "equations"], 10**8),
     (["--profile", "3,5,7,8", "export"], 10**8),
-    # 8.1e10 evaluations fit this budget, 9.4e10 generator terms do not.
-    (["--profile", "4,6,7,7", "enumerate", "--field", "2"], 9 * 10**10),
 ])
 def test_construction_budget_refuses_before_expansion(capsys, no_expansion, argv, budget):
     # Weight 5 of (3,5,7,8) raises bridge(3, 8) to the 12th power and
@@ -178,6 +177,15 @@ def test_construction_budget_refuses_before_expansion(capsys, no_expansion, argv
     assert captured.out == ""
     assert captured.err.startswith("budget exceeded: construction needs an estimated ")
     assert captured.err.endswith(f" weight-generator terms, budget is {budget}\n")
+
+
+def test_enumerate_expands_no_weight_generator(capsys, no_expansion):
+    # Expanded, the weight generators of (4,6,7,7) are bounded by 9.4e10
+    # terms; the comparison evaluates them through their bridges.
+    assert run(["--profile", "4,6,7,7", "enumerate", "--field", "2", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["count_J"] == doc["count_P"] == 3 * (2**4 - 1)
+    assert doc["witnesses"] == []
 
 
 def test_construction_budget_boundary(capsys):

@@ -23,6 +23,7 @@ from scrolleq import (
     u_var,
     x_var,
 )
+from scrolleq.textio import MAX_EXPONENT
 
 X0, X1, X2 = x_var(1, 0), x_var(1, 1), x_var(1, 2)
 
@@ -90,6 +91,18 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse_poly("x[1][0] +\n y[1][0]")
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("text, line, col", [
+    ("x[1][\u0663]", 1, 6),  # ARABIC-INDIC DIGIT THREE: read as 3 before
+    ("x[1][0]^\u00b2", 1, 9),  # SUPERSCRIPT TWO: a bare int() error before
+    ("x[1][0] +\n 2*\u00e9", 2, 4),
+    ("\uff58[1][0]", 1, 1),  # FULLWIDTH LATIN SMALL LETTER X
+])
+def test_parse_refuses_non_ascii_digits_and_letters(text, line, col):
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_poly(text)
+    assert (err.value.line, err.value.col) == (line, col)
 
 
 def test_parse_unknown_variable_name():
@@ -220,3 +233,36 @@ def test_json_zero_denominator_is_a_value_error():
     doc = {"domain": "Q", "terms": [{"coeff": "1/0", "exps": [[1, 0, 1]]}]}
     with pytest.raises(ValueError, match="zero denominator"):
         poly_from_json(doc)
+
+
+def one_factor_doc(i, j, e):
+    return {"domain": "Z", "terms": [{"coeff": "1", "exps": [[i, j, e]]}]}
+
+
+@pytest.mark.parametrize("exponent, message", [
+    (1.5, "not an integer"),
+    (2.0, "not an integer"),
+    ("2", "not an integer"),
+    (True, "not an integer"),
+    (None, "not an integer"),
+    (10**7, "exponent overflow"),
+    (MAX_EXPONENT + 1, "exponent overflow"),
+])
+def test_json_refuses_bad_exponents(exponent, message):
+    with pytest.raises(ValueError, match=message):
+        poly_from_json(one_factor_doc(1, 0, exponent))
+
+
+def test_json_accepts_exponents_from_zero_to_the_limit():
+    assert poly_from_json(one_factor_doc(1, 0, 0)) == Polynomial.const(1)
+    assert poly_from_json(one_factor_doc(1, 0, MAX_EXPONENT)) == Polynomial.term(
+        1, [(X0, MAX_EXPONENT)]
+    )
+
+
+@pytest.mark.parametrize("block, slot", [
+    ("1", 0), (1, "0"), (1.0, 0), (1, 0.0), (True, 0), (1, False), (None, 0), (0, True),
+])
+def test_json_refuses_non_integer_blocks_and_slots(block, slot):
+    with pytest.raises(ValueError, match="invalid variable encoding"):
+        poly_from_json(one_factor_doc(block, slot, 1))

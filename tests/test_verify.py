@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +18,7 @@ from scrolleq import (
     BudgetExceededError,
     Monomial,
     Polynomial,
+    WeightGroup,
     build_profile,
     check_bridge_determinant_power,
     check_bridge_scroll_vanishing,
@@ -23,13 +26,19 @@ from scrolleq import (
     compare_varieties,
     enumerate_variety,
     equation_set,
+    g_polynomial,
     generic_minor,
+    group_bridges,
     plucker_identity,
     projective_size,
     scroll_param_map,
     u_var,
+    weight_groups,
     x_var,
 )
+from scrolleq import verify
+from scrolleq.verify import DEFAULT_BUDGET
+from test_acceptance import CASES_7
 
 
 # -- parametrization ----------------------------------------------------------
@@ -217,6 +226,21 @@ def test_enumerate_empty_system_gives_whole_space():
     assert len(set(pts)) == 40
 
 
+def test_scan_evaluates_weight_generators_through_bridges():
+    # Weight 5 of (1,1,1,2) raises bridge (1,4), of degree 3, to the power 2
+    # and bridge (2,3), of degree 2, to the power 3.  Written out as powers of
+    # the reduced bridges, each weight generator must vanish exactly where
+    # its expansion does.
+    profile = build_profile([1, 1, 1, 2])
+    variables = profile.variables()
+    for group in weight_groups(profile):
+        bridges = [b.reduce_mod(3) for b in group_bridges(profile, group)]
+        summands = list(zip(bridges, group.powers))
+        expanded = g_polynomial(profile, group).reduce_mod(3)
+        (hits,) = verify._projective_scan([[summands]], variables, 3)
+        assert hits == enumerate_variety([expanded], variables, 3), group.k
+
+
 def test_enumerate_line_has_no_generators():
     # Profile (1,): the line P^1, cut out by nothing, so both generator
     # groups are empty and every representative is a hit.
@@ -259,12 +283,30 @@ def test_enumerate_rejects_bad_inputs():
 # -- variety comparison -----------------------------------------------------------------
 
 
+def factored_visits(n, q):
+    """The points the block-factored comparison visits for a correct system
+    with d >= 2 blocks: every block with n_i >= 2 over its own projective
+    space, then the (q^(2d) - 1)/(q - 1) canonical points of the product of
+    the block cones, each of which has q^2 points."""
+    blocks = sum((q ** (ni + 1) - 1) // (q - 1) for ni in n if ni >= 2)
+    return blocks + (q ** (2 * len(n)) - 1) // (q - 1)
+
+
+def whole_space_loci(eqset, q):
+    """The system locus and the minor locus from whole-space scans of the
+    expanded system and of the minors: the oracle for compare_varieties."""
+    variables = eqset.profile.variables()
+    system = enumerate_variety([p.reduce_mod(q) for p in eqset.system_polys()], variables, q)
+    minors = enumerate_variety([p.reduce_mod(q) for p in eqset.minor_gens], variables, q)
+    return system, minors
+
+
 def test_compare_varieties_surface():
     report = compare_varieties(build_profile([2, 2]), 5)
     assert report.passed
     assert report.count_j == report.count_p == 36
     assert report.witnesses == ()
-    assert report.visited == projective_size(6, 5) == 3906
+    assert report.visited == factored_visits((2, 2), 5) == 2 * 31 + 156
 
 
 def test_compare_varieties_deterministic():
@@ -273,16 +315,78 @@ def test_compare_varieties_deterministic():
     assert (a.count_j, a.count_p, a.witnesses) == (b.count_j, b.count_p, b.witnesses)
 
 
-@pytest.mark.parametrize("n, q", [((2, 2), 5), ((2, 2, 3, 4), 2)])
+# Every CASES_7 case, and every profile with d <= 3 and n_i <= 3 over GF(2)
+# and GF(3).  (2,2)/GF(5) and (2,2,3,4)/GF(2) come first so that their test
+# ids stay n0-5 and n1-2.
+ORACLE_CASES = [((2, 2), 5), ((2, 2, 3, 4), 2)]
+ORACLE_CASES += [
+    case
+    for case in [(n, q) for n, fields in CASES_7 for q in fields]
+    + [(n, q) for d in (1, 2, 3) for n in itertools.product((1, 2, 3), repeat=d) for q in (2, 3)]
+    if case not in ORACLE_CASES
+]
+
+
+@pytest.mark.parametrize("n, q", ORACLE_CASES)
 def test_compare_varieties_counts_match_enumerate_variety(n, q):
     profile = build_profile(n)
     eqset = equation_set(profile)
     report = compare_varieties(profile, q, eqset=eqset)
-    system_q = [p.reduce_mod(q) for p in eqset.system_polys()]
-    minors_q = [p.reduce_mod(q) for p in eqset.minor_gens]
-    assert report.count_j == len(enumerate_variety(system_q, profile.variables(), q))
-    assert report.count_p == len(enumerate_variety(minors_q, profile.variables(), q))
-    assert report.visited == projective_size(profile.num_vars, q)
+    system, minors = whole_space_loci(eqset, q)
+    assert report.count_j == len(system)
+    assert report.count_p == len(minors)
+    assert report.witnesses == tuple(sorted(set(system) - set(minors)))
+    if profile.d >= 2:
+        assert report.visited == factored_visits(n, q)
+    else:
+        assert report.visited == projective_size(profile.num_vars, q)
+
+
+def drop_bridge(eqset, k):
+    """The equation set with the first bridge of weight group k left out."""
+    groups = tuple(
+        WeightGroup(g.k, g.pairs[1:], g.metas[1:], g.degree, g.powers[1:]) if g.k == k else g
+        for g in eqset.groups
+    )
+    return replace(eqset, groups=groups)
+
+
+def bump_curve(eqset, block, index):
+    """The equation set with one coefficient of curve[block][index] raised by 1."""
+    curves = []
+    for i, j, p in eqset.curve_gens:
+        if (i, j) == (block, index):
+            lead, _ = p.sorted_terms()[0]
+            p = p + Polynomial(ZZ, {lead: 1})
+        curves.append((i, j, p))
+    return replace(eqset, curve_gens=tuple(curves))
+
+
+@pytest.mark.parametrize("mutate, args, n, q", [
+    (drop_bridge, (5,), (2, 2, 3, 4), 2),
+    (drop_bridge, (5,), (1, 1, 1, 1), 3),
+    (bump_curve, (1, 1), (2, 2), 3),
+    (bump_curve, (2, 1), (2, 3), 2),
+], ids=["bridge-2234-q2", "bridge-1111-q3", "curve-22-q3", "curve-23-q2"])
+def test_factored_loci_match_oracle_on_mutated_systems(mutate, args, n, q):
+    # A mutant system cuts out points off the scroll, so both loci must come
+    # out exactly as the whole-space scans find them.  A changed curve
+    # equation also misses curve points that the minors keep: the block
+    # cones take the union of both block loci, so the stray check still
+    # sees every minor point.
+    eqset = mutate(equation_set(build_profile(n)), *args)
+    system, minors = whole_space_loci(eqset, q)
+    _, in_system, in_minors = verify._loci(eqset, q, DEFAULT_BUDGET)
+    assert (in_system, in_minors) == (system, minors)
+    witnesses = tuple(sorted(set(system) - set(minors)))
+    stray = sorted(set(minors) - set(system))
+    assert witnesses
+    if stray:
+        with pytest.raises(RuntimeError, match=re.escape(f"escapes the system locus at {stray[:3]}")):
+            compare_varieties(eqset.profile, q, eqset=eqset)
+    else:
+        report = compare_varieties(eqset.profile, q, eqset=eqset)
+        assert report.witnesses == witnesses and not report.passed
 
 
 def test_compare_varieties_report_json_keys():
