@@ -37,6 +37,7 @@ from .polyring import (
     _raw_monomial,
     _raw_poly,
     binomial,
+    monomial,
     x_var,
 )
 
@@ -152,25 +153,11 @@ def curve_equation(n: int, i: int, block: int = 1) -> Polynomial:
         raise ValueError(f"curve equation index {i} out of range for block degree {n}")
     terms: dict[Monomial, int] = {}
     for alpha in range(i + 1):
-        mono = Monomial(
-            _accumulate(
-                [
-                    (x_var(block, i + 1), i - alpha),
-                    (x_var(block, alpha), 1),
-                    (x_var(block, i), alpha),
-                ]
-            )
+        mono = monomial(
+            [(x_var(block, i + 1), i - alpha), (x_var(block, alpha), 1), (x_var(block, i), alpha)]
         )
         terms[mono] = (-1) ** alpha * binomial(i, alpha)
     return Polynomial(ZZ, terms)
-
-
-def _accumulate(pairs) -> dict[VarId, int]:
-    acc: dict[VarId, int] = {}
-    for v, e in pairs:
-        if e:
-            acc[v] = acc.get(v, 0) + e
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +207,15 @@ def bridge(
     for alpha in range(m + 1):
         c, r = divmod(alpha, p)
         e, f = divmod(alpha, q)
+        # The factors with a nonzero exponent are on four distinct
+        # variables, so nothing needs merging.
         mono = Monomial(
-            _accumulate(
-                [
-                    (x_var(x_block, a - c), p - r),
-                    (x_var(x_block, a - c - 1) if r else x_var(x_block, 0), r),
-                    (x_var(y_block, e), q - f),
-                    (x_var(y_block, e + 1) if f else x_var(y_block, 0), f),
-                ]
-            )
+            [
+                (x_var(x_block, a - c), p - r),
+                (x_var(x_block, a - c - 1) if r else x_var(x_block, 0), r),
+                (x_var(y_block, e), q - f),
+                (x_var(y_block, e + 1) if f else x_var(y_block, 0), f),
+            ]
         )
         terms[mono] = (-1) ** alpha * binomial(m, alpha)
     return meta, Polynomial(ZZ, terms)

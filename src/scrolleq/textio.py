@@ -26,7 +26,9 @@ appear in descending canonical order, so the serialization is byte-stable.
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,16 +44,12 @@ from .polyring import (
     NS_AUX,
     NS_SCROLL,
     QQ,
-    VAR_S,
-    VAR_T,
-    VAR_V,
-    VAR_W,
-    VAR_Z,
     ZZ,
     Domain,
     Monomial,
     Polynomial,
     VarId,
+    _AUX_SCALAR_NAMES,
     monomial,
     t_var,
     u_var,
@@ -60,7 +58,7 @@ from .polyring import (
 
 MAX_EXPONENT = 10**6
 
-_SCALARS = {"s": VAR_S, "t": VAR_T, "z": VAR_Z, "w": VAR_W, "v": VAR_V}
+_SCALARS = {name: VarId(NS_AUX, kind, 0) for kind, name in _AUX_SCALAR_NAMES.items()}
 
 
 class ParseError(ValueError):
@@ -85,202 +83,125 @@ class ParseContext:
     block_sizes: tuple[int, ...] | None = None
 
 
-# -- tokenizer ---------------------------------------------------------------
+# -- parser ------------------------------------------------------------------
 
-_PUNCT = set("+-*/^[]")
-# str.isdigit and str.isalpha accept non-ASCII digits and letters, such as
-# "\u0663" and "\u00b2", which int() then reads or refuses without a position.
-_DIGITS = frozenset("0123456789")
-_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-
-
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind  # "int" | "name" | punctuation | "end"
-        self.value = value
-        self.line = line
-        self.col = col
+# A token is a run of ASCII digits, a run of ASCII letters or one punctuation
+# character, after optional whitespace.  Once _BAD finds nothing, the tokens
+# tile the text up to its trailing whitespace.  Regex \s and str.isspace agree
+# on every code point; str.isdigit and str.isalpha would also take non-ASCII
+# digits and letters, such as "\u0663" and "\u00b2".
+_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z]+|[-+*/^\[\]])")
+_BAD = re.compile(r"[^\s0-9A-Za-z+\-*/^\[\]]")
+_SIGNS = ("+", "-")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("int", int(text[i:j]), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _LETTERS:
-            j = i
-            while j < n and text[j] in _LETTERS:
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", None, line, col))
-    return tokens
+def _kind(tok: str) -> str:
+    """A token's kind as error messages name it; "" is the end of the text."""
+    return "int" if tok.isdigit() else "name" if tok.isalpha() else tok or "end"
 
 
-class _Parser:
-    def __init__(self, text: str, ctx: ParseContext):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.ctx = ctx
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """``message`` at the line and column of ``offset``; only a newline ends a line."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _fail(text: str, k: int, message: str) -> ParseError:
+    """``message`` at token ``k`` of ``text``, or at its end past the last token."""
+    tok = next(itertools.islice(_TOKEN.finditer(text), k, None), None)
+    return _error(text, tok.start(1) if tok else len(text), message)
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.kind!r}", tok.line, tok.col)
-        return self.advance()
 
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
-
-    # grammar productions ----------------------------------------------------
-
-    def parse(self) -> Polynomial:
-        sign = 1
-        tok = self.peek()
-        if tok.kind in ("+", "-"):
-            sign = -1 if tok.kind == "-" else 1
-            self.advance()
-        terms = [self.term(sign)]
-        while self.peek().kind in ("+", "-"):
-            sign = -1 if self.advance().kind == "-" else 1
-            terms.append(self.term(sign))
-        end = self.peek()
-        if end.kind != "end":
-            raise ParseError(f"trailing input {end.kind!r}", end.line, end.col)
-        # The constructor merges repeated monomials and drops zero sums.
-        return Polynomial(self.ctx.domain, terms)
-
-    def term(self, sign: int) -> tuple[Monomial, object]:
-        dom = self.ctx.domain
-        tok = self.peek()
-        if tok.kind == "int":
-            coeff = self.coefficient()
-            if self.peek().kind == "*":
-                self.advance()
-                mono = self.powers()
-            else:
-                mono = Monomial()
-        elif tok.kind == "name":
-            coeff = dom.one
-            mono = self.powers()
-        else:
-            raise self.fail("expected a coefficient or a variable")
-        return mono, dom.mul(dom.coerce(coeff), dom.coerce(sign))
-
-    def coefficient(self):
-        value = self.expect("int").value
-        if self.peek().kind == "/":
-            slash = self.peek()
-            if self.ctx.domain.kind != "Q":
-                raise ParseError(
-                    "rational coefficient in a non-rational domain", slash.line, slash.col
-                )
-            self.advance()
-            denom = self.expect("int").value
-            if denom == 0:
-                raise ParseError("zero denominator", slash.line, slash.col)
-            return Fraction(value, denom)
-        return value
-
-    def powers(self) -> Monomial:
-        exps: dict[VarId, int] = {}
-        while True:
-            v, e = self.power()
-            exps[v] = exps.get(v, 0) + e
-            if self.peek().kind == "*":
-                self.advance()
-                continue
-            break
-        return Monomial(exps)
-
-    def power(self) -> tuple[VarId, int]:
-        v = self.variable()
-        e = 1
-        if self.peek().kind == "^":
-            self.advance()
-            tok = self.expect("int")
-            e = tok.value
-            if e > MAX_EXPONENT:
-                raise ParseError(f"exponent overflow ({e} > {MAX_EXPONENT})", tok.line, tok.col)
-        return v, e
-
-    def variable(self) -> VarId:
-        tok = self.expect("name")
-        name = tok.value
-        if name == "x":
-            block = self.index(tok, minimum=1)
-            slot = self.index(tok)
-            sizes = self.ctx.block_sizes
-            if sizes is not None:
-                if not 1 <= block <= len(sizes):
-                    raise ParseError(f"unknown variable x[{block}][{slot}]", tok.line, tok.col)
-                if slot > sizes[block - 1]:
-                    raise ParseError(f"unknown variable x[{block}][{slot}]", tok.line, tok.col)
-            return x_var(block, slot)
-        if name == "u":
-            return u_var(self.index(tok, minimum=1))
-        if name == "t" and self.peek().kind == "[":
-            return t_var(self.index(tok, minimum=1))
-        if name in _SCALARS:
-            if self.peek().kind == "[":
-                raise self.fail(f"variable {name!r} takes no index")
-            return _SCALARS[name]
-        raise ParseError(f"unknown variable name {name!r}", tok.line, tok.col)
-
-    def index(self, name_tok: _Token, minimum: int = 0) -> int:
-        tok = self.peek()
-        if tok.kind != "[":
-            raise ParseError(
-                f"variable {name_tok.value!r} requires an index", tok.line, tok.col
-            )
-        self.advance()
-        value = self.expect("int").value
-        self.expect("]")
-        if value < minimum:
-            raise ParseError(f"index {value} out of range", tok.line, tok.col)
-        return value
+def _expect(text: str, toks: list[str], k: int, kind: str) -> str:
+    if _kind(toks[k]) != kind:
+        raise _fail(text, k, f"expected {kind!r}, found {_kind(toks[k])!r}")
+    return toks[k]
 
 
 def parse_poly(text: str, ctx: ParseContext | None = None) -> Polynomial:
     """Parse canonical text into a polynomial; raises ParseError on bad input."""
-    return _Parser(text, ctx or ParseContext()).parse()
+    bad = _BAD.search(text)
+    if bad:
+        raise _error(text, bad.start(), f"unexpected character {bad.group()!r}")
+    ctx = ctx or ParseContext()
+    dom, sizes = ctx.domain, ctx.block_sizes
+    toks = _TOKEN.findall(text)
+    toks.append("")
+    terms = []
+    i = 1 if toks[0] in _SIGNS else 0
+    sign = -1 if toks[0] == "-" else 1
+    while True:
+        # term := coeff [ '*' powers ] | powers
+        exps: dict[VarId, int] = {}
+        if toks[i].isdigit():
+            coeff = int(toks[i])
+            i += 1
+            if toks[i] == "/":
+                if dom.kind != "Q":
+                    raise _fail(text, i, "rational coefficient in a non-rational domain")
+                denom = int(_expect(text, toks, i + 1, "int"))
+                if denom == 0:
+                    raise _fail(text, i, "zero denominator")
+                coeff = Fraction(coeff, denom)
+                i += 2
+            more = toks[i] == "*"
+            if more:
+                i += 1
+        elif toks[i].isalpha():
+            coeff = dom.one
+            more = True
+        else:
+            raise _fail(text, i, "expected a coefficient or a variable")
+        while more:
+            # power := variable [ '^' exponent ]
+            at = i
+            name = _expect(text, toks, i, "name")
+            i += 1
+            if name in ("x", "u") or (name == "t" and toks[i] == "["):
+                index = []
+                for minimum in (1, 0) if name == "x" else (1,):
+                    if toks[i] != "[":
+                        raise _fail(text, i, f"variable {name!r} requires an index")
+                    value = int(_expect(text, toks, i + 1, "int"))
+                    _expect(text, toks, i + 2, "]")
+                    if value < minimum:
+                        raise _fail(text, i, f"index {value} out of range")
+                    index.append(value)
+                    i += 3
+                if name == "x":
+                    block, slot = index
+                    if sizes is not None and not (
+                        1 <= block <= len(sizes) and slot <= sizes[block - 1]
+                    ):
+                        raise _fail(text, at, f"unknown variable x[{block}][{slot}]")
+                    v = x_var(block, slot)
+                else:
+                    v = (u_var if name == "u" else t_var)(index[0])
+            elif name in _SCALARS:
+                if toks[i] == "[":
+                    raise _fail(text, i, f"variable {name!r} takes no index")
+                v = _SCALARS[name]
+            else:
+                raise _fail(text, at, f"unknown variable name {name!r}")
+            e = 1
+            if toks[i] == "^":
+                e = int(_expect(text, toks, i + 1, "int"))
+                if e > MAX_EXPONENT:
+                    raise _fail(text, i + 1, f"exponent overflow ({e} > {MAX_EXPONENT})")
+                i += 2
+            exps[v] = exps.get(v, 0) + e
+            more = toks[i] == "*"
+            if more:
+                i += 1
+        terms.append((Monomial(exps), dom.mul(dom.coerce(coeff), dom.coerce(sign))))
+        if toks[i] not in _SIGNS:
+            break
+        sign = -1 if toks[i] == "-" else 1
+        i += 1
+    if toks[i]:
+        raise _fail(text, i, f"trailing input {_kind(toks[i])!r}")
+    # The constructor merges repeated monomials and drops zero sums.
+    return Polynomial(dom, terms)
 
 
 # -- JSON --------------------------------------------------------------------
@@ -289,6 +210,8 @@ _AUX_CODES = {AUX_S: 1, AUX_T: 2, AUX_Z: 3, AUX_W: 4, AUX_V: 5}
 _CODES_AUX = {code: kind for kind, code in _AUX_CODES.items()}
 _U_BASE = 1000
 _TI_BASE = 2000
+# The coefficient text that format_poly writes: an integer or a reduced a/b.
+_COEFF = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _encode_var(v: VarId) -> tuple[int, int]:
@@ -319,12 +242,15 @@ def _decode_var(i: int, j: int) -> VarId:
 
 
 def _coeff_from_string(s: str, dom: Domain):
-    if "/" in s:
-        num, den = (int(part) for part in s.split("/", 1))
-        if den == 0:
-            raise ValueError("zero denominator")
-        return dom.coerce(Fraction(num, den))
-    return dom.coerce(int(s))
+    match = _COEFF.fullmatch(s) if isinstance(s, str) else None
+    if match is None:
+        raise ValueError(f"invalid coefficient {s!r}")
+    num, den = match.groups()
+    if den is None:
+        return dom.coerce(int(num))
+    if int(den) == 0:
+        raise ValueError("zero denominator")
+    return dom.coerce(Fraction(int(num), int(den)))
 
 
 def domain_to_json(dom: Domain):
@@ -336,7 +262,9 @@ def domain_from_json(obj) -> Domain:
         return ZZ
     if obj == "Q":
         return QQ
-    if isinstance(obj, dict) and set(obj) == {"Fp"}:
+    # A bool is an int to isinstance, and a float or a string would pass
+    # is_prime, so the type is compared exactly.
+    if isinstance(obj, dict) and set(obj) == {"Fp"} and type(obj["Fp"]) is int:
         return GF(obj["Fp"])
     raise ValueError(f"invalid domain descriptor {obj!r}")
 

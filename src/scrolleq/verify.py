@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, TypeAlias
 
 from .polyring import (
+    GF,
     VAR_S,
     VAR_T,
     VAR_V,
@@ -34,7 +35,6 @@ from .polyring import (
     Polynomial,
     Substitution,
     VarId,
-    is_prime,
     t_var,
     u_var,
     x_var,
@@ -303,11 +303,6 @@ def _projective_scan(
     return _scan(groups, [variables], _representatives(n, q), projective_size(n, q), q)
 
 
-def _check_field(q: int) -> None:
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
-
-
 def _check_budget(estimate: int, budget: int) -> None:
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
@@ -336,7 +331,7 @@ def enumerate_variety(
             raise ValueError("generators live over different prime fields")
     if q is None:
         raise ValueError("q is required when no generators are given")
-    _check_field(q)
+    GF(q)  # refuses a q that is not prime
     _check_budget(projective_size(len(variables), q) * max(1, len(gens)), budget)
     (hits,) = _projective_scan([[[(g, 1)] for g in gens]], variables, q)
     return hits
@@ -403,7 +398,7 @@ def compare_varieties(
     budget before it starts.
     """
     start = time.perf_counter()
-    _check_field(q)
+    GF(q)  # refuses a q that is not prime
     eqset = eqset if eqset is not None else equation_set(profile)
     visited, in_system, in_minors = _loci(eqset, q, budget)
     minor_set = set(in_minors)

@@ -9,9 +9,34 @@
 * ``evaluate`` computes a polynomial's value at a point term by term; the
   finite-field scan runs generated code instead, and the tests check that
   code against it.
+* ``reference_parse`` reads the text grammar one character at a time into
+  token objects and parses them by recursive descent; ``parse_poly`` reads
+  the same grammar with one regular expression and must agree with it on
+  every result and every error.
 """
 
-from scrolleq import ZZ, Polynomial, binomial, bridge_meta, monomial, x_var
+from fractions import Fraction
+
+from scrolleq import (
+    VAR_S,
+    VAR_T,
+    VAR_V,
+    VAR_W,
+    VAR_Z,
+    ZZ,
+    Monomial,
+    ParseContext,
+    ParseError,
+    Polynomial,
+    VarId,
+    binomial,
+    bridge_meta,
+    monomial,
+    t_var,
+    u_var,
+    x_var,
+)
+from scrolleq.textio import MAX_EXPONENT
 
 
 def bridge_via_lists(a: int, b: int, x_block: int = 1, y_block: int = 2) -> Polynomial:
@@ -109,3 +134,201 @@ def evaluate(p: Polynomial, point):
             val = dom.mul(val, pw)
         acc = dom.add(acc, val)
     return acc
+
+
+_SCALARS = {"s": VAR_S, "t": VAR_T, "z": VAR_Z, "w": VAR_W, "v": VAR_V}
+
+_PUNCT = set("+-*/^[]")
+# str.isdigit and str.isalpha accept non-ASCII digits and letters, such as
+# "\u0663" and "\u00b2", which int() then reads or refuses without a position.
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
+
+class _Token:
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind, value, line, col):
+        self.kind = kind  # "int" | "name" | punctuation | "end"
+        self.value = value
+        self.line = line
+        self.col = col
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch in _PUNCT:
+            tokens.append(_Token(ch, ch, line, col))
+            col += 1
+            i += 1
+            continue
+        if ch in _DIGITS:
+            j = i
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            tokens.append(_Token("int", int(text[i:j]), line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in _LETTERS:
+            j = i
+            while j < n and text[j] in _LETTERS:
+                j += 1
+            tokens.append(_Token("name", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(_Token("end", None, line, col))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str, ctx: ParseContext):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.ctx = ctx
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.kind!r}", tok.line, tok.col)
+        return self.advance()
+
+    def fail(self, message: str) -> ParseError:
+        tok = self.peek()
+        return ParseError(message, tok.line, tok.col)
+
+    # grammar productions ----------------------------------------------------
+
+    def parse(self) -> Polynomial:
+        sign = 1
+        tok = self.peek()
+        if tok.kind in ("+", "-"):
+            sign = -1 if tok.kind == "-" else 1
+            self.advance()
+        terms = [self.term(sign)]
+        while self.peek().kind in ("+", "-"):
+            sign = -1 if self.advance().kind == "-" else 1
+            terms.append(self.term(sign))
+        end = self.peek()
+        if end.kind != "end":
+            raise ParseError(f"trailing input {end.kind!r}", end.line, end.col)
+        # The constructor merges repeated monomials and drops zero sums.
+        return Polynomial(self.ctx.domain, terms)
+
+    def term(self, sign: int) -> tuple[Monomial, object]:
+        dom = self.ctx.domain
+        tok = self.peek()
+        if tok.kind == "int":
+            coeff = self.coefficient()
+            if self.peek().kind == "*":
+                self.advance()
+                mono = self.powers()
+            else:
+                mono = Monomial()
+        elif tok.kind == "name":
+            coeff = dom.one
+            mono = self.powers()
+        else:
+            raise self.fail("expected a coefficient or a variable")
+        return mono, dom.mul(dom.coerce(coeff), dom.coerce(sign))
+
+    def coefficient(self):
+        value = self.expect("int").value
+        if self.peek().kind == "/":
+            slash = self.peek()
+            if self.ctx.domain.kind != "Q":
+                raise ParseError(
+                    "rational coefficient in a non-rational domain", slash.line, slash.col
+                )
+            self.advance()
+            denom = self.expect("int").value
+            if denom == 0:
+                raise ParseError("zero denominator", slash.line, slash.col)
+            return Fraction(value, denom)
+        return value
+
+    def powers(self) -> Monomial:
+        exps: dict[VarId, int] = {}
+        while True:
+            v, e = self.power()
+            exps[v] = exps.get(v, 0) + e
+            if self.peek().kind == "*":
+                self.advance()
+                continue
+            break
+        return Monomial(exps)
+
+    def power(self) -> tuple[VarId, int]:
+        v = self.variable()
+        e = 1
+        if self.peek().kind == "^":
+            self.advance()
+            tok = self.expect("int")
+            e = tok.value
+            if e > MAX_EXPONENT:
+                raise ParseError(f"exponent overflow ({e} > {MAX_EXPONENT})", tok.line, tok.col)
+        return v, e
+
+    def variable(self) -> VarId:
+        tok = self.expect("name")
+        name = tok.value
+        if name == "x":
+            block = self.index(tok, minimum=1)
+            slot = self.index(tok)
+            sizes = self.ctx.block_sizes
+            if sizes is not None:
+                if not 1 <= block <= len(sizes):
+                    raise ParseError(f"unknown variable x[{block}][{slot}]", tok.line, tok.col)
+                if slot > sizes[block - 1]:
+                    raise ParseError(f"unknown variable x[{block}][{slot}]", tok.line, tok.col)
+            return x_var(block, slot)
+        if name == "u":
+            return u_var(self.index(tok, minimum=1))
+        if name == "t" and self.peek().kind == "[":
+            return t_var(self.index(tok, minimum=1))
+        if name in _SCALARS:
+            if self.peek().kind == "[":
+                raise self.fail(f"variable {name!r} takes no index")
+            return _SCALARS[name]
+        raise ParseError(f"unknown variable name {name!r}", tok.line, tok.col)
+
+    def index(self, name_tok: _Token, minimum: int = 0) -> int:
+        tok = self.peek()
+        if tok.kind != "[":
+            raise ParseError(
+                f"variable {name_tok.value!r} requires an index", tok.line, tok.col
+            )
+        self.advance()
+        value = self.expect("int").value
+        self.expect("]")
+        if value < minimum:
+            raise ParseError(f"index {value} out of range", tok.line, tok.col)
+        return value
+
+
+def reference_parse(text: str, ctx: ParseContext) -> Polynomial:
+    """``parse_poly`` as a character scanner and a recursive-descent parser."""
+    return _Parser(text, ctx).parse()

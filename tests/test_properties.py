@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import evaluate, schoolbook_mul, schoolbook_pow, schoolbook_substitute
+from reference import (
+    evaluate,
+    reference_parse,
+    schoolbook_mul,
+    schoolbook_pow,
+    schoolbook_substitute,
+)
 from scrolleq import (
     GF,
     QQ,
@@ -19,6 +25,7 @@ from scrolleq import (
     ZZ,
     Monomial,
     ParseContext,
+    ParseError,
     Polynomial,
     Substitution,
     enumerate_variety,
@@ -491,6 +498,36 @@ def rational_polys(draw):
 @given(rational_polys())
 def test_round_trip_rationals(p):
     assert parse_poly(str(p), ParseContext(domain=QQ)) == p
+
+
+# -- parser against the reference parser ---------------------------------------------
+
+
+# Grammar characters, whitespace that does and does not end a line, and
+# non-ASCII characters that str.isdigit or str.isalpha would take; then
+# fragments that reach the deeper productions and their range checks.
+PARSE_PIECES = [
+    *"0123456789xutszwvq+-*/^[]", " ", "\t", "\n", "\r", "\u00a0", "\u0663", "\u00b2", "\u00e9",
+    "x[1][0]", "x[2][3]", "x[3][1]", "x[0][1]", "t[2]", "u[1]", "^2", "/0", "/3", " + ",
+]
+PARSE_CONTEXTS = [ParseContext(dom, sizes) for dom in (ZZ, QQ, GF(7)) for sizes in (None, (2, 3))]
+
+
+def parse_outcome(parse, text, ctx):
+    try:
+        return parse(text, ctx)
+    except ParseError as err:
+        return str(err), err.line, err.col
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(PARSE_PIECES), max_size=16).map("".join),
+       st.sampled_from(PARSE_CONTEXTS))
+@example("x[1][0] x[1][1] \u00e9", ParseContext())  # the bad character comes first
+@example("x[1][0] +\n\t2*u[0]", ParseContext())
+@example("\r\n 1/3*x[2][3]^2 - t[2]", ParseContext(QQ, (2, 3)))
+def test_parse_matches_reference_parser(text, ctx):
+    assert parse_outcome(parse_poly, text, ctx) == parse_outcome(reference_parse, text, ctx)
 
 
 # -- direct JSON writer ---------------------------------------------------------------

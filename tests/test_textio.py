@@ -266,3 +266,33 @@ def test_json_accepts_exponents_from_zero_to_the_limit():
 def test_json_refuses_non_integer_blocks_and_slots(block, slot):
     with pytest.raises(ValueError, match="invalid variable encoding"):
         poly_from_json(one_factor_doc(block, slot, 1))
+
+
+@pytest.mark.parametrize("p", [7.0, "7", True, None])
+def test_json_refuses_a_modulus_that_is_not_an_int(p):
+    doc = {"domain": {"Fp": p}, "terms": [{"coeff": "10", "exps": [[1, 0, 1]]}]}
+    with pytest.raises(ValueError, match="invalid domain descriptor"):
+        poly_from_json(doc)
+
+
+def test_json_refuses_a_modulus_that_is_not_prime():
+    with pytest.raises(ValueError, match="8 is not prime"):
+        poly_from_json({"domain": {"Fp": 8}, "terms": []})
+
+
+@pytest.mark.parametrize("coeff", [
+    "1_000", " 7 ", "7\n", "\u0663", "+5", "7/-2", "1/2/3", "1.5", "", 5, None,
+])
+def test_json_refuses_coefficients_outside_the_documented_form(coeff):
+    doc = {"domain": "Q", "terms": [{"coeff": coeff, "exps": [[1, 0, 1]]}]}
+    with pytest.raises(ValueError, match="invalid coefficient"):
+        poly_from_json(doc)
+
+
+def test_json_reads_the_documented_coefficient_forms():
+    doc = {
+        "domain": {"Fp": 7},
+        "terms": [{"coeff": "-3", "exps": [[1, 0, 1]]}, {"coeff": "1/2", "exps": [[1, 1, 1]]}],
+    }
+    # Over GF(7), a/b is a times the inverse of b: 1/2 = 4.
+    assert poly_from_json(doc) == parse_poly("4*x[1][0] + 4*x[1][1]", ParseContext(GF(7)))
