@@ -25,14 +25,12 @@ from .polyring import (
 )
 from .scroll import (
     BridgeMeta,
-    CatalecticantMatrix,
     EquationSet,
     ScrollProfile,
     WeightGroup,
     bridge,
     bridge_meta,
     build_profile,
-    catalecticant,
     curve_equation,
     equation_set,
     g_polynomial,
@@ -47,7 +45,6 @@ from .textio import (
     parse_poly,
     poly_from_json,
     poly_to_json,
-    poly_to_json_text,
 )
 from .verify import (
     BudgetExceededError,
@@ -57,7 +54,6 @@ from .verify import (
     check_construction_budget,
     check_parametrization,
     compare_varieties,
-    enumerate_variety,
     generic_minor,
     plucker_identity,
     projective_size,

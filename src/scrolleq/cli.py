@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
 
 from .export import cas_script
 from .polyring import is_prime
@@ -43,17 +42,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-@dataclass
-class RunConfig:
-    profile: ScrollProfile
-    command: str
-    field: int | None
-    fmt: str
-    seed: int | None
-    budget: int
-    out: str | None
-
-
 def _profile_arg(text: str) -> ScrollProfile:
     try:
         return build_profile(int(part) for part in text.split(","))
@@ -62,20 +50,14 @@ def _profile_arg(text: str) -> ScrollProfile:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    commands = (
-        ("equations", "print the N-2 defining polynomials"),
-        ("verify", "run the symbolic check suite, plus enumeration when --field is given"),
-        ("enumerate", "compare the system's zero set with the minors' over GF(q)"),
-        ("export", "emit a computer-algebra script declaring both ideals"),
-        ("bench", "time construction, symbolic checks and enumeration"),
-    )
     parser = argparse.ArgumentParser(
         prog="scrolleq",
         description="Defining equations for rational normal scrolls, with verification.",
-        epilog="commands:\n" + "\n".join(f"  {name:<10} {help_}" for name, help_ in commands),
+        epilog="commands:\n"
+        + "\n".join(f"  {name:<10} {help_}" for name, (help_, _) in COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("command", choices=[name for name, _ in commands], metavar="command",
+    parser.add_argument("command", choices=list(COMMANDS), metavar="command",
                         help="one of the commands listed below")
     parser.add_argument("--profile", type=_profile_arg,
                         help="comma-separated block degrees, e.g. 2,2,3,4")
@@ -102,22 +84,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _budget(flag: int | None) -> int:
-    """The evaluation budget from ``--budget`` or the environment; it must be
-    a positive integer."""
-    if flag is not None:
-        source, text = "--budget", str(flag)
-    else:
-        source, text = BUDGET_ENV, os.environ.get(BUDGET_ENV, str(DEFAULT_BUDGET))
-    try:
-        budget = int(text)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise ValueError(f"{source} must be a positive integer, got {text!r}")
-    return budget
-
-
 def _check_out(out: str | None) -> None:
     """Refuse an ``--out`` path that cannot be written before any work is
     done: its directory must exist and be writable, and an existing target
@@ -140,24 +106,30 @@ def _check_out(out: str | None) -> None:
         raise ValueError(f"cannot write {out}: {os.strerror(problem)}")
 
 
-def _config(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> RunConfig:
-    if ns.profile is None:
+def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Check the parsed flags before any work, in this order: the profile,
+    ``--out``, ``--field``, the budget, then the format ``export`` needs.
+    Fills in ``args.fmt`` and ``args.budget``; the budget comes from
+    ``--budget`` or the environment and must be a positive integer."""
+    if args.profile is None:
         parser.error("--profile is required")
-    _check_out(ns.out)
-    if ns.field is not None and not is_prime(ns.field):
-        raise ValueError(f"--field {ns.field} is not prime")
-    fmt = ns.fmt
-    if fmt is None:
-        fmt = "m2" if ns.command == "export" else "plain"
-    return RunConfig(
-        profile=ns.profile,
-        command=ns.command,
-        field=ns.field,
-        fmt=fmt,
-        seed=ns.seed,
-        budget=_budget(ns.budget),
-        out=ns.out,
-    )
+    _check_out(args.out)
+    if args.field is not None and not is_prime(args.field):
+        raise ValueError(f"--field {args.field} is not prime")
+    if args.budget is not None:
+        source, text = "--budget", str(args.budget)
+    else:
+        source, text = BUDGET_ENV, os.environ.get(BUDGET_ENV, str(DEFAULT_BUDGET))
+    try:
+        args.budget = int(text)
+    except ValueError:
+        args.budget = 0
+    if args.budget < 1:
+        raise ValueError(f"{source} must be a positive integer, got {text!r}")
+    if args.fmt is None:
+        args.fmt = "m2" if args.command == "export" else "plain"
+    elif args.command == "export" and args.fmt not in ("m2", "singular"):
+        parser.error(f"export needs --format m2|singular, got {args.fmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -165,22 +137,11 @@ def _config(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> RunConfi
 # ---------------------------------------------------------------------------
 
 
-def _rank_summary(eqset) -> str:
-    profile = eqset.profile
-    rank = eqset.claimed_arithmetic_rank
-    if profile.d >= 2:
-        return (
-            f"arithmetic rank = {rank} = N-2 "
-            "(upper bound constructive; lower bound cited)"
-        )
-    return f"arithmetic rank = {rank} (rational normal curve case)"
-
-
-def cmd_equations(config: RunConfig) -> int:
-    eqset = equation_set(config.profile)
-    check_construction_budget(eqset, config.budget)
-    profile = config.profile
-    if config.fmt == "json":
+def cmd_equations(args: argparse.Namespace) -> int:
+    eqset = equation_set(args.profile)
+    check_construction_budget(eqset, args.budget)
+    profile = args.profile
+    if args.fmt == "json":
         # The bytes json.dumps(doc, indent=2) gives: the scalar fields through
         # json, cut before their closing "\n}", then the polynomials written
         # directly by poly_json_text.
@@ -200,7 +161,7 @@ def cmd_equations(config: RunConfig) -> int:
         _emit(
             f'{header[:-2]},\n  "generators": {json_array_text(generators, 1)},\n'
             f'  "minors": {json_array_text(minors, 1)}\n}}\n',
-            config.out,
+            args.out,
         )
         return EXIT_OK
     lines = [
@@ -208,13 +169,17 @@ def cmd_equations(config: RunConfig) -> int:
         f"system size {eqset.system_size}"
     ]
     lines.extend(f"{p}  # {label}" for label, p in eqset.system())
-    lines.append(f"# {_rank_summary(eqset)}")
-    _emit("\n".join(lines) + "\n", config.out)
+    rank = eqset.claimed_arithmetic_rank
+    lines.append(
+        f"# arithmetic rank = {rank} = N-2 (upper bound constructive; lower bound cited)"
+        if profile.d >= 2 else f"# arithmetic rank = {rank} (rational normal curve case)"
+    )
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
-def _run_checks(config: RunConfig):
-    profile = config.profile
+def _run_checks(args: argparse.Namespace, field: int | None):
+    profile = args.profile
     eqset = equation_set(profile)
     checks = []
     # Both bridge identities depend only on the block degrees (a, b).
@@ -247,25 +212,23 @@ def _run_checks(config: RunConfig):
         "" if ok else f"failing quadruples {failures[:3]}",
     ))
     report = None
-    if config.field is not None:
-        report = compare_varieties(
-            profile, config.field, budget=config.budget, seed=config.seed, eqset=eqset
-        )
+    if field is not None:
+        report = compare_varieties(profile, field, budget=args.budget, seed=args.seed, eqset=eqset)
         checks.append((
-            f"variety-comparison q={config.field}",
+            f"variety-comparison q={field}",
             report.passed,
             f"count_J={report.count_j} count_P={report.count_p} "
             f"witnesses={len(report.witnesses)}",
         ))
-    return eqset, checks, report
+    return checks, report
 
 
-def cmd_verify(config: RunConfig) -> int:
-    _, checks, report = _run_checks(config)
+def cmd_verify(args: argparse.Namespace) -> int:
+    checks, report = _run_checks(args, args.field)
     passed = all(ok for _, ok, _ in checks)
-    if config.fmt == "json":
+    if args.fmt == "json":
         doc = {
-            "profile": list(config.profile.n),
+            "profile": list(args.profile.n),
             "passed": passed,
             "checks": [
                 {"name": name, "passed": ok, "detail": detail}
@@ -273,14 +236,14 @@ def cmd_verify(config: RunConfig) -> int:
             ],
             "variety": report.to_json() if report is not None else None,
         }
-        _emit(json.dumps(doc, indent=2) + "\n", config.out)
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         lines = []
         for name, ok, detail in checks:
             status = "PASS" if ok else "FAIL"
             lines.append(f"{status} {name}" + (f" ({detail})" if detail else ""))
-        lines.append(("PASS" if passed else "FAIL") + f" suite for profile {config.profile}")
-        _emit("\n".join(lines) + "\n", config.out)
+        lines.append(("PASS" if passed else "FAIL") + f" suite for profile {args.profile}")
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -289,16 +252,14 @@ def default_field(profile: ScrollProfile) -> int:
     return 2 if profile.N >= 12 else 3
 
 
-def cmd_enumerate(config: RunConfig) -> int:
-    q = config.field if config.field is not None else default_field(config.profile)
-    report = compare_varieties(
-        config.profile, q, budget=config.budget, seed=config.seed
-    )
-    if config.fmt == "json":
-        _emit(json.dumps(report.to_json(), indent=2) + "\n", config.out)
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    q = args.field if args.field is not None else default_field(args.profile)
+    report = compare_varieties(args.profile, q, budget=args.budget, seed=args.seed)
+    if args.fmt == "json":
+        _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
     else:
         lines = [
-            f"profile {config.profile} over GF({report.q}): "
+            f"profile {args.profile} over GF({report.q}): "
             f"visited {report.visited} points",
             f"count_J = {report.count_j}, count_P = {report.count_p}, "
             f"witnesses = {len(report.witnesses)}",
@@ -306,60 +267,58 @@ def cmd_enumerate(config: RunConfig) -> int:
         for w in report.witnesses[:10]:
             lines.append(f"witness {list(w)}")
         lines.append("PASS: point sets agree" if report.passed else "FAIL: point sets differ")
-        _emit("\n".join(lines) + "\n", config.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_export(config: RunConfig, parser: argparse.ArgumentParser) -> int:
-    if config.fmt not in ("m2", "singular"):
-        parser.error(f"export needs --format m2|singular, got {config.fmt!r}")
-    eqset = equation_set(config.profile)
-    check_construction_budget(eqset, config.budget)
-    _emit(cas_script(eqset, config.fmt), config.out)
+def cmd_export(args: argparse.Namespace) -> int:
+    eqset = equation_set(args.profile)
+    check_construction_budget(eqset, args.budget)
+    _emit(cas_script(eqset, args.fmt), args.out)
     return EXIT_OK
 
 
-def cmd_bench(config: RunConfig) -> int:
+def cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     start = time.perf_counter()
-    eqset = equation_set(config.profile)
+    eqset = equation_set(args.profile)
     rows.append(("construct", (time.perf_counter() - start) * 1000))
 
     start = time.perf_counter()
-    _run_checks(replace(config, field=None))
+    _run_checks(args, None)
     rows.append(("symbolic", (time.perf_counter() - start) * 1000))
 
-    if config.field is not None:
+    if args.field is not None:
         start = time.perf_counter()
-        compare_varieties(
-            config.profile, config.field, budget=config.budget,
-            seed=config.seed, eqset=eqset,
-        )
-        rows.append((f"enumerate q={config.field}", (time.perf_counter() - start) * 1000))
+        compare_varieties(args.profile, args.field, budget=args.budget, seed=args.seed,
+                          eqset=eqset)
+        rows.append((f"enumerate q={args.field}", (time.perf_counter() - start) * 1000))
 
-    if config.fmt == "json":
+    if args.fmt == "json":
         doc = [{"phase": name, "ms": round(ms, 3)} for name, ms in rows]
-        _emit(json.dumps(doc, indent=2) + "\n", config.out)
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         lines = [f"{name}\t{ms:.3f} ms" for name, ms in rows]
-        _emit("\n".join(lines) + "\n", config.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
+
+
+# name: (help line, function), in the order the help lists them.
+COMMANDS = {
+    "equations": ("print the N-2 defining polynomials", cmd_equations),
+    "verify": ("run the symbolic check suite, plus enumeration when --field is given", cmd_verify),
+    "enumerate": ("compare the system's zero set with the minors' over GF(q)", cmd_enumerate),
+    "export": ("emit a computer-algebra script declaring both ideals", cmd_export),
+    "bench": ("time construction, symbolic checks and enumeration", cmd_bench),
+}
 
 
 def run(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    args = parser.parse_args(argv)
     try:
-        config = _config(parser, ns)
-        if config.command == "equations":
-            return cmd_equations(config)
-        if config.command == "verify":
-            return cmd_verify(config)
-        if config.command == "enumerate":
-            return cmd_enumerate(config)
-        if config.command == "export":
-            return cmd_export(config, parser)
-        return cmd_bench(config)
+        _validate(parser, args)
+        return COMMANDS[args.command][1](args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -264,12 +264,6 @@ class Monomial:
     def __lt__(self, other: "Monomial") -> bool:
         return _grevlex_cmp(self, other) < 0
 
-    def exponent(self, v: VarId) -> int:
-        for w, e in self.exps:
-            if w == v:
-                return e
-        return 0
-
     def variables(self) -> tuple[VarId, ...]:
         return tuple(v for v, _ in self.exps)
 

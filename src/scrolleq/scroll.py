@@ -25,6 +25,7 @@ This module builds, over the integers:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -81,48 +82,24 @@ def build_profile(n) -> ScrollProfile:
 
 
 # ---------------------------------------------------------------------------
-# Catalecticant matrix and its minors
+# Minors
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalecticantMatrix:
-    """2 x sum(n_i) matrix of variables; row 2 is row 1 shifted by one slot."""
-
-    profile: ScrollProfile
-    rows: tuple[tuple[VarId, ...], tuple[VarId, ...]]
-
-    @property
-    def num_cols(self) -> int:
-        return len(self.rows[0])
-
-
-def catalecticant(profile: ScrollProfile) -> CatalecticantMatrix:
-    top = []
-    bottom = []
-    for i, ni in enumerate(profile.n, start=1):
-        for j in range(ni):
-            top.append(x_var(i, j))
-            bottom.append(x_var(i, j + 1))
-    return CatalecticantMatrix(profile, (tuple(top), tuple(bottom)))
-
-
-def minors_2x2(matrix: CatalecticantMatrix) -> list[Polynomial]:
-    """All 2 x 2 minors, columns c1 < c2, top-left*bottom-right - bottom-left*top-right.
+def minors_2x2(profile: ScrollProfile) -> list[Polynomial]:
+    """All 2 x 2 minors of the matrix whose columns are (x[i][j], x[i][j+1]),
+    block by block: for columns c1 < c2, top-left*bottom-right -
+    bottom-left*top-right.
 
     Distinct column pairs carry distinct variable entries, so the list is
     duplicate-free, and the two monomials of a minor always differ.
     """
-    top, bottom = matrix.rows
-    out: list[Polynomial] = []
-    k = matrix.num_cols
-    for c1 in range(k):
-        for c2 in range(c1 + 1, k):
-            out.append(_raw_poly(ZZ, {
-                _product(top[c1], bottom[c2]): 1,
-                _product(bottom[c1], top[c2]): -1,
-            }))
-    return out
+    columns = [(x_var(i, j), x_var(i, j + 1))
+               for i, ni in enumerate(profile.n, start=1) for j in range(ni)]
+    return [
+        _raw_poly(ZZ, {_product(top1, bottom2): 1, _product(bottom1, top2): -1})
+        for (top1, bottom1), (top2, bottom2) in itertools.combinations(columns, 2)
+    ]
 
 
 def _product(a: VarId, b: VarId) -> Monomial:
@@ -130,11 +107,6 @@ def _product(a: VarId, b: VarId) -> Monomial:
     if a == b:
         return _raw_monomial(((a, 2),))
     return _raw_monomial(((a, 1), (b, 1)) if a < b else ((b, 1), (a, 1)))
-
-
-def minor_labels(matrix: CatalecticantMatrix) -> list[str]:
-    k = matrix.num_cols
-    return [f"minor[{c1}][{c2}]" for c1 in range(k) for c2 in range(c1 + 1, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +308,10 @@ class EquationSet:
         """Each weight generator's label with its bridges, unexpanded."""
         return [(f"weight[{g.k}]", group_bridges(self.profile, g)) for g in self.groups]
 
-    def system_polys(self) -> list[Polynomial]:
-        return [p for _, p in self.system()]
-
     def labeled_minors(self) -> list[tuple[str, Polynomial]]:
-        labels = minor_labels(catalecticant(self.profile))
-        return list(zip(labels, self.minor_gens))
+        """Each minor of ``minors_2x2``, labeled ``minor[c1][c2]`` by its columns."""
+        pairs = itertools.combinations(range(sum(self.profile.n)), 2)
+        return [(f"minor[{c1}][{c2}]", p) for (c1, c2), p in zip(pairs, self.minor_gens)]
 
 
 def equation_set(profile: ScrollProfile) -> EquationSet:
@@ -356,5 +326,5 @@ def equation_set(profile: ScrollProfile) -> EquationSet:
     for i, ni in enumerate(profile.n, start=1):
         for j in range(1, ni):
             curves.append((i, j, curve_equation(ni, j, block=i)))
-    minors = minors_2x2(catalecticant(profile))
-    return EquationSet(profile, tuple(curves), tuple(weight_groups(profile)), tuple(minors))
+    minors = tuple(minors_2x2(profile))
+    return EquationSet(profile, tuple(curves), tuple(weight_groups(profile)), minors)

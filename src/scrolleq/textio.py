@@ -118,6 +118,16 @@ def _expect(text: str, toks: list[str], k: int, kind: str) -> str:
     return toks[k]
 
 
+def _int(text: str, toks: list[str], k: int) -> int:
+    """Token ``k`` as an integer: int() reads just the digit runs within its limit."""
+    try:
+        return int(toks[k])
+    except ValueError:
+        pass
+    tok = _expect(text, toks, k, "int")
+    raise _fail(text, k, f"integer too long ({len(tok)} digits)")
+
+
 def parse_poly(text: str, ctx: ParseContext | None = None) -> Polynomial:
     """Parse canonical text into a polynomial; raises ParseError on bad input."""
     bad = _BAD.search(text)
@@ -134,12 +144,12 @@ def parse_poly(text: str, ctx: ParseContext | None = None) -> Polynomial:
         # term := coeff [ '*' powers ] | powers
         exps: dict[VarId, int] = {}
         if toks[i].isdigit():
-            coeff = int(toks[i])
+            coeff = _int(text, toks, i)
             i += 1
             if toks[i] == "/":
                 if dom.kind != "Q":
                     raise _fail(text, i, "rational coefficient in a non-rational domain")
-                denom = int(_expect(text, toks, i + 1, "int"))
+                denom = _int(text, toks, i + 1)
                 if denom == 0:
                     raise _fail(text, i, "zero denominator")
                 coeff = Fraction(coeff, denom)
@@ -162,7 +172,7 @@ def parse_poly(text: str, ctx: ParseContext | None = None) -> Polynomial:
                 for minimum in (1, 0) if name == "x" else (1,):
                     if toks[i] != "[":
                         raise _fail(text, i, f"variable {name!r} requires an index")
-                    value = int(_expect(text, toks, i + 1, "int"))
+                    value = _int(text, toks, i + 1)
                     _expect(text, toks, i + 2, "]")
                     if value < minimum:
                         raise _fail(text, i, f"index {value} out of range")
@@ -185,7 +195,7 @@ def parse_poly(text: str, ctx: ParseContext | None = None) -> Polynomial:
                 raise _fail(text, at, f"unknown variable name {name!r}")
             e = 1
             if toks[i] == "^":
-                e = int(_expect(text, toks, i + 1, "int"))
+                e = _int(text, toks, i + 1)
                 if e > MAX_EXPONENT:
                     raise _fail(text, i + 1, f"exponent overflow ({e} > {MAX_EXPONENT})")
                 i += 2
@@ -246,11 +256,17 @@ def _coeff_from_string(s: str, dom: Domain):
     if match is None:
         raise ValueError(f"invalid coefficient {s!r}")
     num, den = match.groups()
+    try:
+        num = int(num)
+        if den is not None:
+            den = int(den)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ValueError(f"coefficient {s[:20]}... is too long ({len(s)} characters)") from None
     if den is None:
-        return dom.coerce(int(num))
-    if int(den) == 0:
+        return dom.coerce(num)
+    if den == 0:
         raise ValueError("zero denominator")
-    return dom.coerce(Fraction(int(num), int(den)))
+    return dom.coerce(Fraction(num, den))
 
 
 def domain_to_json(dom: Domain):
@@ -311,13 +327,22 @@ def poly_json_text(p: Polynomial, level: int = 0) -> str:
 
 
 def poly_from_json(obj) -> Polynomial:
+    """The polynomial of a JSON form, parsed or as text; bad input raises ValueError."""
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if type(obj) is not dict or "domain" not in obj or type(obj.get("terms")) is not list:
+        raise ValueError('a polynomial is an object with "domain" and a "terms" list')
     dom = domain_from_json(obj["domain"])
     terms = []
     for entry in obj["terms"]:
+        if type(entry) is not dict or type(entry.get("exps")) is not list:
+            raise ValueError(f'a term is an object with "coeff" and an "exps" list, got {entry!r}')
         factors = []
-        for i, j, e in entry["exps"]:
+        for exp in entry["exps"]:
+            try:
+                i, j, e = exp
+            except (TypeError, ValueError):
+                raise ValueError(f"exps entry {exp!r} is not [block, slot, exponent]") from None
             # A bool is an int to isinstance, so the type is compared exactly.
             # A negative exponent is refused by the monomial constructor.
             if type(e) is not int:
@@ -326,11 +351,6 @@ def poly_from_json(obj) -> Polynomial:
                 raise ValueError(f"exponent overflow ({e} > {MAX_EXPONENT})")
             factors.append((_decode_var(i, j), e))
         mono = monomial(factors)
-        terms.append((mono, _coeff_from_string(entry["coeff"], dom)))
+        terms.append((mono, _coeff_from_string(entry.get("coeff"), dom)))
     # As in the text parser, the constructor merges repeated monomials.
     return Polynomial(dom, terms)
-
-
-def poly_to_json_text(p: Polynomial) -> str:
-    """Compact, byte-stable JSON rendering suitable for golden files."""
-    return json.dumps(poly_to_json(p), separators=(",", ":"))

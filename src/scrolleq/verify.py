@@ -308,35 +308,6 @@ def _check_budget(estimate: int, budget: int) -> None:
         raise BudgetExceededError(estimate, budget)
 
 
-def enumerate_variety(
-    gens: Sequence[Polynomial],
-    variables: Sequence[VarId],
-    q: int | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> list[tuple[int, ...]]:
-    """All projective points over GF(q) where every generator vanishes.
-
-    Representatives have their first nonzero coordinate equal to 1 and are
-    returned sorted.  ``q`` is read off the generators' domain when omitted;
-    an empty generator list returns the whole projective space and then
-    requires an explicit ``q``.  Refuses up front when representatives times
-    generators exceeds the budget.
-    """
-    for g in gens:
-        if g.domain.kind != "Fp":
-            raise ValueError("enumeration generators must live over a prime field")
-        if q is None:
-            q = g.domain.p
-        elif q != g.domain.p:
-            raise ValueError("generators live over different prime fields")
-    if q is None:
-        raise ValueError("q is required when no generators are given")
-    GF(q)  # refuses a q that is not prime
-    _check_budget(projective_size(len(variables), q) * max(1, len(gens)), budget)
-    (hits,) = _projective_scan([[[(g, 1)] for g in gens]], variables, q)
-    return hits
-
-
 # ---------------------------------------------------------------------------
 # Variety comparison
 # ---------------------------------------------------------------------------

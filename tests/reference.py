@@ -9,15 +9,20 @@
 * ``evaluate`` computes a polynomial's value at a point term by term; the
   finite-field scan runs generated code instead, and the tests check that
   code against it.
+* ``enumerate_variety`` scans all of projective space for the common zeros
+  of expanded generators, the oracle for the block-factored comparison.
+* ``poly_to_json_text`` is the compact ``json.dumps`` of ``poly_to_json``.
 * ``reference_parse`` reads the text grammar one character at a time into
   token objects and parses them by recursive descent; ``parse_poly`` reads
   the same grammar with one regular expression and must agree with it on
   every result and every error.
 """
 
+import json
 from fractions import Fraction
 
 from scrolleq import (
+    GF,
     VAR_S,
     VAR_T,
     VAR_V,
@@ -32,11 +37,14 @@ from scrolleq import (
     binomial,
     bridge_meta,
     monomial,
+    poly_to_json,
+    projective_size,
     t_var,
     u_var,
     x_var,
 )
 from scrolleq.textio import MAX_EXPONENT
+from scrolleq.verify import DEFAULT_BUDGET, BudgetExceededError, _projective_scan
 
 
 def bridge_via_lists(a: int, b: int, x_block: int = 1, y_block: int = 2) -> Polynomial:
@@ -136,6 +144,32 @@ def evaluate(p: Polynomial, point):
     return acc
 
 
+def enumerate_variety(gens, variables, q=None, budget=DEFAULT_BUDGET):
+    """The sorted canonical points (first nonzero coordinate 1) of projective
+    space over GF(q) where every generator vanishes.  ``q`` defaults to the
+    generators' modulus; the budget bounds points times generators."""
+    for g in gens:
+        if g.domain.kind != "Fp":
+            raise ValueError("enumeration generators must live over a prime field")
+        if q is None:
+            q = g.domain.p
+        elif q != g.domain.p:
+            raise ValueError("generators live over different prime fields")
+    if q is None:
+        raise ValueError("q is required when no generators are given")
+    GF(q)  # refuses a q that is not prime
+    estimate = projective_size(len(variables), q) * max(1, len(gens))
+    if estimate > budget:
+        raise BudgetExceededError(estimate, budget)
+    (hits,) = _projective_scan([[[(g, 1)] for g in gens]], variables, q)
+    return hits
+
+
+def poly_to_json_text(p: Polynomial) -> str:
+    """Compact, byte-stable JSON rendering of ``poly_to_json(p)``."""
+    return json.dumps(poly_to_json(p), separators=(",", ":"))
+
+
 _SCALARS = {"s": VAR_S, "t": VAR_T, "z": VAR_Z, "w": VAR_W, "v": VAR_V}
 
 _PUNCT = set("+-*/^[]")
@@ -179,7 +213,8 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < n and text[j] in _DIGITS:
                 j += 1
-            tokens.append(_Token("int", int(text[i:j]), line, col))
+            # Read as an integer by ``_Parser.integer``, where it is used.
+            tokens.append(_Token("int", text[i:j], line, col))
             col += j - i
             i = j
             continue
@@ -220,6 +255,15 @@ class _Parser:
         tok = self.peek()
         return ParseError(message, tok.line, tok.col)
 
+    def integer(self) -> int:
+        tok = self.expect("int")
+        try:
+            return int(tok.value)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError(
+                f"integer too long ({len(tok.value)} digits)", tok.line, tok.col
+            ) from None
+
     # grammar productions ----------------------------------------------------
 
     def parse(self) -> Polynomial:
@@ -256,7 +300,7 @@ class _Parser:
         return mono, dom.mul(dom.coerce(coeff), dom.coerce(sign))
 
     def coefficient(self):
-        value = self.expect("int").value
+        value = self.integer()
         if self.peek().kind == "/":
             slash = self.peek()
             if self.ctx.domain.kind != "Q":
@@ -264,7 +308,7 @@ class _Parser:
                     "rational coefficient in a non-rational domain", slash.line, slash.col
                 )
             self.advance()
-            denom = self.expect("int").value
+            denom = self.integer()
             if denom == 0:
                 raise ParseError("zero denominator", slash.line, slash.col)
             return Fraction(value, denom)
@@ -286,8 +330,8 @@ class _Parser:
         e = 1
         if self.peek().kind == "^":
             self.advance()
-            tok = self.expect("int")
-            e = tok.value
+            tok = self.peek()
+            e = self.integer()
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent overflow ({e} > {MAX_EXPONENT})", tok.line, tok.col)
         return v, e
@@ -322,7 +366,7 @@ class _Parser:
                 f"variable {name_tok.value!r} requires an index", tok.line, tok.col
             )
         self.advance()
-        value = self.expect("int").value
+        value = self.integer()
         self.expect("]")
         if value < minimum:
             raise ParseError(f"index {value} out of range", tok.line, tok.col)

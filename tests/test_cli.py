@@ -253,6 +253,17 @@ PINNED_OUTPUTS = [
      "bdb3caa20f757d7102dad3c3824d6aee5f44293d5245a6aaa8319b8e615628d9"),
     (["--profile", "1", "equations", "--format", "json"],
      "702f81c1638c33fb25e7d3c3cccc066106eb3a5326eb3ef3cd0a17190cd50d7a"),
+    # A single line has no system generators and no minors: both ideals empty.
+    (["--profile", "1", "export", "--format", "m2"],
+     "2d76bc044001f3d0738c36a34a57e66983db906f60f6ed152caa833e811633ec"),
+    (["--profile", "1", "export", "--format", "singular"],
+     "fbd4d5cfc519b19d40727c2d6a47fb6cc3a064f0ce5af9c3750f9b2c92a84074"),
+    (["--profile", "1,2,3", "verify"],
+     "682e406bd4728b9d767db709f26260fc6463bd9ea6dc78a416c44aee6f0768f8"),
+    (["--profile", "1,2,3", "verify", "--format", "json"],
+     "2cc4dd6e3617e18d662f8e2ee5bbf95d3065014aca224864346c5919cc39a96d"),
+    (["--profile", "2,2", "enumerate", "--field", "3"],
+     "763e2e48aab139eb3884d09671c41eb137090ab1ee606bdcf3bdd3d2da9720d4"),
 ]
 
 
@@ -272,6 +283,15 @@ def test_export_rejects_plain():
     with pytest.raises(SystemExit) as exc:
         run(["--profile", "1,1", "export", "--format", "plain"])
     assert exc.value.code == 2
+
+
+def test_export_reports_unwritable_out_before_the_format(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.m2"
+    assert run(["--profile", "1,1", "export", "--format", "plain", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    # The --out check runs first and returns; the format check would exit.
+    assert err.startswith(f"error: cannot write {target}:")
+    assert err.count("\n") == 1
 
 
 # -- bench ---------------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    enumerate_variety,
     evaluate,
     reference_parse,
     schoolbook_mul,
@@ -28,7 +29,6 @@ from scrolleq import (
     ParseError,
     Polynomial,
     Substitution,
-    enumerate_variety,
     parse_poly,
     t_var,
     u_var,
@@ -509,6 +509,7 @@ def test_round_trip_rationals(p):
 PARSE_PIECES = [
     *"0123456789xutszwvq+-*/^[]", " ", "\t", "\n", "\r", "\u00a0", "\u0663", "\u00b2", "\u00e9",
     "x[1][0]", "x[2][3]", "x[3][1]", "x[0][1]", "t[2]", "u[1]", "^2", "/0", "/3", " + ",
+    "9" * 5000,  # more digits than int() reads by default
 ]
 PARSE_CONTEXTS = [ParseContext(dom, sizes) for dom in (ZZ, QQ, GF(7)) for sizes in (None, (2, 3))]
 
@@ -526,6 +527,9 @@ def parse_outcome(parse, text, ctx):
 @example("x[1][0] x[1][1] \u00e9", ParseContext())  # the bad character comes first
 @example("x[1][0] +\n\t2*u[0]", ParseContext())
 @example("\r\n 1/3*x[2][3]^2 - t[2]", ParseContext(QQ, (2, 3)))
+@example("x[1][0]^" + "9" * 5000, ParseContext())
+@example("+ * " + "9" * 5000, ParseContext())  # the syntax error comes first
+@example("1/" + "9" * 5000 + "*x[9][0]", ParseContext(QQ, (2, 3)))
 def test_parse_matches_reference_parser(text, ctx):
     assert parse_outcome(parse_poly, text, ctx) == parse_outcome(reference_parse, text, ctx)
 

@@ -27,7 +27,6 @@ from scrolleq import (
     bridge,
     bridge_meta,
     build_profile,
-    catalecticant,
     curve_equation,
     equation_set,
     g_polynomial,
@@ -66,28 +65,11 @@ def test_profile_validation():
         build_profile([-1])
 
 
-# -- catalecticant matrix and minors --------------------------------------------
-
-
-def test_catalecticant_shape_and_shift():
-    m = catalecticant(build_profile([2, 2, 3, 4]))
-    assert m.num_cols == 11
-    top, bottom = m.rows
-    # within each block, the bottom row is the top row shifted by one slot
-    for t, b in zip(top, bottom):
-        assert b.block == t.block and b.slot == t.slot + 1
-
-
-def test_catalecticant_single_block():
-    m = catalecticant(build_profile([1]))
-    assert m.rows == ((x_var(1, 0),), (x_var(1, 1),))
-    m2 = catalecticant(build_profile([1, 1]))
-    assert m2.rows[0] == (x_var(1, 0), x_var(2, 0))
-    assert m2.rows[1] == (x_var(1, 1), x_var(2, 1))
+# -- minors ----------------------------------------------------------------------
 
 
 def test_single_minor_for_two_lines():
-    minors = minors_2x2(catalecticant(build_profile([1, 1])))
+    minors = minors_2x2(build_profile([1, 1]))
     expected = Polynomial.term(1, [(x_var(1, 0), 1), (x_var(2, 1), 1)]) - Polynomial.term(
         1, [(x_var(1, 1), 1), (x_var(2, 0), 1)]
     )
@@ -95,13 +77,12 @@ def test_single_minor_for_two_lines():
 
 
 def test_minor_of_one_conic_block():
-    minors = minors_2x2(catalecticant(build_profile([2])))
+    minors = minors_2x2(build_profile([2]))
     assert minors == [curve_from_table(CURVE_2_1, 1)]
 
 
 def test_minor_count_and_dedup():
-    m = catalecticant(build_profile([2, 2, 3, 4]))
-    minors = minors_2x2(m)
+    minors = minors_2x2(build_profile([2, 2, 3, 4]))
     assert len(minors) == math.comb(11, 2) == 55
     assert len(set(minors)) == 55
     assert all(p.is_homogeneous() and p.total_degree() == 2 for p in minors)
@@ -111,15 +92,16 @@ def test_minors_match_products_of_variables():
     # Every profile with d <= 4 and block degrees 1-3 (orders included).
     for d in range(1, 5):
         for n in itertools.product((1, 2, 3), repeat=d):
-            matrix = catalecticant(build_profile(n))
-            top, bottom = matrix.rows
+            # Row 1 of the matrix, and row 2: row 1 shifted by one slot.
+            top = [x_var(i, j) for i, ni in enumerate(n, start=1) for j in range(ni)]
+            bottom = [x_var(v.block, v.slot + 1) for v in top]
             expected = [
                 Polynomial.variable(top[c1]) * Polynomial.variable(bottom[c2])
                 - Polynomial.variable(bottom[c1]) * Polynomial.variable(top[c2])
-                for c1 in range(matrix.num_cols)
-                for c2 in range(c1 + 1, matrix.num_cols)
+                for c1 in range(len(top))
+                for c2 in range(c1 + 1, len(top))
             ]
-            minors = minors_2x2(matrix)
+            minors = minors_2x2(build_profile(n))
             assert minors == expected, n
             assert all(m.sorted_terms() == e.sorted_terms() for m, e in zip(minors, expected))
 
@@ -342,7 +324,7 @@ def test_equation_set_two_equal_conic_blocks():
         curve_from_table(CURVE_2_1, 2),
         bridge_from_table(BRIDGE_2_2, 1, 2),
     ]
-    assert es.system_polys() == expected
+    assert [p for _, p in es.system()] == expected
 
 
 def test_equation_set_surface_counts():
@@ -351,7 +333,7 @@ def test_equation_set_surface_counts():
     labels = [label for label, _ in es.system()]
     assert labels == ["curve[1][1]", "curve[1][2]", "curve[2][1]", "curve[2][2]",
                       "curve[2][3]", "weight[3]"]
-    assert es.system_polys()[-1] == bridge(3, 4)[1]
+    assert es.system()[-1] == ("weight[3]", bridge(3, 4)[1])
 
 
 def test_equation_set_2234_labels():
@@ -364,6 +346,20 @@ def test_equation_set_2234_labels():
     ]
     assert len(es.minor_gens) == 55
     assert len(es.labeled_minors()) == 55
+
+
+def test_labeled_minors_name_their_column_pairs():
+    es = equation_set(build_profile([2, 2, 3, 4]))
+    labeled = es.labeled_minors()
+    pairs = list(itertools.combinations(range(2 + 2 + 3 + 4), 2))
+    assert [label for label, _ in labeled] == [f"minor[{c1}][{c2}]" for c1, c2 in pairs]
+    # Column c is (x[i][j], x[i][j+1]) for the c-th slot j < n_i, block by block.
+    top = [x_var(i, j) for i, ni in enumerate((2, 2, 3, 4), start=1) for j in range(ni)]
+    var = Polynomial.variable
+    for (_, p), (c1, c2) in zip(labeled, pairs):
+        t1, t2 = top[c1], top[c2]
+        b1, b2 = x_var(t1.block, t1.slot + 1), x_var(t2.block, t2.slot + 1)
+        assert p == var(t1) * var(b2) - var(b1) * var(t2)
 
 
 def test_equation_set_single_block():

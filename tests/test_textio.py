@@ -1,10 +1,11 @@
 """Parser, printer and JSON serialization tests."""
 
 import json
+import sys
 
 import pytest
 
-from reference import bridge_via_lists
+from reference import bridge_via_lists, poly_to_json_text
 from scrolleq import (
     GF,
     QQ,
@@ -18,7 +19,6 @@ from scrolleq import (
     parse_poly,
     poly_from_json,
     poly_to_json,
-    poly_to_json_text,
     t_var,
     u_var,
     x_var,
@@ -123,6 +123,29 @@ def test_parse_u_requires_index():
 def test_parse_exponent_overflow():
     with pytest.raises(ParseError, match="exponent overflow"):
         parse_poly("x[1][0]^10000000")
+
+
+# int() refuses a digit run longer than sys.get_int_max_str_digits() (4300 by
+# default); 0 or an older Python means no limit.
+LONG_DIGITS = "1" * 5000
+needs_digit_limit = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(LONG_DIGITS),
+    reason="int() reads a 5000-digit run here",
+)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("text, ctx, col", [
+    (LONG_DIGITS, ParseContext(), 1),
+    ("x[1][0]^" + LONG_DIGITS, ParseContext(), 9),
+    ("x[" + LONG_DIGITS + "][0]", ParseContext(), 3),
+    ("u[" + LONG_DIGITS + "]", ParseContext(), 3),
+    ("1/" + LONG_DIGITS, ParseContext(QQ), 3),
+], ids=["coefficient", "exponent", "index", "u-index", "denominator"])
+def test_parse_long_digit_run_is_a_parse_error(text, ctx, col):
+    with pytest.raises(ParseError, match="integer too long \\(5000 digits\\)") as err:
+        parse_poly(text, ctx)
+    assert (err.value.line, err.value.col) == (1, col)
 
 
 def test_parse_validates_against_block_sizes():
@@ -286,6 +309,34 @@ def test_json_refuses_a_modulus_that_is_not_prime():
 def test_json_refuses_coefficients_outside_the_documented_form(coeff):
     doc = {"domain": "Q", "terms": [{"coeff": coeff, "exps": [[1, 0, 1]]}]}
     with pytest.raises(ValueError, match="invalid coefficient"):
+        poly_from_json(doc)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("coeff", [LONG_DIGITS, "-" + LONG_DIGITS, "1/" + LONG_DIGITS],
+                         ids=["integer", "negative", "denominator"])
+def test_json_long_coefficient_is_a_value_error_naming_it(coeff):
+    doc = {"domain": "Q", "terms": [{"coeff": coeff, "exps": [[1, 0, 1]]}]}
+    with pytest.raises(ValueError, match=f"coefficient {coeff[:20]}\\.\\.\\. is too long") as err:
+        poly_from_json(doc)
+    assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize("doc", [
+    {"terms": []},
+    {"domain": "Z"},
+    {"domain": "Z", "terms": [{"coeff": "1"}]},
+    {"domain": "Z", "terms": 5},
+    {"domain": "Z", "terms": [{"coeff": "1", "exps": [5]}]},
+    {"domain": "Z", "terms": [5]},
+    [{"domain": "Z", "terms": []}],
+    '"Z"',
+], ids=[
+    "no-domain", "no-terms", "no-exps", "terms-not-a-list", "exps-entry-not-a-list",
+    "term-not-an-object", "top-level-list", "top-level-string",
+])
+def test_json_malformed_structure_is_a_value_error(doc):
+    with pytest.raises(ValueError):
         poly_from_json(doc)
 
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from reference import evaluate
+from reference import enumerate_variety, evaluate
 from scrolleq import (
     GF,
     VAR_S,
@@ -24,7 +24,6 @@ from scrolleq import (
     check_bridge_scroll_vanishing,
     check_parametrization,
     compare_varieties,
-    enumerate_variety,
     equation_set,
     g_polynomial,
     generic_minor,
@@ -213,7 +212,7 @@ def test_enumerate_compiles_a_generator_past_5000_terms():
 
 def test_enumerate_matches_brute_force_surface_system():
     profile = build_profile([1, 2])
-    gens = [p.reduce_mod(3) for p in equation_set(profile).system_polys()]
+    gens = [p.reduce_mod(3) for _, p in equation_set(profile).system()]
     pts = enumerate_variety(gens, profile.variables(), 3)
     assert len(pts) == 16
     assert pts == brute_force_variety(gens, profile.variables(), 3)
@@ -266,7 +265,7 @@ def test_enumerate_representatives_are_canonical():
 
 def test_enumerate_budget_refusal():
     profile = build_profile([2, 2, 3, 4])
-    gens = [p.reduce_mod(3) for p in equation_set(profile).system_polys()]
+    gens = [p.reduce_mod(3) for _, p in equation_set(profile).system()]
     with pytest.raises(BudgetExceededError) as err:
         enumerate_variety(gens, profile.variables(), 3, budget=10_000)
     assert err.value.estimate > 10_000
@@ -296,7 +295,7 @@ def whole_space_loci(eqset, q):
     """The system locus and the minor locus from whole-space scans of the
     expanded system and of the minors: the oracle for compare_varieties."""
     variables = eqset.profile.variables()
-    system = enumerate_variety([p.reduce_mod(q) for p in eqset.system_polys()], variables, q)
+    system = enumerate_variety([p.reduce_mod(q) for _, p in eqset.system()], variables, q)
     minors = enumerate_variety([p.reduce_mod(q) for p in eqset.minor_gens], variables, q)
     return system, minors
 
