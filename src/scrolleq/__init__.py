@@ -11,12 +11,12 @@ from .polyring import (
     ZZ,
     Domain,
     DomainMismatchError,
-    Monomial,
     Polynomial,
     Substitution,
     VarId,
     binomial,
     format_poly,
+    grevlex_key,
     is_prime,
     monomial,
     t_var,

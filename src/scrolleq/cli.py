@@ -108,7 +108,8 @@ def _check_out(out: str | None) -> None:
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Check the parsed flags before any work, in this order: the profile,
-    ``--out``, ``--field``, the budget, then the format ``export`` needs.
+    ``--out``, ``--field``, the budget, then the format: ``export`` writes
+    m2|singular and every other command plain|json.
     Fills in ``args.fmt`` and ``args.budget``; the budget comes from
     ``--budget`` or the environment and must be a positive integer."""
     if args.profile is None:
@@ -130,6 +131,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         args.fmt = "m2" if args.command == "export" else "plain"
     elif args.command == "export" and args.fmt not in ("m2", "singular"):
         parser.error(f"export needs --format m2|singular, got {args.fmt!r}")
+    elif args.command != "export" and args.fmt not in ("plain", "json"):
+        parser.error(f"{args.command} needs --format plain|json, got {args.fmt!r}")
 
 
 # ---------------------------------------------------------------------------

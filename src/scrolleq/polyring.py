@@ -16,19 +16,23 @@ Variables come in two namespaces:
 
 The variable order is total and fixed: scroll variables first (block-major,
 then slot), auxiliary parameters after them (all ``u[i]``, then all ``t[i]``,
-then ``s < t < z < w < v``).  Monomials are compared by total degree first and
-reverse-lexicographically on this variable order to break ties, which gives
-the canonical term order used for printing and serialization.
+then ``s < t < z < w < v``).
 
-``Monomial`` (a sorted tuple of (variable, exponent) pairs) is the public
-form of a monomial, and ``Polynomial.terms`` always maps monomials to
-coefficients.  Multiplication, powers and substitution compute on a packed
-form instead (Monagan and Pearce, CASC 2007): each operation gives every
-variable it involves a fixed bit field of one Python int, so a monomial
-product is an integer addition.  Each field is as wide as an exact bound on
-the exponents the operation can produce, so no field carries into the next.
-The operation packs its inputs once and unpacks its result once; a
-``Substitution`` packs its images once and then maps many polynomials.
+A monomial is a plain tuple ``((VarId, exponent), ...)`` sorted by variable
+with every exponent positive, so ``()`` is the monomial 1; ``monomial``
+builds one from any pairs.  ``Polynomial.terms`` always maps such tuples to
+coefficients.  Monomials are ordered by total degree first and
+reverse-lexicographically on the variable order to break ties:
+``grevlex_key`` gives that order as a sort key, and it is the canonical term
+order used for printing and serialization.
+
+Multiplication, powers and substitution compute on a packed form instead
+(Monagan and Pearce, CASC 2007): each operation gives every variable it
+involves a fixed bit field of one Python int, so a monomial product is an
+integer addition.  Each field is as wide as an exact bound on the exponents
+the operation can produce, so no field carries into the next.  The operation
+packs its inputs once and unpacks its result once; a ``Substitution`` packs
+its images once and then maps many polynomials.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from typing import NamedTuple
 
 
@@ -49,18 +52,23 @@ class DomainMismatchError(ValueError):
 # Coefficient domains
 # ---------------------------------------------------------------------------
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The smallest strong pseudoprime to every base in _MR_BASES.
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test.
 
-    The fixed witness set is exact for every n below 3.3e24, far beyond any
-    modulus this package enumerates over.
+    The fixed witness set is exact for every n below ``_MR_LIMIT`` (about
+    3.3e24), far beyond any modulus this package enumerates over; from there
+    on it raises ValueError instead of guessing.
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large for the primality test (limit {_MR_LIMIT})")
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -225,105 +233,23 @@ VAR_V = VarId(NS_AUX, AUX_V, 0)
 # ---------------------------------------------------------------------------
 
 
-@total_ordering
-class Monomial:
-    """An exponent vector, stored sparsely as ((VarId, exp), ...) sorted by VarId.
-
-    Instances are immutable and hashable.  The comparison order is graded
-    (total degree first), ties broken reverse-lexicographically on the fixed
-    variable order.
-    """
-
-    __slots__ = ("exps", "degree", "_hash")
-
-    def __init__(self, exps: Iterable[tuple[VarId, int]] | Mapping[VarId, int] = ()):
-        if isinstance(exps, Mapping):
-            items = exps.items()
-        else:
-            items = exps
-        cleaned = []
-        for v, e in items:
-            if e < 0:
-                raise ValueError(f"negative exponent {e} for {v.render()}")
-            if e > 0:
-                cleaned.append((v, e))
-        cleaned.sort()
-        object.__setattr__(self, "exps", tuple(cleaned))
-        object.__setattr__(self, "degree", sum(e for _, e in cleaned))
-        object.__setattr__(self, "_hash", hash(self.exps))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("Monomial is immutable")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return _grevlex_cmp(self, other) < 0
-
-    def variables(self) -> tuple[VarId, ...]:
-        return tuple(v for v, _ in self.exps)
-
-    def render(self) -> str:
-        return _factors_text(self.exps, VarId.render) if self.exps else "1"
-
-    def __repr__(self) -> str:
-        return f"Monomial({self.render()})"
-
-
-def _raw_monomial(sorted_exps: tuple[tuple[VarId, int], ...]) -> Monomial:
-    # Internal fast path: exponents already sorted, positive.
-    m = Monomial.__new__(Monomial)
-    object.__setattr__(m, "exps", sorted_exps)
-    object.__setattr__(m, "degree", sum(e for _, e in sorted_exps))
-    object.__setattr__(m, "_hash", hash(sorted_exps))
-    return m
-
-
-_ONE_MONOMIAL = Monomial()
-
-
-def _grevlex_cmp(a: Monomial, b: Monomial) -> int:
-    """Graded reverse-lexicographic comparison; negative means a < b."""
-    if a.degree != b.degree:
-        return -1 if a.degree < b.degree else 1
-    ea, eb = a.exps, b.exps
-    ia, ib = 0, 0
-    la, lb = len(ea), len(eb)
-    # Walk from the smallest variable upwards; at the first variable where
-    # the exponents differ, the monomial with the smaller exponent is larger.
-    while ia < la and ib < lb:
-        va, xa = ea[ia]
-        vb, xb = eb[ib]
-        if va == vb:
-            if xa != xb:
-                return 1 if xa < xb else -1
-            ia += 1
-            ib += 1
-        elif va < vb:
-            return -1  # a alone carries weight on the smaller variable
-        else:
-            return 1
-    if ia < la:
-        return -1  # unreachable for equal degrees; kept for consistency
-    if ib < lb:
-        return 1
-    return 0
-
-
-def monomial(pairs: Iterable[tuple[VarId, int]] | Mapping[VarId, int]) -> Monomial:
-    """Public monomial constructor: merges duplicates, drops zeros, refuses negatives."""
-    if isinstance(pairs, Mapping):
-        return Monomial(pairs)
+def monomial(pairs: Iterable[tuple[VarId, int]] | Mapping[VarId, int]) -> tuple:
+    """The monomial of ``pairs``: repeated variables merge, zero exponents
+    drop out and a negative exponent raises ValueError."""
     acc: dict[VarId, int] = {}
-    for v, e in pairs:
+    for v, e in pairs.items() if isinstance(pairs, Mapping) else pairs:
         if e < 0:
             raise ValueError(f"negative exponent {e} for {v.render()}")
         acc[v] = acc.get(v, 0) + e
-    return Monomial(acc)
+    return tuple(sorted((v, e) for v, e in acc.items() if e))
+
+
+def grevlex_key(mono: tuple) -> tuple:
+    """Sort key of the canonical order: total degree, then reverse
+    lexicographic.  Walking up from the smallest variable, the first
+    difference decides: weight on the smaller variable, or a smaller
+    exponent on the same one, makes the larger monomial."""
+    return (sum(e for _, e in mono), tuple([(v, -e) for v, e in mono]))
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +261,15 @@ class Polynomial:
     """Sparse exact polynomial: a coefficient domain plus a monomial->coeff map.
 
     Instances are immutable values; every constructor and operation returns a
-    canonical form (no zero coefficients).  Arithmetic requires both operands
-    to share the same domain.
+    canonical form (no zero coefficients).  The constructor takes monomials
+    as ``monomial`` returns them.  Arithmetic requires both operands to share
+    the same domain.
     """
 
     __slots__ = ("domain", "terms", "_hash")
 
-    def __init__(self, domain: Domain, terms: Mapping[Monomial, object] = ()):
-        canon: dict[Monomial, object] = {}
+    def __init__(self, domain: Domain, terms: Mapping[tuple, object] = ()):
+        canon: dict[tuple, object] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for mono, coeff in items:
             c = domain.coerce(coeff)
@@ -375,11 +302,11 @@ class Polynomial:
         c = domain.coerce(value)
         if c == 0:
             return _raw_poly(domain, {})
-        return _raw_poly(domain, {_ONE_MONOMIAL: c})
+        return _raw_poly(domain, {(): c})
 
     @staticmethod
     def variable(v: VarId, domain: Domain = ZZ) -> "Polynomial":
-        return _raw_poly(domain, {_raw_monomial(((v, 1),)): domain.one})
+        return _raw_poly(domain, {((v, 1),): domain.one})
 
     @staticmethod
     def term(coeff, pairs, domain: Domain = ZZ) -> "Polynomial":
@@ -396,27 +323,23 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """Largest term degree; -1 for the zero polynomial."""
-        return max((m.degree for m in self.terms), default=-1)
+        return max((sum(e for _, e in m) for m in self.terms), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degs = {m.degree for m in self.terms}
-        return len(degs) <= 1
+        return len({sum(e for _, e in m) for m in self.terms}) <= 1
 
     def num_terms(self) -> int:
         return len(self.terms)
 
     def variables(self) -> tuple[VarId, ...]:
-        seen = set()
-        for m in self.terms:
-            seen.update(m.variables())
-        return tuple(sorted(seen))
+        return tuple(sorted({v for m in self.terms for v, _ in m}))
 
-    def coefficient(self, mono: Monomial):
+    def coefficient(self, mono: tuple):
         return self.terms.get(mono, self.domain.zero)
 
-    def sorted_terms(self) -> list[tuple[Monomial, object]]:
+    def sorted_terms(self) -> list[tuple[tuple, object]]:
         """Terms in descending canonical order (leading term first)."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        return sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0]), reverse=True)
 
     # -- ring operations -----------------------------------------------------
 
@@ -494,20 +417,14 @@ class Polynomial:
 
     # -- substitution ---------------------------------------------------------
 
-    def substitute(
-        self, images: Mapping[VarId, "Polynomial"], strict: bool = False
-    ) -> "Polynomial":
+    def substitute(self, images: Mapping[VarId, "Polynomial"]) -> "Polynomial":
         """Ring-homomorphism image under ``v -> images[v]``.
 
-        Unmapped variables map to themselves unless ``strict`` is set, in
-        which case they raise.  All images must share this polynomial's
-        domain.  This is a ``Substitution`` prepared for this one polynomial.
+        Every variable of this polynomial needs an image, and all images must
+        share its domain.  This is a ``Substitution`` prepared for this one
+        polynomial.
         """
-        targets = dict(images)
-        if not strict:
-            for v in self.variables():
-                targets.setdefault(v, Polynomial.variable(v, self.domain))
-        return Substitution(targets, self.domain, max(0, self.total_degree()))(self)
+        return Substitution(images, self.domain, max(0, self.total_degree()))(self)
 
     def reduce_mod(self, q: int) -> "Polynomial":
         """Coefficientwise reduction of an integer polynomial into GF(q)."""
@@ -556,9 +473,9 @@ class _Packing:
         self.width = bound.bit_length()
         self.shift = {v: i * self.width for i, v in enumerate(sorted(variables))}
 
-    def pack(self, terms: Mapping[Monomial, object]) -> dict[int, object]:
+    def pack(self, terms: Mapping[tuple, object]) -> dict[int, object]:
         shift = self.shift
-        return {sum(e << shift[v] for v, e in m.exps): c for m, c in terms.items()}
+        return {sum(e << shift[v] for v, e in m): c for m, c in terms.items()}
 
     def unpack(self, domain: Domain, packed: Mapping[int, object]) -> Polynomial:
         """The polynomial of canonical packed terms."""
@@ -566,8 +483,7 @@ class _Packing:
         fields = self.shift.items()
         terms = {}
         for key, c in packed.items():
-            exps = tuple([(v, e) for v, s in fields if (e := key >> s & mask)])
-            terms[_raw_monomial(exps)] = c
+            terms[tuple([(v, e) for v, s in fields if (e := key >> s & mask)])] = c
         return _raw_poly(domain, terms)
 
 
@@ -634,18 +550,17 @@ class Substitution:
     def __call__(self, poly: Polynomial) -> Polynomial:
         if poly.domain != self.domain:
             raise DomainMismatchError(f"domain mismatch: {poly.domain} vs {self.domain}")
-        p, degree = self.domain.p, self.degree
-        packed, powers = self._packed, self._powers
+        if poly.total_degree() > self.degree:
+            raise ValueError(
+                f"degree {poly.total_degree()} exceeds the prepared bound {self.degree}"
+            )
+        p, packed, powers = self.domain.p, self._packed, self._powers
         out: dict[int, object] = {}
         for mono, coeff in poly.terms.items():
-            if mono.degree > degree:
-                raise ValueError(
-                    f"degree {poly.total_degree()} exceeds the prepared bound {degree}"
-                )
             # Single-term factors only shift the key and scale the coefficient;
             # the others are multiplied out after them.
             key, c, factors = 0, coeff, []
-            for v, e in mono.exps:
+            for v, e in mono:
                 f = powers.get((v, e))
                 if f is None:
                     if v not in packed:
@@ -670,10 +585,6 @@ class Substitution:
 # ---------------------------------------------------------------------------
 
 
-def _factors_text(exps, var_name) -> str:
-    return "*".join([var_name(v) if e == 1 else f"{var_name(v)}^{e}" for v, e in exps])
-
-
 def format_poly(p: Polynomial, var_name=VarId.render, space: str = " ") -> str:
     """Text of ``p``: terms in descending order, ``-`` folded into the joiner.
 
@@ -694,10 +605,12 @@ def format_poly(p: Polynomial, var_name=VarId.render, space: str = " ") -> str:
             mag = mag[1:]
         else:
             parts.append(plus)
-        if not mono.exps:
+        if not mono:
             parts.append(mag)
         else:
-            factors = _factors_text(mono.exps, var_name)
+            factors = "*".join(
+                [var_name(v) if e == 1 else f"{var_name(v)}^{e}" for v, e in mono]
+            )
             parts.append(factors if mag == "1" else f"{mag}*{factors}")
     parts[0] = "-" if parts[0] == minus else ""
     return "".join(parts)

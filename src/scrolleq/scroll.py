@@ -32,10 +32,8 @@ from functools import cached_property
 
 from .polyring import (
     ZZ,
-    Monomial,
     Polynomial,
     VarId,
-    _raw_monomial,
     _raw_poly,
     binomial,
     monomial,
@@ -102,11 +100,11 @@ def minors_2x2(profile: ScrollProfile) -> list[Polynomial]:
     ]
 
 
-def _product(a: VarId, b: VarId) -> Monomial:
+def _product(a: VarId, b: VarId) -> tuple:
     # Adjacent columns of one block share a variable, which becomes a square.
     if a == b:
-        return _raw_monomial(((a, 2),))
-    return _raw_monomial(((a, 1), (b, 1)) if a < b else ((b, 1), (a, 1)))
+        return ((a, 2),)
+    return ((a, 1), (b, 1)) if a < b else ((b, 1), (a, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +121,7 @@ def curve_equation(n: int, i: int, block: int = 1) -> Polynomial:
     """
     if not 1 <= i <= n - 1:
         raise ValueError(f"curve equation index {i} out of range for block degree {n}")
-    terms: dict[Monomial, int] = {}
+    terms: dict[tuple, int] = {}
     for alpha in range(i + 1):
         mono = monomial(
             [(x_var(block, i + 1), i - alpha), (x_var(block, alpha), 1), (x_var(block, i), alpha)]
@@ -175,13 +173,11 @@ def bridge(
     if x_block == y_block:
         raise ValueError("a bridge couples two distinct blocks")
     p, q, m = meta.p, meta.q, meta.m
-    terms: dict[Monomial, int] = {}
+    terms: dict[tuple, int] = {}
     for alpha in range(m + 1):
         c, r = divmod(alpha, p)
         e, f = divmod(alpha, q)
-        # The factors with a nonzero exponent are on four distinct
-        # variables, so nothing needs merging.
-        mono = Monomial(
+        mono = monomial(
             [
                 (x_var(x_block, a - c), p - r),
                 (x_var(x_block, a - c - 1) if r else x_var(x_block, 0), r),

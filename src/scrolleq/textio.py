@@ -46,7 +46,6 @@ from .polyring import (
     QQ,
     ZZ,
     Domain,
-    Monomial,
     Polynomial,
     VarId,
     _AUX_SCALAR_NAMES,
@@ -203,7 +202,7 @@ def parse_poly(text: str, ctx: ParseContext | None = None) -> Polynomial:
             more = toks[i] == "*"
             if more:
                 i += 1
-        terms.append((Monomial(exps), dom.mul(dom.coerce(coeff), dom.coerce(sign))))
+        terms.append((monomial(exps), dom.mul(dom.coerce(coeff), dom.coerce(sign))))
         if toks[i] not in _SIGNS:
             break
         sign = -1 if toks[i] == "-" else 1
@@ -288,7 +287,7 @@ def domain_from_json(obj) -> Domain:
 def poly_to_json(p: Polynomial) -> dict:
     terms = []
     for mono, coeff in p.sorted_terms():
-        exps = sorted([*_encode_var(v), e] for v, e in mono.exps)
+        exps = sorted([*_encode_var(v), e] for v, e in mono)
         # Same coefficient text as format_poly: an integer or a reduced a/b.
         terms.append({"coeff": str(coeff), "exps": exps})
     return {"domain": domain_to_json(p.domain), "terms": terms}
@@ -314,7 +313,7 @@ def poly_json_text(p: Polynomial, level: int = 0) -> str:
     for mono, coeff in p.sorted_terms():
         exps = [
             f"[{n5}{i},{n5}{j},{n5}{e}{n4}]"
-            for i, j, e in sorted((*_encode_var(v), e) for v, e in mono.exps)
+            for i, j, e in sorted((*_encode_var(v), e) for v, e in mono)
         ]
         # The coefficient is an integer or a reduced a/b: nothing to escape.
         terms.append(

@@ -159,7 +159,7 @@ def check_bridge_scroll_vanishing(a: int, b: int) -> tuple[bool, Polynomial]:
         **_curve_images(1, a, VAR_S, VAR_T, u_var(1)),
         **_curve_images(2, b, VAR_S, VAR_T, VAR_V),
     }
-    residual = br.substitute(images, strict=True)
+    residual = br.substitute(images)
     return residual.is_zero(), residual
 
 
@@ -171,7 +171,7 @@ def check_bridge_determinant_power(a: int, b: int) -> bool:
     """
     meta, br = bridge(a, b, 1, 2)
     images = {**_curve_images(1, a, VAR_S, VAR_T), **_curve_images(2, b, VAR_Z, VAR_W)}
-    lhs = br.substitute(images, strict=True)
+    lhs = br.substitute(images)
     s, t, z, w = (Polynomial.variable(v, ZZ) for v in (VAR_S, VAR_T, VAR_Z, VAR_W))
     return lhs == (t * z - s * w) ** meta.m
 
@@ -217,7 +217,7 @@ def _generator_source(summands: Summands, names: Mapping[VarId, str], q: int) ->
         terms = []
         for mono, coeff in poly.terms.items():
             try:
-                factors = [names[v] + (f"**{int(e)}" if e > 1 else "") for v, e in mono.exps]
+                factors = [names[v] + (f"**{int(e)}" if e > 1 else "") for v, e in mono]
             except KeyError as exc:
                 raise ValueError(
                     f"generator variable {exc.args[0]} is outside the ambient space"
@@ -419,22 +419,26 @@ def _loci(eqset: EquationSet, q: int, budget: int) -> tuple[int, list, list]:
     work = sum(block_points[i] * (len(c) + len(m)) for i, (c, m) in scans.items())
     _check_budget(work, budget)
     # Leading-1 representatives of each block's cone: Z_i u M_i, or the
-    # whole projective line for a block with n_i = 1.
-    reps = [list(_representatives(2, q)) for _ in blocks]
+    # whole projective line, q + 1 points, for a block with n_i = 1.  The
+    # cone is zero and every nonzero multiple of a representative.
+    scanned = {}
     for i, groups in scans.items():
         on_curves, on_minors = _projective_scan(groups, blocks[i], q)
-        reps[i] = sorted(set(on_curves) | set(on_minors))
+        scanned[i] = sorted(set(on_curves) | set(on_minors))
+    d = profile.d
+    counts = [len(scanned[i]) if i in scanned else q + 1 for i in range(d)]
+    cone_sizes = [1 + (q - 1) * count for count in counts]
+    # The canonical points of the product of the cones: the blocks before the
+    # leading one are zero, the leading block is a representative and the
+    # blocks after it run over their cones.
+    size = sum(counts[i] * math.prod(cone_sizes[i + 1:]) for i in range(d))
+    _check_budget(size * (eqset.system_size + len(minors)), budget)
+    reps = [scanned[i] if i in scanned else list(_representatives(2, q)) for i in range(d)]
     cones = [
         [(0,) * len(block)] + [tuple(c * x % q for x in r) for c in range(1, q) for r in rs]
         for block, rs in zip(blocks, reps)
     ]
-    # The canonical points of the product of the cones: the blocks before the
-    # leading one are zero, the leading block is a representative and the
-    # blocks after it run over their cones.
-    d = profile.d
     zeros = [[(0,) * len(block)] for block in blocks]
-    size = sum(len(reps[i]) * math.prod(map(len, cones[i + 1:])) for i in range(d))
-    _check_budget(size * (eqset.system_size + len(minors)), budget)
     weights = [
         list(zip((b.reduce_mod(q) for b in group_bridges(profile, g)), g.powers))
         for g in eqset.groups

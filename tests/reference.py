@@ -3,9 +3,11 @@
 * ``bridge_via_lists`` builds a bridge from its two explicit monomial lists,
   independently of ``scroll.bridge``.
 * ``schoolbook_mul``, ``schoolbook_pow`` and ``schoolbook_substitute`` compute
-  on dicts of ``Monomial`` directly, with no packed exponents: the multiply
-  is the one ``Polynomial.__mul__`` used before packing, the power is
-  repeated multiplication and the substitution expands term by term.
+  on dicts of monomial tuples directly, with no packed exponents: the
+  multiply is the one ``Polynomial.__mul__`` used before packing, the power
+  is repeated multiplication and the substitution expands term by term.
+* ``grevlex_cmp`` compares two monomials by walking their exponents, the
+  comparator that ``grevlex_key`` replaced.
 * ``evaluate`` computes a polynomial's value at a point term by term; the
   finite-field scan runs generated code instead, and the tests check that
   code against it.
@@ -29,7 +31,6 @@ from scrolleq import (
     VAR_W,
     VAR_Z,
     ZZ,
-    Monomial,
     ParseContext,
     ParseError,
     Polynomial,
@@ -81,13 +82,13 @@ def bridge_via_lists(a: int, b: int, x_block: int = 1, y_block: int = 2) -> Poly
 
 
 def schoolbook_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Every term of ``a`` times every term of ``b``, keyed by ``Monomial``."""
+    """Every term of ``a`` times every term of ``b``, keyed by monomial tuples."""
     assert a.domain == b.domain
     dom = a.domain
     out = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
-            mono = monomial(ma.exps + mb.exps)
+            mono = monomial(ma + mb)
             c = dom.mul(ca, cb)
             prev = out.get(mono)
             if prev is None:
@@ -115,11 +116,39 @@ def schoolbook_substitute(a: Polynomial, images) -> Polynomial:
     acc = Polynomial.zero(dom)
     for mono, coeff in a.terms.items():
         prod = Polynomial.const(coeff, dom)
-        for v, e in mono.exps:
+        for v, e in mono:
             img = images.get(v, Polynomial.variable(v, dom))
             prod = schoolbook_mul(prod, schoolbook_pow(img, e))
         acc = acc + prod
     return acc
+
+
+def grevlex_cmp(a: tuple, b: tuple) -> int:
+    """Graded reverse-lexicographic comparison; negative means a < b."""
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return -1 if da < db else 1
+    ia, ib = 0, 0
+    la, lb = len(a), len(b)
+    # Walk from the smallest variable upwards; at the first variable where
+    # the exponents differ, the monomial with the smaller exponent is larger.
+    while ia < la and ib < lb:
+        va, xa = a[ia]
+        vb, xb = b[ib]
+        if va == vb:
+            if xa != xb:
+                return 1 if xa < xb else -1
+            ia += 1
+            ib += 1
+        elif va < vb:
+            return -1  # a alone carries weight on the smaller variable
+        else:
+            return 1
+    if ia < la:
+        return -1  # unreachable for equal degrees; kept for consistency
+    if ib < lb:
+        return 1
+    return 0
 
 
 def evaluate(p: Polynomial, point):
@@ -130,7 +159,7 @@ def evaluate(p: Polynomial, point):
     acc = dom.zero
     for mono, coeff in p.terms.items():
         val = coeff
-        for v, e in mono.exps:
+        for v, e in mono:
             pw = power_cache.get((v, e))
             if pw is None:
                 try:
@@ -282,7 +311,7 @@ class _Parser:
         # The constructor merges repeated monomials and drops zero sums.
         return Polynomial(self.ctx.domain, terms)
 
-    def term(self, sign: int) -> tuple[Monomial, object]:
+    def term(self, sign: int) -> tuple[tuple, object]:
         dom = self.ctx.domain
         tok = self.peek()
         if tok.kind == "int":
@@ -291,7 +320,7 @@ class _Parser:
                 self.advance()
                 mono = self.powers()
             else:
-                mono = Monomial()
+                mono = ()
         elif tok.kind == "name":
             coeff = dom.one
             mono = self.powers()
@@ -314,7 +343,7 @@ class _Parser:
             return Fraction(value, denom)
         return value
 
-    def powers(self) -> Monomial:
+    def powers(self) -> tuple:
         exps: dict[VarId, int] = {}
         while True:
             v, e = self.power()
@@ -323,7 +352,7 @@ class _Parser:
                 self.advance()
                 continue
             break
-        return Monomial(exps)
+        return monomial(exps)
 
     def power(self) -> tuple[VarId, int]:
         v = self.variable()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -148,6 +149,17 @@ def test_nonprime_field_is_usage_error(capsys):
     assert "not prime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, message", [
+    # The smallest strong pseudoprime to bases 2..37.
+    ("318665857834031151167461", "error: --field 318665857834031151167461 is not prime\n"),
+    ("3317044064679887385961981", "error: 3317044064679887385961981 is too large for the "
+     "primality test (limit 3317044064679887385961981)\n"),
+])
+def test_field_beyond_exact_primality_is_usage_error(capsys, field, message):
+    assert run(["--profile", "1,1", "enumerate", "--field", field]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_nonprime_field_is_refused_before_any_work(capsys, no_expansion):
     assert run(["--profile", "2,3,5,7", "verify", "--field", "4"]) == 2
     err = capsys.readouterr().err
@@ -160,6 +172,34 @@ def test_scan_budget_is_checked_before_expansion(capsys, no_expansion):
     err = capsys.readouterr().err
     assert err.startswith("budget exceeded: enumeration needs an estimated")
     assert err.count("\n") == 1
+
+
+def test_cone_budget_is_checked_before_any_cone_is_built(capsys):
+    # Each n_i = 1 block's cone is all of GF(1009)^2, about 1e6 points; the
+    # product pass would visit 1010 * 1009^2 + 1010 points and evaluate the
+    # weight generator and the minor at each.
+    tracemalloc.start()
+    try:
+        code = run(["--profile", "1,1", "enumerate", "--field", "1009"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 10 * 2**20
+    assert capsys.readouterr().err == (
+        "budget exceeded: enumeration needs an estimated 2056525640 generator "
+        "evaluations, budget is 100000000\n"
+    )
+
+
+def test_cone_budget_takes_a_64_bit_prime(capsys):
+    q = 18446744073709551557  # the largest prime below 2^64
+    assert run(["--profile", "1,1", "enumerate", "--field", str(q)]) == 3
+    estimate = ((q + 1) * q**2 + (q + 1)) * 2
+    assert capsys.readouterr().err == (
+        f"budget exceeded: enumeration needs an estimated {estimate} generator "
+        "evaluations, budget is 100000000\n"
+    )
 
 
 @pytest.mark.parametrize("argv, budget", [
@@ -283,6 +323,19 @@ def test_export_rejects_plain():
     with pytest.raises(SystemExit) as exc:
         run(["--profile", "1,1", "export", "--format", "plain"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["equations", "verify", "enumerate", "bench"])
+@pytest.mark.parametrize("dialect", ["m2", "singular"])
+def test_script_format_is_usage_error_outside_export(capsys, command, dialect):
+    with pytest.raises(SystemExit) as exc:
+        run(["--profile", "1,1", command, "--format", dialect])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: {command} needs --format plain|json, got {dialect!r}\n"
+    )
 
 
 def test_export_reports_unwritable_out_before_the_format(capsys, tmp_path):

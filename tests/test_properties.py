@@ -3,6 +3,7 @@
 import itertools
 import json
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from reference import (
     enumerate_variety,
     evaluate,
+    grevlex_cmp,
     reference_parse,
     schoolbook_mul,
     schoolbook_pow,
@@ -24,12 +26,15 @@ from scrolleq import (
     VAR_T,
     VAR_W,
     ZZ,
-    Monomial,
     ParseContext,
     ParseError,
     Polynomial,
     Substitution,
+    VarId,
+    grevlex_key,
+    monomial,
     parse_poly,
+    poly_from_json,
     t_var,
     u_var,
     x_var,
@@ -45,7 +50,7 @@ coeffs = st.integers(min_value=-30, max_value=30)
 @st.composite
 def monomials(draw, max_vars=3, max_exp=3, pool=VARS):
     chosen = draw(st.lists(st.sampled_from(pool), max_size=max_vars, unique=True))
-    return Monomial({v: draw(st.integers(1, max_exp)) for v in chosen})
+    return monomial({v: draw(st.integers(1, max_exp)) for v in chosen})
 
 
 @st.composite
@@ -117,7 +122,7 @@ def test_canonical_form_after_operations(pq):
     p, q = pq
     for result in (p + q, p * q, p - q):
         assert all(c != 0 for c in result.terms.values())
-        assert all(e > 0 for m in result.terms for _, e in m.exps)
+        assert all(e > 0 for m in result.terms for _, e in m)
         if result.domain.kind == "Fp":
             assert all(0 < c < result.domain.p for c in result.terms.values())
         if result.domain.kind == "Q":
@@ -126,7 +131,7 @@ def test_canonical_form_after_operations(pq):
 
 @given(st.lists(monomials(), min_size=3, max_size=3, unique=True))
 def test_order_is_total_and_transitive(ms):
-    a, b, c = ms
+    a, b, c = map(grevlex_key, ms)
     assert (a < b) + (b < a) + (a == b) == 1
     chain = sorted([a, b, c])
     assert chain[0] <= chain[1] <= chain[2]
@@ -134,12 +139,27 @@ def test_order_is_total_and_transitive(ms):
         assert a < c
 
 
+@given(st.lists(monomials(max_vars=5, max_exp=4, pool=VARS), max_size=12))
+@example([(), ((VARS[0], 1), (VARS[2], 1)), ((VARS[1], 2),), ((VARS[0], 2),)])
+def test_grevlex_key_matches_comparator(ms):
+    assert sorted(ms, key=grevlex_key) == sorted(ms, key=cmp_to_key(grevlex_cmp))
+
+
 # -- substitution is a ring homomorphism ---------------------------------------------
+
+
+def _images(domain=ZZ, **mapped):
+    """Images of every variable of VARS: ``x<i>=poly`` for VARS[i], the
+    variable itself for the rest."""
+    images = {v: Polynomial.variable(v, domain) for v in VARS}
+    images.update({VARS[int(name[1:])]: img for name, img in mapped.items()})
+    return images
 
 
 @st.composite
 def substitutions(draw, dom):
-    images = {}
+    """Images of every variable of VARS: a few drawn, the rest themselves."""
+    images = _images(dom)
     for v in draw(st.lists(st.sampled_from(VARS), max_size=3, unique=True)):
         images[v] = draw(polys(domain=dom, max_terms=2))
     return images
@@ -161,6 +181,30 @@ def test_substitution_homomorphism(data):
     p, q, images = data
     assert (p + q).substitute(images) == p.substitute(images) + q.substitute(images)
     assert (p * q).substitute(images) == p.substitute(images) * q.substitute(images)
+
+
+def is_canonical_monomial(m) -> bool:
+    """A tuple of (VarId, positive int) pairs, strictly increasing by variable."""
+    return (
+        type(m) is tuple
+        and all(type(f) is tuple and len(f) == 2 for f in m)
+        and all(type(v) is VarId and type(e) is int and e > 0 for v, e in m)
+        and all(f[0] < g[0] for f, g in zip(m, m[1:]))
+    )
+
+
+@settings(deadline=None)
+@given(pair_with_substitution(), st.integers(0, 3))
+def test_terms_are_keyed_by_canonical_tuples(data, e):
+    p, q, images = data
+    for result in (
+        p * q,
+        p**e,
+        p.substitute(images),
+        parse_poly(str(p), ParseContext(domain=p.domain)),
+        poly_from_json(poly_to_json(p)),
+    ):
+        assert all(is_canonical_monomial(m) for m in result.terms)
 
 
 # -- packed arithmetic against the schoolbook reference -------------------------------
@@ -186,7 +230,7 @@ def boundary_polys(draw, domain, exps=BOUNDARY_EXPS):
     terms = {}
     for _ in range(draw(st.integers(1, 3))):
         chosen = draw(st.lists(st.sampled_from(VARS[:3]), min_size=1, max_size=2, unique=True))
-        terms[Monomial({v: draw(st.sampled_from(exps)) for v in chosen})] = draw(
+        terms[monomial({v: draw(st.sampled_from(exps)) for v in chosen})] = draw(
             domain_coeffs(domain)
         )
     return Polynomial(domain, terms)
@@ -248,15 +292,16 @@ def test_pow_matches_schoolbook(case):
 
 @st.composite
 def substitute_cases(draw):
-    """A polynomial and images that include zero, constants, single
-    variables and polynomials of more than one term."""
+    """A polynomial and images of every variable of VARS: a few drawn, which
+    include zero, constants, single variables and polynomials of more than
+    one term, and the rest themselves."""
     dom = draw(domains)
     p = draw(
         st.one_of(
             polys(dom, 4, coeffs=domain_coeffs(dom)), boundary_polys(dom, exps=(1, 3, 4, 7, 8))
         )
     )
-    images = {}
+    images = _images(dom)
     for v in draw(st.lists(st.sampled_from(VARS), max_size=4, unique=True)):
         images[v] = draw(
             st.one_of(
@@ -274,17 +319,17 @@ _SUBST = _x(0, 7) * _x(1) + _x(1, 8) - _x(2) * _x(0, 3) + Polynomial.const(5)
 
 @settings(deadline=None)
 @given(substitute_cases())
-@example((_SUBST, {VARS[0]: Polynomial.zero(ZZ)}))
-@example((_SUBST, {VARS[0]: Polynomial.const(-2), VARS[1]: _x(0) + _x(2)}))
-@example((_SUBST, {VARS[0]: _x(1) - _x(2), VARS[1]: Polynomial.zero(ZZ), VARS[2]: _x(0, 15)}))
-@example((_SUBST, {VARS[0]: _x(2, 2) + _x(1), VARS[2]: _x(0)}))
+@example((_SUBST, _images(x0=Polynomial.zero(ZZ))))
+@example((_SUBST, _images(x0=Polynomial.const(-2), x1=_x(0) + _x(2))))
+@example((_SUBST, _images(x0=_x(1) - _x(2), x1=Polynomial.zero(ZZ), x2=_x(0, 15))))
+@example((_SUBST, _images(x0=_x(2, 2) + _x(1), x2=_x(0))))
 @example((  # single-term images over Q: x0/2 + x1/3 -> x2/3 - x2/3 = 0
     _x(0, 1, _HALF, QQ) + _x(1, 1, _THIRD, QQ),
-    {VARS[0]: _x(2, 1, Fraction(2, 3), QQ), VARS[1]: _x(2, 1, -1, QQ)},
+    _images(QQ, x0=_x(2, 1, Fraction(2, 3), QQ), x1=_x(2, 1, -1, QQ)),
 ))
 @example((  # a multi-term image over Q: the x1^2 terms cancel
     _x(0, 2, _HALF, QQ) - _x(1, 2, Fraction(9, 8), QQ),
-    {VARS[0]: _x(2, 1, 1, QQ) + _x(1, 1, Fraction(3, 2), QQ)},
+    _images(QQ, x0=_x(2, 1, 1, QQ) + _x(1, 1, Fraction(3, 2), QQ)),
 ))
 def test_substitute_matches_schoolbook(case):
     p, images = case
@@ -317,14 +362,6 @@ def prepared_map_cases(draw):
         )
     )
     return images, ps
-
-
-def _images(domain=ZZ, **mapped):
-    """Images of every variable of VARS: ``x<i>=poly`` for VARS[i], the
-    variable itself for the rest."""
-    images = {v: Polynomial.variable(v, domain) for v in VARS}
-    images.update({VARS[int(name[1:])]: img for name, img in mapped.items()})
-    return images
 
 
 @settings(deadline=None)
@@ -378,7 +415,7 @@ def homogeneous_polys(draw, degree):
             exps[idx] += add
             remaining -= add
         exps[0] += remaining
-        terms[Monomial(dict(zip(chosen, exps)))] = draw(
+        terms[monomial(dict(zip(chosen, exps)))] = draw(
             st.integers(-9, 9).filter(lambda c: c != 0)
         )
     return Polynomial(dom, terms)

@@ -185,7 +185,7 @@ def test_bridge_homogeneity_and_block_degrees():
             assert p.total_degree() == meta.degree
             for mono in p.terms:
                 block_degree = {3: 0, 5: 0}
-                for v, e in mono.exps:
+                for v, e in mono:
                     block_degree[v.block] += e
                 assert block_degree == {3: meta.p, 5: meta.q}
 

@@ -301,6 +301,11 @@ def test_json_refuses_a_modulus_that_is_not_an_int(p):
 def test_json_refuses_a_modulus_that_is_not_prime():
     with pytest.raises(ValueError, match="8 is not prime"):
         poly_from_json({"domain": {"Fp": 8}, "terms": []})
+    # The smallest strong pseudoprime to bases 2..37.
+    with pytest.raises(ValueError, match="is not prime"):
+        poly_from_json({"domain": {"Fp": 318665857834031151167461}, "terms": []})
+    with pytest.raises(ValueError, match="too large for the primality test"):
+        poly_from_json({"domain": {"Fp": 3317044064679887385961981}, "terms": []})
 
 
 @pytest.mark.parametrize("coeff", [

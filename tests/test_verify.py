@@ -16,7 +16,6 @@ from scrolleq import (
     VAR_Z,
     ZZ,
     BudgetExceededError,
-    Monomial,
     Polynomial,
     WeightGroup,
     build_profile,
@@ -28,6 +27,7 @@ from scrolleq import (
     g_polynomial,
     generic_minor,
     group_bridges,
+    monomial,
     plucker_identity,
     projective_size,
     scroll_param_map,
@@ -195,7 +195,7 @@ def test_enumerate_compiles_a_generator_past_5000_terms():
     g = Polynomial(
         GF(7),
         {
-            Monomial({xs[0]: a, xs[1]: b, xs[2]: 99 - a - b}): a * b % 6 + 1
+            monomial({xs[0]: a, xs[1]: b, xs[2]: 99 - a - b}): a * b % 6 + 1
             for a in range(100)
             for b in range(100 - a)
         },
