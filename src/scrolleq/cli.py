@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import sys
 import time
@@ -108,8 +109,9 @@ def _check_out(out: str | None) -> None:
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Check the parsed flags before any work, in this order: the profile,
-    ``--out``, ``--field``, the budget, then the format: ``export`` writes
-    m2|singular and every other command plain|json.
+    ``--out``, ``--field``, the budget, the format (``export`` writes
+    m2|singular and every other command plain|json), then the terms of the
+    curve equations and minors against the budget.
     Fills in ``args.fmt`` and ``args.budget``; the budget comes from
     ``--budget`` or the environment and must be a positive integer."""
     if args.profile is None:
@@ -133,6 +135,14 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         parser.error(f"export needs --format m2|singular, got {args.fmt!r}")
     elif args.command != "export" and args.fmt not in ("plain", "json"):
         parser.error(f"{args.command} needs --format plain|json, got {args.fmt!r}")
+    # Every command builds each curve equation (i + 1 terms for i < n_i) and
+    # each 2-term minor at once, before any other budget check can run.
+    n = args.profile.n
+    eager = sum((k - 1) * (k + 2) // 2 for k in n) + 2 * math.comb(sum(n), 2)
+    if eager > args.budget:
+        raise BudgetExceededError(
+            eager, args.budget, "construction", "curve-equation and minor terms"
+        )
 
 
 # ---------------------------------------------------------------------------

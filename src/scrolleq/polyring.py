@@ -21,7 +21,10 @@ then ``s < t < z < w < v``).
 A monomial is a plain tuple ``((VarId, exponent), ...)`` sorted by variable
 with every exponent positive, so ``()`` is the monomial 1; ``monomial``
 builds one from any pairs.  ``Polynomial.terms`` always maps such tuples to
-coefficients.  Monomials are ordered by total degree first and
+coefficients.  The ``Polynomial`` constructor takes any (pairs, coefficient)
+items and is the one place they are made canonical; the internal
+``_raw_poly`` wraps terms that are canonical by construction, such as a
+packed result.  Monomials are ordered by total degree first and
 reverse-lexicographically on the variable order to break ties:
 ``grevlex_key`` gives that order as a sort key, and it is the canonical term
 order used for printing and serialization.
@@ -116,25 +119,6 @@ class Domain:
                 )
             return frac.numerator * pow(frac.denominator, -1, self.p) % self.p
         raise ValueError(f"non-integral value {value} in {self}")
-
-    def add(self, a, b):
-        c = a + b
-        return c % self.p if self.kind == "Fp" else c
-
-    def mul(self, a, b):
-        c = a * b
-        return c % self.p if self.kind == "Fp" else c
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "Fp" else -a
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
 
     def __str__(self) -> str:
         return f"GF({self.p})" if self.kind == "Fp" else self.kind
@@ -260,32 +244,24 @@ def grevlex_key(mono: tuple) -> tuple:
 class Polynomial:
     """Sparse exact polynomial: a coefficient domain plus a monomial->coeff map.
 
-    Instances are immutable values; every constructor and operation returns a
-    canonical form (no zero coefficients).  The constructor takes monomials
-    as ``monomial`` returns them.  Arithmetic requires both operands to share
-    the same domain.
+    Instances are immutable values.  The constructor is the one public way to
+    make one: it takes ``(pairs, coefficient)`` items in any form, passes each
+    ``pairs`` through ``monomial`` and each coefficient through
+    ``Domain.coerce``, sums repeated monomials and drops zero sums.  Every
+    operation returns the same canonical form; only terms already in that
+    form skip the constructor, through the internal ``_raw_poly``.
+    Arithmetic requires both operands to share the same domain.
     """
 
     __slots__ = ("domain", "terms", "_hash")
 
-    def __init__(self, domain: Domain, terms: Mapping[tuple, object] = ()):
-        canon: dict[tuple, object] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for mono, coeff in items:
-            c = domain.coerce(coeff)
-            if c == 0:
-                continue
-            prev = canon.get(mono)
-            if prev is None:
-                canon[mono] = c
-            else:
-                s = domain.add(prev, c)
-                if s == 0:
-                    del canon[mono]
-                else:
-                    canon[mono] = s
+    def __init__(self, domain: Domain, terms: Mapping | Iterable = ()):
+        acc: dict[tuple, object] = {}
+        for pairs, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+            mono = monomial(pairs)
+            acc[mono] = acc.get(mono, 0) + domain.coerce(coeff)
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "terms", _canonical(acc, domain.p))
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -295,26 +271,20 @@ class Polynomial:
 
     @staticmethod
     def zero(domain: Domain = ZZ) -> "Polynomial":
-        return _raw_poly(domain, {})
+        return Polynomial(domain)
 
     @staticmethod
     def const(value, domain: Domain = ZZ) -> "Polynomial":
-        c = domain.coerce(value)
-        if c == 0:
-            return _raw_poly(domain, {})
-        return _raw_poly(domain, {(): c})
+        return Polynomial(domain, [((), value)])
 
     @staticmethod
     def variable(v: VarId, domain: Domain = ZZ) -> "Polynomial":
-        return _raw_poly(domain, {((v, 1),): domain.one})
+        return Polynomial(domain, [(((v, 1),), 1)])
 
     @staticmethod
     def term(coeff, pairs, domain: Domain = ZZ) -> "Polynomial":
         """Single-term polynomial coeff * prod(v^e for v, e in pairs)."""
-        c = domain.coerce(coeff)
-        if c == 0:
-            return _raw_poly(domain, {})
-        return _raw_poly(domain, {monomial(pairs): c})
+        return Polynomial(domain, [(pairs, coeff)])
 
     # -- basic queries -------------------------------------------------------
 
@@ -335,7 +305,7 @@ class Polynomial:
         return tuple(sorted({v for m in self.terms for v, _ in m}))
 
     def coefficient(self, mono: tuple):
-        return self.terms.get(mono, self.domain.zero)
+        return self.terms.get(mono, self.domain.coerce(0))
 
     def sorted_terms(self) -> list[tuple[tuple, object]]:
         """Terms in descending canonical order (leading term first)."""
@@ -351,23 +321,15 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_domain(other)
-        dom = self.domain
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            prev = out.get(mono)
-            if prev is None:
-                out[mono] = c
-            else:
-                s = dom.add(prev, c)
-                if s == 0:
-                    del out[mono]
-                else:
-                    out[mono] = s
-        return _raw_poly(dom, out)
+            out[mono] = out.get(mono, 0) + c
+        return _raw_poly(self.domain, _canonical(out, self.domain.p))
 
     def __neg__(self) -> "Polynomial":
-        dom = self.domain
-        return _raw_poly(dom, {m: dom.neg(c) for m, c in self.terms.items()})
+        return _raw_poly(self.domain, _canonical(
+            {m: -c for m, c in self.terms.items()}, self.domain.p
+        ))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -386,9 +348,7 @@ class Polynomial:
     def scale(self, value) -> "Polynomial":
         dom = self.domain
         c0 = dom.coerce(value)
-        if c0 == 0:
-            return _raw_poly(dom, {})
-        return _raw_poly(dom, {m: dom.mul(c, c0) for m, c in self.terms.items()})
+        return _raw_poly(dom, _canonical({m: c * c0 for m, c in self.terms.items()}, dom.p))
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
@@ -430,13 +390,7 @@ class Polynomial:
         """Coefficientwise reduction of an integer polynomial into GF(q)."""
         if self.domain.kind != "Z":
             raise ValueError("reduce_mod applies to polynomials over Z")
-        dom = GF(q)
-        out = {}
-        for mono, coeff in self.terms.items():
-            c = coeff % q
-            if c:
-                out[mono] = c
-        return _raw_poly(dom, out)
+        return _raw_poly(GF(q), _canonical(self.terms, q))
 
     # -- printing -------------------------------------------------------------
 
@@ -448,7 +402,9 @@ class Polynomial:
 
 
 def _raw_poly(domain: Domain, terms: dict) -> Polynomial:
-    # Internal fast path: terms already canonical for this domain.
+    # Internal: wraps ``terms`` as they are, so they must already be in
+    # canonical form for ``domain``; everything else goes through the
+    # constructor.
     p = Polynomial.__new__(Polynomial)
     object.__setattr__(p, "domain", domain)
     object.__setattr__(p, "terms", terms)
@@ -488,7 +444,8 @@ class _Packing:
 
 
 def _canonical(packed: dict, p: int | None) -> dict:
-    """Drop zero coefficients; over GF(p) (``p`` set) reduce the rest first."""
+    """Drop zero coefficients; over GF(p) (``p`` set) reduce the rest first.
+    Keys pass through as they are, packed ints or monomial tuples."""
     if p is None:
         return {k: c for k, c in packed.items() if c}
     return {k: r for k, c in packed.items() if (r := c % p)}

@@ -36,7 +36,6 @@ from .polyring import (
     VarId,
     _raw_poly,
     binomial,
-    monomial,
     x_var,
 )
 
@@ -121,13 +120,11 @@ def curve_equation(n: int, i: int, block: int = 1) -> Polynomial:
     """
     if not 1 <= i <= n - 1:
         raise ValueError(f"curve equation index {i} out of range for block degree {n}")
-    terms: dict[tuple, int] = {}
-    for alpha in range(i + 1):
-        mono = monomial(
-            [(x_var(block, i + 1), i - alpha), (x_var(block, alpha), 1), (x_var(block, i), alpha)]
-        )
-        terms[mono] = (-1) ** alpha * binomial(i, alpha)
-    return Polynomial(ZZ, terms)
+    return Polynomial(ZZ, [
+        ([(x_var(block, i + 1), i - alpha), (x_var(block, alpha), 1), (x_var(block, i), alpha)],
+         (-1) ** alpha * binomial(i, alpha))
+        for alpha in range(i + 1)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +170,17 @@ def bridge(
     if x_block == y_block:
         raise ValueError("a bridge couples two distinct blocks")
     p, q, m = meta.p, meta.q, meta.m
-    terms: dict[tuple, int] = {}
+    terms = []
     for alpha in range(m + 1):
         c, r = divmod(alpha, p)
         e, f = divmod(alpha, q)
-        mono = monomial(
-            [
-                (x_var(x_block, a - c), p - r),
-                (x_var(x_block, a - c - 1) if r else x_var(x_block, 0), r),
-                (x_var(y_block, e), q - f),
-                (x_var(y_block, e + 1) if f else x_var(y_block, 0), f),
-            ]
-        )
-        terms[mono] = (-1) ** alpha * binomial(m, alpha)
+        pairs = [
+            (x_var(x_block, a - c), p - r),
+            (x_var(x_block, a - c - 1) if r else x_var(x_block, 0), r),
+            (x_var(y_block, e), q - f),
+            (x_var(y_block, e + 1) if f else x_var(y_block, 0), f),
+        ]
+        terms.append((pairs, (-1) ** alpha * binomial(m, alpha)))
     return meta, Polynomial(ZZ, terms)
 
 

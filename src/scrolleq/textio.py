@@ -49,7 +49,6 @@ from .polyring import (
     Polynomial,
     VarId,
     _AUX_SCALAR_NAMES,
-    monomial,
     t_var,
     u_var,
     x_var,
@@ -141,7 +140,7 @@ def parse_poly(text: str, ctx: ParseContext | None = None) -> Polynomial:
     sign = -1 if toks[0] == "-" else 1
     while True:
         # term := coeff [ '*' powers ] | powers
-        exps: dict[VarId, int] = {}
+        factors = []
         if toks[i].isdigit():
             coeff = _int(text, toks, i)
             i += 1
@@ -157,7 +156,7 @@ def parse_poly(text: str, ctx: ParseContext | None = None) -> Polynomial:
             if more:
                 i += 1
         elif toks[i].isalpha():
-            coeff = dom.one
+            coeff = 1
             more = True
         else:
             raise _fail(text, i, "expected a coefficient or a variable")
@@ -198,18 +197,18 @@ def parse_poly(text: str, ctx: ParseContext | None = None) -> Polynomial:
                 if e > MAX_EXPONENT:
                     raise _fail(text, i + 1, f"exponent overflow ({e} > {MAX_EXPONENT})")
                 i += 2
-            exps[v] = exps.get(v, 0) + e
+            factors.append((v, e))
             more = toks[i] == "*"
             if more:
                 i += 1
-        terms.append((monomial(exps), dom.mul(dom.coerce(coeff), dom.coerce(sign))))
+        terms.append((factors, sign * coeff))
         if toks[i] not in _SIGNS:
             break
         sign = -1 if toks[i] == "-" else 1
         i += 1
     if toks[i]:
         raise _fail(text, i, f"trailing input {_kind(toks[i])!r}")
-    # The constructor merges repeated monomials and drops zero sums.
+    # The constructor merges repeated variables and monomials and drops zero sums.
     return Polynomial(dom, terms)
 
 
@@ -343,13 +342,12 @@ def poly_from_json(obj) -> Polynomial:
             except (TypeError, ValueError):
                 raise ValueError(f"exps entry {exp!r} is not [block, slot, exponent]") from None
             # A bool is an int to isinstance, so the type is compared exactly.
-            # A negative exponent is refused by the monomial constructor.
+            # A negative exponent is refused by the Polynomial constructor.
             if type(e) is not int:
                 raise ValueError(f"exponent {e!r} is not an integer")
             if e > MAX_EXPONENT:
                 raise ValueError(f"exponent overflow ({e} > {MAX_EXPONENT})")
             factors.append((_decode_var(i, j), e))
-        mono = monomial(factors)
-        terms.append((mono, _coeff_from_string(entry.get("coeff"), dom)))
+        terms.append((factors, _coeff_from_string(entry.get("coeff"), dom)))
     # As in the text parser, the constructor merges repeated monomials.
     return Polynomial(dom, terms)

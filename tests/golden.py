@@ -9,7 +9,7 @@ the raw term constructor.
 
 from __future__ import annotations
 
-from scrolleq import ZZ, Polynomial, monomial, x_var
+from scrolleq import ZZ, Polynomial, x_var
 
 # Bridge of blocks with degrees (2, 4): m=4, degree-2 list against degree-1 list.
 BRIDGE_2_4 = [
@@ -68,16 +68,15 @@ CURVE_4_3 = [
 
 def bridge_from_table(table, x_block: int, y_block: int) -> Polynomial:
     """Instantiate a frozen bridge table on a given pair of blocks."""
-    terms = {}
+    terms = []
     for coeff, xe, ye in table:
         pairs = [(x_var(x_block, j), e) for j, e in xe.items()]
         pairs += [(x_var(y_block, h), e) for h, e in ye.items()]
-        terms[monomial(pairs)] = coeff
+        terms.append((pairs, coeff))
     return Polynomial(ZZ, terms)
 
 
 def curve_from_table(table, block: int) -> Polynomial:
-    terms = {}
-    for coeff, exps in table:
-        terms[monomial([(x_var(block, j), e) for j, e in exps.items()])] = coeff
-    return Polynomial(ZZ, terms)
+    return Polynomial(
+        ZZ, [([(x_var(block, j), e) for j, e in exps.items()], coeff) for coeff, exps in table]
+    )

@@ -89,12 +89,12 @@ def schoolbook_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             mono = monomial(ma + mb)
-            c = dom.mul(ca, cb)
+            c = dom.coerce(ca * cb)
             prev = out.get(mono)
             if prev is None:
                 out[mono] = c
             else:
-                s = dom.add(prev, c)
+                s = dom.coerce(prev + c)
                 if s == 0:
                     del out[mono]
                 else:
@@ -156,7 +156,7 @@ def evaluate(p: Polynomial, point):
     of ``p`` a value in (or coercible into) its domain."""
     dom = p.domain
     power_cache = {}
-    acc = dom.zero
+    acc = dom.coerce(0)
     for mono, coeff in p.terms.items():
         val = coeff
         for v, e in mono:
@@ -168,8 +168,8 @@ def evaluate(p: Polynomial, point):
                     raise ValueError(f"no value for variable {v.render()}") from None
                 pw = pow(base, e, dom.p) if dom.p is not None else base**e
                 power_cache[v, e] = pw
-            val = dom.mul(val, pw)
-        acc = dom.add(acc, val)
+            val = dom.coerce(val * pw)
+        acc = dom.coerce(acc + val)
     return acc
 
 
@@ -322,11 +322,11 @@ class _Parser:
             else:
                 mono = ()
         elif tok.kind == "name":
-            coeff = dom.one
+            coeff = 1
             mono = self.powers()
         else:
             raise self.fail("expected a coefficient or a variable")
-        return mono, dom.mul(dom.coerce(coeff), dom.coerce(sign))
+        return mono, dom.coerce(coeff * sign)
 
     def coefficient(self):
         value = self.integer()

@@ -243,6 +243,39 @@ def test_construction_budget_boundary(capsys):
     check_construction_budget(equation_set(build_profile([2, 3, 5, 7])), DEFAULT_BUDGET)
 
 
+@pytest.mark.parametrize("command", ["equations", "verify", "enumerate", "export", "bench"])
+def test_eager_construction_is_refused_before_anything_is_built(capsys, monkeypatch, command):
+    import scrolleq.cli
+    import scrolleq.scroll
+    import scrolleq.verify
+
+    def refuse(profile):
+        raise AssertionError("an equation set was built")
+
+    for module in (scrolleq.cli, scrolleq.scroll, scrolleq.verify):
+        monkeypatch.setattr(module, "equation_set", refuse)
+    n = 10**20 - 1
+    start = time.perf_counter()
+    assert run(["--profile", str(n), command]) == 3
+    assert time.perf_counter() - start < 1.0
+    estimate = (n - 1) * (n + 2) // 2 + n * (n - 1)
+    assert capsys.readouterr().err == (
+        f"budget exceeded: construction needs an estimated {estimate} curve-equation and "
+        "minor terms, budget is 100000000\n"
+    )
+
+
+def test_eager_construction_budget_boundary(capsys):
+    # A degree-3 block has curve equations of 2 and 3 terms and three
+    # 2-term minors: 11 terms.
+    assert run(["--profile", "3", "equations", "--budget", "10"]) == 3
+    assert capsys.readouterr().err == (
+        "budget exceeded: construction needs an estimated 11 curve-equation and "
+        "minor terms, budget is 10\n"
+    )
+    assert run(["--profile", "3", "equations", "--budget", "11"]) == 0
+
+
 # -- export ------------------------------------------------------------------------------
 
 

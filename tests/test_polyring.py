@@ -327,6 +327,23 @@ def test_monomial_rejects_negative_exponents():
         monomial({X0: -1})
 
 
+def test_constructor_sorts_an_unsorted_key():
+    p = Polynomial(ZZ, {((X1, 1), (X0, 1)): 1})
+    assert str(p) == "x[1][0]*x[1][1]"
+    assert p == var(X0) * var(X1)
+
+
+def test_constructor_drops_a_zero_exponent():
+    p = Polynomial(ZZ, {((X0, 0),): 5})
+    assert str(p) == "5"
+    assert p == Polynomial.const(5)
+
+
+def test_constructor_refuses_a_negative_exponent():
+    with pytest.raises(ValueError, match="negative exponent -1 for x\\[1\\]\\[0\\]"):
+        Polynomial(ZZ, {((X0, -1),): 1})
+
+
 def test_variable_order_scroll_before_auxiliary():
     from scrolleq import VAR_V, VAR_W, VAR_Z, t_var, u_var
 

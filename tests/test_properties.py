@@ -207,6 +207,38 @@ def test_terms_are_keyed_by_canonical_tuples(data, e):
         assert all(is_canonical_monomial(m) for m in result.terms)
 
 
+@st.composite
+def raw_terms(draw):
+    """(domain, items) where each item is (pairs, coefficient): pairs in any
+    order, with repeated variables and zero exponents, and monomials that
+    repeat with coefficients that may cancel."""
+    dom = draw(st.sampled_from([ZZ, QQ, GF(2), GF(101)]))
+    factors = st.lists(st.tuples(st.sampled_from(VARS[:4]), st.integers(0, 2)), max_size=4)
+    items = draw(st.lists(st.tuples(factors, coeffs), max_size=8))
+    if items:
+        # Repeat some items reversed and negated, so those terms cancel.
+        again = draw(st.lists(st.sampled_from(items), max_size=4))
+        items += [(pairs[::-1], -c) for pairs, c in again]
+    return dom, draw(st.permutations(items))
+
+
+@settings(deadline=None)
+@given(raw_terms())
+def test_constructor_equals_merged_sorted_terms(data):
+    dom, items = data
+    merged = {}
+    for pairs, c in items:
+        exps = {}
+        for v, e in pairs:
+            exps[v] = exps.get(v, 0) + e
+        key = tuple(sorted((v, e) for v, e in exps.items() if e))
+        merged[key] = merged.get(key, 0) + c
+    expected = {k: dom.coerce(c) for k, c in merged.items() if dom.coerce(c) != 0}
+    p = Polynomial(dom, items)
+    assert p.terms == expected
+    assert all(type(c) is (Fraction if dom is QQ else int) for c in p.terms.values())
+
+
 # -- packed arithmetic against the schoolbook reference -------------------------------
 #
 # Multiply, power and substitute pack each exponent into a bit field as wide
