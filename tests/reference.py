@@ -9,10 +9,12 @@
 * ``grevlex_cmp`` compares two monomials by walking their exponents, the
   comparator that ``grevlex_key`` replaced.
 * ``evaluate`` computes a polynomial's value at a point term by term; the
-  finite-field scan runs generated code instead, and the tests check that
-  code against it.
-* ``enumerate_variety`` scans all of projective space for the common zeros
-  of expanded generators, the oracle for the block-factored comparison.
+  finite-field walk evaluates flattened generators instead, and the tests
+  check the walk against it.
+* ``enumerate_variety`` loops over every representative of projective space
+  and keeps the common zeros of expanded generators, through ``evaluate``:
+  the oracle for the walk and the block-factored comparison, sharing no
+  code with them.
 * ``poly_to_json_text`` is the compact ``json.dumps`` of ``poly_to_json``.
 * ``reference_parse`` reads the text grammar one character at a time into
   token objects and parses them by recursive descent; ``parse_poly`` reads
@@ -20,6 +22,7 @@
   every result and every error.
 """
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -45,7 +48,7 @@ from scrolleq import (
     x_var,
 )
 from scrolleq.textio import MAX_EXPONENT
-from scrolleq.verify import DEFAULT_BUDGET, BudgetExceededError, _projective_scan
+from scrolleq.verify import DEFAULT_BUDGET, BudgetExceededError
 
 
 def bridge_via_lists(a: int, b: int, x_block: int = 1, y_block: int = 2) -> Polynomial:
@@ -190,8 +193,18 @@ def enumerate_variety(gens, variables, q=None, budget=DEFAULT_BUDGET):
     estimate = projective_size(len(variables), q) * max(1, len(gens))
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
-    (hits,) = _projective_scan([[[(g, 1)] for g in gens]], variables, q)
-    return hits
+    for g in gens:
+        for v in g.variables():
+            if v not in variables:
+                raise ValueError(f"generator variable {v} is outside the ambient space")
+    n = len(variables)
+    hits = []
+    for k in range(n):
+        for point in itertools.product(*[(0,)] * k, (1,), *[range(q)] * (n - k - 1)):
+            values = dict(zip(variables, point))
+            if all(evaluate(g, values) == 0 for g in gens):
+                hits.append(point)
+    return sorted(hits)
 
 
 def poly_to_json_text(p: Polynomial) -> str:

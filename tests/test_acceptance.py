@@ -22,7 +22,7 @@ from golden import (
     bridge_from_table,
     curve_from_table,
 )
-from reference import bridge_via_lists
+from reference import bridge_via_lists, enumerate_variety
 from scrolleq import (
     Polynomial,
     ZZ,
@@ -178,12 +178,15 @@ def test_criterion_7_radical_equality_oracle():
                 if n in ((1, 1), (1, 2)):
                     assert report.count_p == (q + 1) ** 2, (n, q)
                 if n == (2, 2, 3, 4):
-                    # Each block with n_i >= 2 over its own projective space,
-                    # then the canonical points of the product of the block
-                    # cones, which have q^2 points each.
-                    blocks = sum((q ** (ni + 1) - 1) // (q - 1) for ni in n if ni >= 2)
-                    candidates = (q ** (2 * len(n)) - 1) // (q - 1)
-                    assert report.visited == blocks + candidates < 2**15 - 1
+                    # The whole-space oracle over all 2^15 - 1 points.
+                    variables = profile.variables()
+                    system = [p.reduce_mod(q) for _, p in eqset.system()]
+                    minors = [p.reduce_mod(q) for p in eqset.minor_gens]
+                    on_j = enumerate_variety(system, variables, q)
+                    on_p = enumerate_variety(minors, variables, q)
+                    witnesses = tuple(sorted(set(on_j) - set(on_p)))
+                    assert (report.count_j, report.count_p, report.witnesses) == (
+                        len(on_j), len(on_p), witnesses)
 
 
 def test_criterion_8_small_characteristic_robustness():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 import time
 import tracemalloc
 
@@ -95,6 +96,23 @@ def test_enumerate_reports_counts(capsys):
     assert run(["--profile", "1,1", "enumerate", "--field", "3"]) == 0
     out = capsys.readouterr().out
     assert "count_J = 16" in out and "PASS" in out
+
+
+def test_deep_walk_stays_under_the_recursion_limit(capsys):
+    # A single block of degree 250 is walked one coordinate per level, 251
+    # levels deep: more than the frames the lowered limit leaves free.
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        code = run(["--profile", "250", "enumerate", "--field", "2", "--budget", "1" + "0" * 100])
+    finally:
+        sys.setrecursionlimit(limit)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out.endswith("count_J = 3, count_P = 3, witnesses = 0\nPASS: point sets agree\n")
 
 
 def test_enumerate_field_defaults():
@@ -336,7 +354,7 @@ PINNED_OUTPUTS = [
     (["--profile", "1,2,3", "verify", "--format", "json"],
      "2cc4dd6e3617e18d662f8e2ee5bbf95d3065014aca224864346c5919cc39a96d"),
     (["--profile", "2,2", "enumerate", "--field", "3"],
-     "763e2e48aab139eb3884d09671c41eb137090ab1ee606bdcf3bdd3d2da9720d4"),
+     "5135749588502ea4e2ea63f4d0e5eaa8f841d662a3e06b6da5fe213c993fc363"),
 ]
 
 

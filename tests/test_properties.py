@@ -1,6 +1,5 @@
 """Property-based tests: ring axioms, homomorphism laws, canonical form."""
 
-import itertools
 import json
 from fractions import Fraction
 from functools import cmp_to_key
@@ -39,6 +38,7 @@ from scrolleq import (
     u_var,
     x_var,
 )
+from scrolleq import verify
 from scrolleq.textio import poly_json_text, poly_to_json
 
 VARS = [x_var(1, 0), x_var(1, 1), x_var(1, 2), x_var(2, 0), x_var(2, 1), VAR_S, VAR_T, u_var(1)]
@@ -515,28 +515,30 @@ def test_coercion_commutes_with_reduction(terms, den, q):
             Polynomial(GF(q), {m: Fraction(c, den) for m, c in terms.items() if c % q})
 
 
-# -- generated scan against the reference evaluator ---------------------------------
+# -- depth-first walk against the brute-force oracle ----------------------------------
 
 
 @settings(deadline=None)
 @given(st.sampled_from([2, 3]), st.data())
-def test_generated_scan_matches_brute_force(q, data):
-    # The scan specializes each generator per leading-1 position: terms with
-    # a coordinate before it are dropped and factors at it are left out.
+def test_walk_matches_brute_force(q, data):
+    # The walk evaluates each generator at the first level where all of its
+    # variables are set, and prunes a prefix once it is off both groups.
     # The zero polynomial rules no point out and a nonzero constant rules out
-    # every point; the scan is checked with the first and then with both.
+    # every point from the root; the first group is walked with the first,
+    # then with both.
     variables = VARS[:4]
-    gens = data.draw(st.lists(polys(GF(q), max_terms=4, pool=variables), max_size=3))
-    gens.append(Polynomial.zero(GF(q)))
+    first, second = (
+        data.draw(st.lists(polys(GF(q), max_terms=4, pool=variables), max_size=3))
+        for _ in range(2)
+    )
+    first.append(Polynomial.zero(GF(q)))
     constant = Polynomial.const(data.draw(st.integers(1, q - 1)), GF(q))
-    for system in (gens, gens + [constant]):
-        expected = []
-        for tup in itertools.product(range(q), repeat=len(variables)):
-            lead = next((v for v in tup if v), None)
-            point = dict(zip(variables, tup))
-            if lead == 1 and all(evaluate(g, point) == 0 for g in system):
-                expected.append(tup)
-        assert enumerate_variety(system, variables, q) == expected
+    for system in (first, first + [constant]):
+        _, hits, other = verify._projective_scan(
+            [[(g, 1)] for g in system], [[(g, 1)] for g in second], variables, q
+        )
+        assert hits == enumerate_variety(system, variables, q)
+        assert other == enumerate_variety(second, variables, q)
 
 
 # -- parse / print round trip --------------------------------------------------------

@@ -188,9 +188,8 @@ def test_enumerate_matches_brute_force_segre():
     assert pts == brute_force_variety(gens, profile.variables(), 3)
 
 
-def test_enumerate_compiles_a_generator_past_5000_terms():
-    # The scan sums a generator's terms as a balanced tree of "+"; a flat
-    # chain of 5,050 terms overflows the recursion limit of the compiler.
+def test_walk_evaluates_a_generator_past_5000_terms():
+    # One generator of 5,050 terms of degree 99, each set at the last level.
     xs = [x_var(1, j) for j in range(3)]
     g = Polynomial(
         GF(7),
@@ -208,6 +207,7 @@ def test_enumerate_compiles_a_generator_past_5000_terms():
     ]
     assert 0 < len(expected) < projective_size(3, 7)
     assert enumerate_variety([g], xs, 7) == expected
+    assert verify._projective_scan([[(g, 1)]], [], xs, 7)[1] == expected
 
 
 def test_enumerate_matches_brute_force_surface_system():
@@ -236,16 +236,17 @@ def test_scan_evaluates_weight_generators_through_bridges():
         bridges = [b.reduce_mod(3) for b in group_bridges(profile, group)]
         summands = list(zip(bridges, group.powers))
         expanded = g_polynomial(profile, group).reduce_mod(3)
-        (hits,) = verify._projective_scan([[summands]], variables, 3)
+        _, hits, _ = verify._projective_scan([summands], [], variables, 3)
         assert hits == enumerate_variety([expanded], variables, 3), group.k
 
 
 def test_enumerate_line_has_no_generators():
     # Profile (1,): the line P^1, cut out by nothing, so both generator
     # groups are empty and every representative is a hit.
-    report = compare_varieties(build_profile([1]), 3)
-    assert report.visited == 4
-    assert report.count_j == report.count_p == 4
+    profile = build_profile([1])
+    report = compare_varieties(profile, 3)
+    points = enumerate_variety([], profile.variables(), 3)
+    assert report.count_j == report.count_p == len(points) == 4
     assert report.passed
 
 
@@ -282,15 +283,6 @@ def test_enumerate_rejects_bad_inputs():
 # -- variety comparison -----------------------------------------------------------------
 
 
-def factored_visits(n, q):
-    """The points the block-factored comparison visits for a correct system
-    with d >= 2 blocks: every block with n_i >= 2 over its own projective
-    space, then the (q^(2d) - 1)/(q - 1) canonical points of the product of
-    the block cones, each of which has q^2 points."""
-    blocks = sum((q ** (ni + 1) - 1) // (q - 1) for ni in n if ni >= 2)
-    return blocks + (q ** (2 * len(n)) - 1) // (q - 1)
-
-
 def whole_space_loci(eqset, q):
     """The system locus and the minor locus from whole-space scans of the
     expanded system and of the minors: the oracle for compare_varieties."""
@@ -301,11 +293,12 @@ def whole_space_loci(eqset, q):
 
 
 def test_compare_varieties_surface():
-    report = compare_varieties(build_profile([2, 2]), 5)
+    eqset = equation_set(build_profile([2, 2]))
+    report = compare_varieties(eqset.profile, 5, eqset=eqset)
+    system, minors = whole_space_loci(eqset, 5)
     assert report.passed
-    assert report.count_j == report.count_p == 36
+    assert report.count_j == report.count_p == len(system) == len(minors) == 36
     assert report.witnesses == ()
-    assert report.visited == factored_visits((2, 2), 5) == 2 * 31 + 156
 
 
 def test_compare_varieties_deterministic():
@@ -335,10 +328,6 @@ def test_compare_varieties_counts_match_enumerate_variety(n, q):
     assert report.count_j == len(system)
     assert report.count_p == len(minors)
     assert report.witnesses == tuple(sorted(set(system) - set(minors)))
-    if profile.d >= 2:
-        assert report.visited == factored_visits(n, q)
-    else:
-        assert report.visited == projective_size(profile.num_vars, q)
 
 
 def drop_bridge(eqset, k):
@@ -366,13 +355,15 @@ def bump_curve(eqset, block, index):
     (drop_bridge, (5,), (1, 1, 1, 1), 3),
     (bump_curve, (1, 1), (2, 2), 3),
     (bump_curve, (2, 1), (2, 3), 2),
-], ids=["bridge-2234-q2", "bridge-1111-q3", "curve-22-q3", "curve-23-q2"])
+    (bump_curve, (2, 1), (3, 3), 2),
+], ids=["bridge-2234-q2", "bridge-1111-q3", "curve-22-q3", "curve-23-q2", "curve-33-q2"])
 def test_factored_loci_match_oracle_on_mutated_systems(mutate, args, n, q):
     # A mutant system cuts out points off the scroll, so both loci must come
     # out exactly as the whole-space scans find them.  A changed curve
     # equation also misses curve points that the minors keep: the block
     # cones take the union of both block loci, so the stray check still
-    # sees every minor point.
+    # sees every minor point.  A changed block of two equal-degree blocks
+    # must get its own block scan, not the other block's.
     eqset = mutate(equation_set(build_profile(n)), *args)
     system, minors = whole_space_loci(eqset, q)
     _, in_system, in_minors = verify._loci(eqset, q, DEFAULT_BUDGET)
@@ -386,6 +377,33 @@ def test_factored_loci_match_oracle_on_mutated_systems(mutate, args, n, q):
     else:
         report = compare_varieties(eqset.profile, q, eqset=eqset)
         assert report.witnesses == witnesses and not report.passed
+
+
+def test_block_scan_is_shared_by_equal_blocks(monkeypatch):
+    # (2,2,3,3) has two blocks up to the block index, so two block scans.
+    scanned = []
+    scan = verify._projective_scan
+
+    def counting(system, minors, variables, q):
+        scanned.append(variables[0].block)
+        return scan(system, minors, variables, q)
+
+    monkeypatch.setattr(verify, "_projective_scan", counting)
+    report = compare_varieties(build_profile([2, 2, 3, 3]), 3)
+    assert report.passed
+    assert scanned == [1, 3]
+
+
+def test_walk_self_check_catches_a_dropped_choice():
+    # Without its representative 1 the last coordinate loses every nonzero
+    # value, so the walk reaches fewer candidates than it is given.
+    variables = build_profile([2]).variables()
+    levels = [([v], None) for v in variables]
+    _, hits, _ = verify._walk(levels, [], [], projective_size(3, 3), 3)
+    assert hits == enumerate_variety([], variables, 3)
+    levels[-1] = (variables[-1:], [])
+    with pytest.raises(AssertionError, match="walk accounting mismatch"):
+        verify._walk(levels, [], [], projective_size(3, 3), 3)
 
 
 def test_compare_varieties_report_json_keys():
