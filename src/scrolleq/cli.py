@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -50,7 +51,9 @@ def _profile_arg(text: str) -> ScrollProfile:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="scrolleq",
         description="Defining equations for rational normal scrolls, with verification.",
@@ -195,14 +198,16 @@ def _run_checks(args: argparse.Namespace, field: int | None):
     profile = args.profile
     eqset = equation_set(profile)
     checks = []
-    # Both bridge identities depend only on the block degrees (a, b).
+    # Both bridge identities depend only on the block degrees (a, b): they are
+    # checked once, on the equation set's bridge for the first such pair.
     identities = {}
     for i in range(1, profile.d + 1):
         for j in range(i + 1, profile.d + 1):
             a, b = profile.n[i - 1], profile.n[j - 1]
             if (a, b) not in identities:
                 identities[a, b] = (
-                    check_bridge_scroll_vanishing(a, b), check_bridge_determinant_power(a, b)
+                    check_bridge_scroll_vanishing(a, b, i, j, eqset.bridges[i, j]),
+                    check_bridge_determinant_power(a, b, i, j, eqset.bridges[i, j]),
                 )
             (ok, residual), power_ok = identities[a, b]
             checks.append((

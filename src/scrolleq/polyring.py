@@ -479,14 +479,15 @@ class Substitution:
     """The ring homomorphism ``v -> images[v]``, prepared once to map any
     number of polynomials over ``domain`` of total degree at most ``degree``.
 
-    The domain of every image is checked and every image is packed here, so
-    each polynomial then maps by integer key arithmetic alone.  A field is as
-    wide as ``degree`` times the largest image degree, which bounds every
-    exponent an image can produce.  Every variable of a mapped polynomial
-    needs an image.
+    The domain of every image is checked and every image is packed here.  A
+    single-term image is kept as its key and coefficient, so ``v^e`` maps to
+    ``e`` times the key and the ``e``-th power of the coefficient; the others
+    are multiplied out.  A field is as wide as ``degree`` times the largest
+    image degree, which bounds every exponent an image can produce.  Every
+    variable of a mapped polynomial needs an image.
     """
 
-    __slots__ = ("domain", "degree", "_packing", "_packed", "_powers")
+    __slots__ = ("domain", "degree", "_packing", "_monomials", "_packed", "_powers")
 
     def __init__(self, images: Mapping[VarId, Polynomial], domain: Domain, degree: int):
         for v, img in images.items():
@@ -501,7 +502,9 @@ class Substitution:
         self._packing = _Packing(
             {w for img in images.values() for w in img.variables()}, degree * max(0, top)
         )
-        self._packed = {v: self._packing.pack(img.terms) for v, img in images.items()}
+        packed = {v: self._packing.pack(img.terms) for v, img in images.items()}
+        self._monomials = {v: next(iter(f.items())) for v, f in packed.items() if len(f) == 1}
+        self._packed = {v: f for v, f in packed.items() if len(f) != 1}
         self._powers: dict[tuple[VarId, int], dict] = {}
 
     def __call__(self, poly: Polynomial) -> Polynomial:
@@ -511,24 +514,23 @@ class Substitution:
             raise ValueError(
                 f"degree {poly.total_degree()} exceeds the prepared bound {self.degree}"
             )
-        p, packed, powers = self.domain.p, self._packed, self._powers
+        p, monomials, packed, powers = self.domain.p, self._monomials, self._packed, self._powers
         out: dict[int, object] = {}
         for mono, coeff in poly.terms.items():
-            # Single-term factors only shift the key and scale the coefficient;
+            # Single-term images only shift the key and scale the coefficient;
             # the others are multiplied out after them.
             key, c, factors = 0, coeff, []
             for v, e in mono:
+                if v in monomials:
+                    k, fc = monomials[v]
+                    key, c = key + e * k, c * fc**e
+                    continue
                 f = powers.get((v, e))
                 if f is None:
                     if v not in packed:
                         raise ValueError(f"no image for variable {v.render()}")
                     f = powers[v, e] = _packed_pow(packed[v], e, p)
-                if len(f) == 1:
-                    ((k, fc),) = f.items()
-                    key += k
-                    c *= fc
-                else:
-                    factors.append(f)
+                factors.append(f)
             prod = {key: c}
             for f in factors:
                 prod = _packed_mul(prod, f, p)

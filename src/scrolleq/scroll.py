@@ -279,6 +279,13 @@ class EquationSet:
         """(weight, expanded generator) per group."""
         return tuple((g.k, g_polynomial(self.profile, g)) for g in self.groups)
 
+    @cached_property
+    def bridges(self) -> dict[tuple[int, int], Polynomial]:
+        """Bridge (i, j) for each pair i < j in group order, built on first read."""
+        n = self.profile.n
+        return {(i, j): bridge(n[i - 1], n[j - 1], i, j)[1]
+                for g in self.groups for i, j in g.pairs}
+
     @property
     def claimed_arithmetic_rank(self) -> int:
         """N - 2 for d >= 2; the curve case needs n - 1 equations."""
@@ -297,7 +304,7 @@ class EquationSet:
 
     def labeled_bridges(self) -> list[tuple[str, list[Polynomial]]]:
         """Each weight generator's label with its bridges, unexpanded."""
-        return [(f"weight[{g.k}]", group_bridges(self.profile, g)) for g in self.groups]
+        return [(f"weight[{g.k}]", [self.bridges[ij] for ij in g.pairs]) for g in self.groups]
 
     def labeled_minors(self) -> list[tuple[str, Polynomial]]:
         """Each minor of ``minors_2x2``, labeled ``minor[c1][c2]`` by its columns."""

@@ -44,7 +44,6 @@ from .scroll import (
     ScrollProfile,
     bridge,
     equation_set,
-    group_bridges,
     term_bound,
 )
 
@@ -131,7 +130,9 @@ def check_parametrization(
 
     A weight generator is a sum of powers of its bridges, so it vanishes when
     every one of its bridges does: the bridges are substituted and the
-    generator is never expanded.  The parametrization is prepared once.
+    generator is never expanded.  The parametrization is prepared once, for
+    the degree bound of each kind: i + 1 for the i-th curve equation, the
+    group degree for a bridge and 2 for a minor.
     """
     eqset = eqset if eqset is not None else equation_set(profile)
     entries = (
@@ -139,7 +140,7 @@ def check_parametrization(
         + eqset.labeled_bridges()
         + [(label, [p]) for label, p in eqset.labeled_minors()]
     )
-    degree = max((p.total_degree() for _, polys in entries for p in polys), default=0)
+    degree = max([2] + [j + 1 for _, j, _ in eqset.curve_gens] + [g.degree for g in eqset.groups])
     param = Substitution(scroll_param_map(profile), ZZ, degree)
     checks = []
     for label, polys in entries:
@@ -148,32 +149,34 @@ def check_parametrization(
     return ParamReport(profile.n, tuple(checks))
 
 
-def check_bridge_scroll_vanishing(a: int, b: int) -> tuple[bool, Polynomial]:
+def check_bridge_scroll_vanishing(a: int, b: int, i=1, j=2, br=None) -> tuple[bool, Polynomial]:
     """A bridge vanishes when both blocks are parametrized over one base point.
 
-    Substitutes x[1][j] -> u[1]*s^(a-j)*t^j and x[2][h] -> v*s^(b-h)*t^h into
-    the bridge on blocks (1, 2); returns (vanished, residual).
+    Substitutes x[i][c] -> u[i]*s^(a-c)*t^c and x[j][h] -> v*s^(b-h)*t^h into
+    the bridge ``br`` on blocks (i, j), built when not given; returns
+    (vanished, residual).
     """
-    _, br = bridge(a, b, 1, 2)
+    br = bridge(a, b, i, j)[1] if br is None else br
     images = {
-        **_curve_images(1, a, VAR_S, VAR_T, u_var(1)),
-        **_curve_images(2, b, VAR_S, VAR_T, VAR_V),
+        **_curve_images(i, a, VAR_S, VAR_T, u_var(i)),
+        **_curve_images(j, b, VAR_S, VAR_T, VAR_V),
     }
     residual = br.substitute(images)
     return residual.is_zero(), residual
 
 
-def check_bridge_determinant_power(a: int, b: int) -> bool:
+def check_bridge_determinant_power(a: int, b: int, i=1, j=2, br=None) -> bool:
     """On a product of two coordinate curves a bridge is a determinant power.
 
-    Substituting x[1][j] -> s^(a-j)*t^j and x[2][h] -> z^(b-h)*w^h must give
-    exactly (t*z - s*w)^m with m = lcm(a, b).
+    Substituting x[i][c] -> s^(a-c)*t^c and x[j][h] -> z^(b-h)*w^h into the
+    bridge ``br`` on blocks (i, j), built when not given, must give exactly
+    (t*z - s*w)^m with m = lcm(a, b).
     """
-    meta, br = bridge(a, b, 1, 2)
-    images = {**_curve_images(1, a, VAR_S, VAR_T), **_curve_images(2, b, VAR_Z, VAR_W)}
+    br = bridge(a, b, i, j)[1] if br is None else br
+    images = {**_curve_images(i, a, VAR_S, VAR_T), **_curve_images(j, b, VAR_Z, VAR_W)}
     lhs = br.substitute(images)
     s, t, z, w = (Polynomial.variable(v, ZZ) for v in (VAR_S, VAR_T, VAR_Z, VAR_W))
-    return lhs == (t * z - s * w) ** meta.m
+    return lhs == (t * z - s * w) ** math.lcm(a, b)
 
 
 def generic_minor(i: int, j: int) -> Polynomial:
@@ -188,15 +191,12 @@ def plucker_identity(d: int) -> tuple[bool, list[tuple[int, int, int, int]]]:
 
     For every quadruple a < i < j < b <= d the combination
     m(i,j)*m(a,b) - m(a,j)*m(i,b) + m(a,i)*m(j,b) must expand to zero.
-    Vacuously true for d < 4.
+    Vacuously true for d < 4.  Each minor is built once.
     """
+    m = {pair: generic_minor(*pair) for pair in itertools.combinations(range(1, d + 1), 2)}
     failures = []
     for a, i, j, b in itertools.combinations(range(1, d + 1), 4):
-        combo = (
-            generic_minor(i, j) * generic_minor(a, b)
-            - generic_minor(a, j) * generic_minor(i, b)
-            + generic_minor(a, i) * generic_minor(j, b)
-        )
+        combo = m[i, j] * m[a, b] - m[a, j] * m[i, b] + m[a, i] * m[j, b]
         if not combo.is_zero():
             failures.append((a, i, j, b))
     return not failures, failures
@@ -462,7 +462,7 @@ def _loci(eqset: EquationSet, q: int, budget: int) -> tuple[int, list, list]:
     size = (math.prod(cones) - 1) // (q - 1)
     _check_budget(size * (eqset.system_size + len(minors)), budget)
     weights = [
-        list(zip((b.reduce_mod(q) for b in group_bridges(profile, g)), g.powers))
+        [(eqset.bridges[pair].reduce_mod(q), c) for pair, c in zip(g.pairs, g.powers)]
         for g in eqset.groups
     ]
     nodes, in_system, in_minors = _walk(levels, weights, cross, size, q)

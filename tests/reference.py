@@ -156,24 +156,21 @@ def grevlex_cmp(a: tuple, b: tuple) -> int:
 
 def evaluate(p: Polynomial, point):
     """The value of ``p`` at ``point``, a map that must give every variable
-    of ``p`` a value in (or coercible into) its domain."""
-    dom = p.domain
-    power_cache = {}
-    acc = dom.coerce(0)
+    of ``p`` a value in (or coercible into) its domain.  Over GF(p) the
+    arithmetic is on plain ints, each product reduced with ``% p``."""
+    dom, q = p.domain, p.domain.p
+    acc = 0
     for mono, coeff in p.terms.items():
-        val = coeff
         for v, e in mono:
-            pw = power_cache.get((v, e))
-            if pw is None:
-                try:
-                    base = dom.coerce(point[v])
-                except KeyError:
-                    raise ValueError(f"no value for variable {v.render()}") from None
-                pw = pow(base, e, dom.p) if dom.p is not None else base**e
-                power_cache[v, e] = pw
-            val = dom.coerce(val * pw)
-        acc = dom.coerce(acc + val)
-    return acc
+            if v not in point:
+                raise ValueError(f"no value for variable {v.render()}")
+            x = point[v]
+            if q is None:
+                coeff = dom.coerce(coeff * dom.coerce(x) ** e)
+            else:
+                coeff = coeff * pow(x if type(x) is int else dom.coerce(x), e, q) % q
+        acc += coeff
+    return dom.coerce(acc)
 
 
 def enumerate_variety(gens, variables, q=None, budget=DEFAULT_BUDGET):

@@ -430,6 +430,37 @@ def test_flag_after_command_overrides_before(capsys):
     assert "GF(5)" in capsys.readouterr().out
 
 
+def test_usage_error_leaves_the_shared_parser_usable(capsys):
+    # The parser is built once per process, so a call that fails to parse
+    # must not leave anything behind for the next call.
+    from scrolleq import cli
+
+    with pytest.raises(SystemExit) as exc:
+        run(["--profile", "2,2", "verify", "--format", "m2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert run(["--profile", "2,2", "verify"]) == 0
+    assert capsys.readouterr().out.endswith("\nPASS suite for profile (2, 2)\n")
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_help_text_is_the_freshly_built_parsers(capsys, monkeypatch):
+    from scrolleq import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = cli.build_parser.__wrapped__().format_help()
+    assert "  verify     run the symbolic check suite" in fresh
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+        assert run(["--profile", "1,1", "verify"]) == 0
+        capsys.readouterr()
+    assert helps == [fresh, fresh]
+
+
 def test_missing_profile_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["equations"])

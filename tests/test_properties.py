@@ -48,8 +48,10 @@ coeffs = st.integers(min_value=-30, max_value=30)
 
 
 @st.composite
-def monomials(draw, max_vars=3, max_exp=3, pool=VARS):
-    chosen = draw(st.lists(st.sampled_from(pool), max_size=max_vars, unique=True))
+def monomials(draw, max_vars=3, max_exp=3, pool=VARS, min_vars=0):
+    chosen = draw(
+        st.lists(st.sampled_from(pool), min_size=min_vars, max_size=max_vars, unique=True)
+    )
     return monomial({v: draw(st.integers(1, max_exp)) for v in chosen})
 
 
@@ -272,6 +274,17 @@ def _x(i, e=1, c=1, domain=ZZ):
     return Polynomial.term(c, [(VARS[i], e)], domain)
 
 
+def monomial_images(dom):
+    """Single terms c * m over two or three variables, with c neither 0 nor,
+    except over GF(2), 1 in ``dom``: a prepared map keeps them as a packed
+    key and a coefficient."""
+    if dom.p == 2:
+        cs = st.just(1)
+    else:
+        cs = domain_coeffs(dom).filter(lambda c: dom.coerce(c) not in (0, 1))
+    return st.builds(lambda m, c: Polynomial(dom, [(m, c)]), monomials(min_vars=2), cs)
+
+
 @st.composite
 def mul_cases(draw):
     dom = draw(domains)
@@ -325,8 +338,9 @@ def test_pow_matches_schoolbook(case):
 @st.composite
 def substitute_cases(draw):
     """A polynomial and images of every variable of VARS: a few drawn, which
-    include zero, constants, single variables and polynomials of more than
-    one term, and the rest themselves."""
+    include zero, constants, single variables, single terms over several
+    variables and polynomials of more than one term, and the rest
+    themselves."""
     dom = draw(domains)
     p = draw(
         st.one_of(
@@ -340,6 +354,7 @@ def substitute_cases(draw):
                 st.just(Polynomial.zero(dom)),
                 domain_coeffs(dom).map(lambda c: Polynomial.const(c, dom)),
                 st.sampled_from(VARS).map(lambda w: Polynomial.variable(w, dom)),
+                monomial_images(dom),
                 polys(dom, 3, coeffs=domain_coeffs(dom)),
             )
         )
@@ -363,6 +378,18 @@ _SUBST = _x(0, 7) * _x(1) + _x(1, 8) - _x(2) * _x(0, 3) + Polynomial.const(5)
     _x(0, 2, _HALF, QQ) - _x(1, 2, Fraction(9, 8), QQ),
     _images(QQ, x0=_x(2, 1, 1, QQ) + _x(1, 1, Fraction(3, 2), QQ)),
 ))
+# Single-term images: a negative coefficient to an odd power; 3*x1^2*x2 over
+# GF(5) to the 4th power, where 3^4 = 1; and -x1^5 cubed, whose x1^15 fills
+# the 4-bit field (bound 3 * 5) beside a term over two variables.
+@example((_x(0, 3) - _x(1), _images(x0=Polynomial.term(-2, [(VARS[1], 1), (VARS[2], 2)]))))
+@example((
+    _x(0, 4, 1, GF(5)),
+    _images(GF(5), x0=Polynomial.term(3, [(VARS[1], 2), (VARS[2], 1)], GF(5))),
+))
+@example((
+    _x(0, 3) + _x(0, 2) * _x(2),
+    _images(x0=_x(1, 5, -1), x2=Polynomial.term(3, [(VARS[1], 1), (VARS[3], 1)])),
+))
 def test_substitute_matches_schoolbook(case):
     p, images = case
     assert p.substitute(images) == schoolbook_substitute(p, images)
@@ -379,6 +406,7 @@ def prepared_map_cases(draw):
                 st.just(Polynomial.zero(dom)),
                 domain_coeffs(dom).map(lambda c: Polynomial.const(c, dom)),
                 st.sampled_from(VARS).map(lambda w: Polynomial.variable(w, dom)),
+                monomial_images(dom),
                 polys(dom, 3, coeffs=domain_coeffs(dom)),
             )
         )
@@ -404,6 +432,7 @@ def prepared_map_cases(draw):
 @example((_images(x0=_x(1, 4)), [_x(0, 4), _x(0) * _x(2, 3)]))
 @example((_images(x0=_x(1, 3) + _x(2)), [_x(0, 5), _x(0) * _x(1)]))
 @example((_images(x0=_x(1, 31) - _x(2), x2=Polynomial.zero(ZZ)), [_x(0), _x(2, 1)]))
+@example((_images(x0=_x(1, 4, 2)), [_x(0, 4), _x(0) * _x(2, 3)]))  # 2^4*x1^16, single term
 @example((  # over Q: x0/2 -> x2/3 cancels x1/3 -> -x2/3, at two degrees
     _images(QQ, x0=_x(2, 1, Fraction(2, 3), QQ), x1=_x(2, 1, -1, QQ)),
     [_x(0, 1, _HALF, QQ) + _x(1, 1, _THIRD, QQ), _x(0, 2, _HALF, QQ)],

@@ -36,6 +36,7 @@ from scrolleq import (
     x_var,
 )
 from scrolleq import verify
+from scrolleq.cli import run
 from scrolleq.verify import DEFAULT_BUDGET
 from test_acceptance import CASES_7
 
@@ -82,7 +83,7 @@ def test_parametrization_proves_weight_generators_through_bridges(no_expansion):
     assert len(labels) == 18 + 136 and report.passed
 
 
-def test_bridge_mutant_fails_lazy_and_expanded_checks(monkeypatch):
+def test_bridge_mutant_fails_lazy_and_expanded_checks(monkeypatch, capsys):
     # One coefficient of bridge (1,4) off by one: the bridge-wise check must
     # fail weight 5, and so must substitution into the expanded generator.
     from scrolleq import scroll
@@ -105,6 +106,40 @@ def test_bridge_mutant_fails_lazy_and_expanded_checks(monkeypatch):
     images = scroll_param_map(profile)
     residuals = {label: p.substitute(images) for label, p in eqset.system()}
     assert [label for label, r in residuals.items() if not r.is_zero()] == ["weight[5]"]
+    # The bridge identities are checked on the equation set's bridge for the
+    # first pair of blocks with each pair of degrees. Degrees (2,4) are first
+    # met at blocks (1,4), so blocks (2,4) report that result too.
+    assert run(["--profile", "2,2,3,4", "verify"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert [re.sub(r" \(residual .+\)$", "", line) for line in failed] == [
+        "FAIL bridge-scroll-vanishing blocks (1,4)",
+        "FAIL bridge-determinant-power blocks (1,4)",
+        "FAIL bridge-scroll-vanishing blocks (2,4)",
+        "FAIL bridge-determinant-power blocks (2,4)",
+        "FAIL parametrization-vanishing (66/67 generators vanish; failing: weight[5])",
+        "FAIL suite for profile (2, 2, 3, 4)",
+    ]
+
+
+def test_verify_builds_each_bridge_once(monkeypatch, capsys):
+    # One bridge per pair of blocks, shared by the parametrization check and
+    # the bridge identities: C(4, 2) = 6 on four blocks.
+    from scrolleq import scroll
+
+    calls = []
+    bridge = scroll.bridge
+
+    def counting(*args):
+        calls.append(args)
+        return bridge(*args)
+
+    monkeypatch.setattr(scroll, "bridge", counting)
+    monkeypatch.setattr(verify, "bridge", counting)
+    assert run(["--profile", "2,2,3,4", "verify"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert sorted(calls) == sorted(
+        (a, b, i, j) for (i, a), (j, b) in itertools.combinations(enumerate((2, 2, 3, 4), 1), 2)
+    )
 
 
 # -- bridge identities ------------------------------------------------------------
