@@ -14,7 +14,7 @@ from .polyring import (
     Polynomial,
     Substitution,
     VarId,
-    binomial,
+    binomial_row,
     format_poly,
     grevlex_key,
     is_prime,

@@ -28,6 +28,7 @@ from .textio import json_array_text, poly_json_text
 from .verify import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    check_block_walk_budget,
     check_bridge_determinant_power,
     check_bridge_scroll_vanishing,
     check_construction_budget,
@@ -196,6 +197,9 @@ def cmd_equations(args: argparse.Namespace) -> int:
 
 def _run_checks(args: argparse.Namespace, field: int | None):
     profile = args.profile
+    if field is not None:
+        # Refused before the symbolic checks, which may take far longer.
+        check_block_walk_budget(profile, field, args.budget)
     eqset = equation_set(profile)
     checks = []
     # Both bridge identities depend only on the block degrees (a, b): they are

@@ -40,7 +40,6 @@ its images once and then maps many polynomials.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,13 +134,16 @@ def GF(p: int) -> Domain:
     return Domain("Fp", p)
 
 
-def binomial(m: int, alpha: int) -> int:
-    """Exact binomial coefficient C(m, alpha); requires 0 <= alpha <= m."""
-    if alpha < 0 or m < 0:
-        raise ValueError(f"binomial({m}, {alpha}): arguments must be non-negative")
-    if alpha > m:
-        raise ValueError(f"binomial({m}, {alpha}): alpha exceeds m")
-    return math.comb(m, alpha)
+def binomial_row(m: int) -> list[int]:
+    """The signed binomial row (-1)^k * C(m, k) for k = 0..m, by running
+    product: entry k + 1 is entry k times -(m - k) / (k + 1), a division
+    that is always exact."""
+    if m < 0:
+        raise ValueError(f"binomial_row({m}): m must be non-negative")
+    row = [1]
+    for k in range(m):
+        row.append(-row[k] * (m - k) // (k + 1))
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +357,7 @@ class Polynomial:
             raise ValueError("negative polynomial power")
         if e == 0:
             return Polynomial.const(1, self.domain)
-        if not self.terms:
+        if e == 1 or not self.terms:
             return self
         packing = _Packing(self.variables(), self.total_degree() * e)
         power = _packed_pow(packing.pack(self.terms), e, self.domain.p)
@@ -510,17 +512,20 @@ class Substitution:
     def __call__(self, poly: Polynomial) -> Polynomial:
         if poly.domain != self.domain:
             raise DomainMismatchError(f"domain mismatch: {poly.domain} vs {self.domain}")
-        if poly.total_degree() > self.degree:
-            raise ValueError(
-                f"degree {poly.total_degree()} exceeds the prepared bound {self.degree}"
-            )
         p, monomials, packed, powers = self.domain.p, self._monomials, self._packed, self._powers
+        bound = self.degree
         out: dict[int, object] = {}
         for mono, coeff in poly.terms.items():
             # Single-term images only shift the key and scale the coefficient;
-            # the others are multiplied out after them.
-            key, c, factors = 0, coeff, []
+            # the others are multiplied out after them.  The running degree
+            # is checked before each power of an image is taken.
+            key, c, factors, degree = 0, coeff, [], 0
             for v, e in mono:
+                degree += e
+                if degree > bound:
+                    raise ValueError(
+                        f"degree {poly.total_degree()} exceeds the prepared bound {bound}"
+                    )
                 if v in monomials:
                     k, fc = monomials[v]
                     key, c = key + e * k, c * fc**e

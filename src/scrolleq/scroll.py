@@ -35,7 +35,7 @@ from .polyring import (
     Polynomial,
     VarId,
     _raw_poly,
-    binomial,
+    binomial_row,
     x_var,
 )
 
@@ -117,14 +117,15 @@ def curve_equation(n: int, i: int, block: int = 1) -> Polynomial:
     The polynomial is homogeneous of degree i + 1 in x[block][0..i+1]:
     the signed binomial sum over alpha of C(i, alpha) *
     x[i+1]^(i-alpha) * x[alpha] * x[i]^alpha.  Valid for 1 <= i <= n - 1.
+    The terms are built sorted, with the coefficients of ``binomial_row(i)``.
     """
     if not 1 <= i <= n - 1:
         raise ValueError(f"curve equation index {i} out of range for block degree {n}")
-    return Polynomial(ZZ, [
-        ([(x_var(block, i + 1), i - alpha), (x_var(block, alpha), 1), (x_var(block, i), alpha)],
-         (-1) ** alpha * binomial(i, alpha))
-        for alpha in range(i + 1)
-    ])
+    x = [x_var(block, j) for j in range(i + 2)]
+    monos = [((x[0], 1), (x[i + 1], i))]
+    monos += [((x[k], 1), (x[i], k), (x[i + 1], i - k)) for k in range(1, i)]
+    monos.append(((x[i], i + 1),))
+    return _raw_poly(ZZ, dict(zip(monos, binomial_row(i))))
 
 
 # ---------------------------------------------------------------------------
@@ -160,28 +161,27 @@ def bridge(
     """The bridge polynomial coupling a degree-a block and a degree-b block.
 
     Term alpha (0 <= alpha <= m) is (-1)^alpha * C(m, alpha) *
-    x[a-c]^(p-r) * x[a-c-1]^r * y[e]^(q-f) * y[e+1]^f with
-    (c, r) = divmod(alpha, p) and (e, f) = divmod(alpha, q); zero-exponent
-    factors are skipped, which silently handles the out-of-range slots at
-    alpha = m.  The result is homogeneous of degree p + q, with first-block
-    degree exactly p and second-block degree exactly q in every term.
+    x[a-c-1]^r * x[a-c]^(p-r) * y[e]^(q-f) * y[e+1]^f with
+    (c, r) = divmod(alpha, p) and (e, f) = divmod(alpha, q), x the first
+    block and y the second; zero-exponent factors are left out.  The terms
+    are built sorted, lower block first, with the coefficients of
+    ``binomial_row(m)``.  The result is homogeneous of degree p + q, with
+    first-block degree exactly p and second-block degree exactly q in every
+    term.
     """
     meta = bridge_meta(a, b)
     if x_block == y_block:
         raise ValueError("a bridge couples two distinct blocks")
     p, q, m = meta.p, meta.q, meta.m
-    terms = []
-    for alpha in range(m + 1):
-        c, r = divmod(alpha, p)
-        e, f = divmod(alpha, q)
-        pairs = [
-            (x_var(x_block, a - c), p - r),
-            (x_var(x_block, a - c - 1) if r else x_var(x_block, 0), r),
-            (x_var(y_block, e), q - f),
-            (x_var(y_block, e + 1) if f else x_var(y_block, 0), f),
-        ]
-        terms.append((pairs, (-1) ** alpha * binomial(m, alpha)))
-    return meta, Polynomial(ZZ, terms)
+    x = [x_var(x_block, c) for c in range(a + 1)]
+    y = [x_var(y_block, e) for e in range(b + 1)]
+    xs = [((x[v - 1], r), (x[v], p - r)) if r else ((x[v], p),)
+          for v in range(a, 0, -1) for r in range(p)] + [((x[0], p),)]
+    ys = [((y[e], q - f), (y[e + 1], f)) if f else ((y[e], q),)
+          for e in range(b) for f in range(q)] + [((y[b], q),)]
+    if y_block < x_block:
+        xs, ys = ys, xs
+    return meta, _raw_poly(ZZ, {u + w: c for u, w, c in zip(xs, ys, binomial_row(m))})
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,9 @@ from .polyring import (
     Polynomial,
     Substitution,
     VarId,
+    _raw_poly,
+    binomial_row,
+    monomial,
     t_var,
     u_var,
     x_var,
@@ -86,10 +89,13 @@ def _curve_images(
     block: int, n: int, s: VarId, t: VarId, scale: VarId | None = None
 ) -> dict[VarId, Polynomial]:
     """The images x[block][j] -> [scale *] s^(n - j) * t^j for j = 0..n, which
-    put the block on the cone over the rational normal curve of degree n."""
-    lead = [(scale, 1)] if scale is not None else []
+    put the block on the cone over the rational normal curve of degree n.
+    Each is one monomial, built sorted and without zero exponents."""
+    lead = () if scale is None else ((scale, 1),)
     return {
-        x_var(block, j): Polynomial.term(1, lead + [(s, n - j), (t, j)], ZZ)
+        x_var(block, j): _raw_poly(ZZ, {
+            tuple(sorted(lead + tuple((v, e) for v, e in ((s, n - j), (t, j)) if e))): 1
+        })
         for j in range(n + 1)
     }
 
@@ -170,13 +176,25 @@ def check_bridge_determinant_power(a: int, b: int, i=1, j=2, br=None) -> bool:
 
     Substituting x[i][c] -> s^(a-c)*t^c and x[j][h] -> z^(b-h)*w^h into the
     bridge ``br`` on blocks (i, j), built when not given, must give exactly
-    (t*z - s*w)^m with m = lcm(a, b).
+    (t*z - s*w)^m with m = lcm(a, b), compared as the sum over k of
+    row[k] * (t*z)^(m-k) * (s*w)^k with row = ``binomial_row(m)``.  The row
+    is checked first: row[0] = 1 and (k + 1) * row[k + 1] = -(m - k) * row[k]
+    fix it, so a wrong row cannot agree with a bridge built from it.
     """
     br = bridge(a, b, i, j)[1] if br is None else br
     images = {**_curve_images(i, a, VAR_S, VAR_T), **_curve_images(j, b, VAR_Z, VAR_W)}
     lhs = br.substitute(images)
+    m = math.lcm(a, b)
+    row = binomial_row(m)
+    if len(row) != m + 1 or row[0] != 1 or any(
+        (k + 1) * row[k + 1] != -(m - k) * row[k] for k in range(m)
+    ):
+        return False
     s, t, z, w = (Polynomial.variable(v, ZZ) for v in (VAR_S, VAR_T, VAR_Z, VAR_W))
-    return lhs == (t * z - s * w) ** math.lcm(a, b)
+    tz, sw = (next(iter(f.terms)) for f in (t * z, s * w))
+    expansion = {monomial([(v, e * (m - k)) for v, e in tz] + [(v, e * k) for v, e in sw]): c
+                 for k, c in enumerate(row)}
+    return lhs.terms == expansion
 
 
 def generic_minor(i: int, j: int) -> Polynomial:
@@ -323,6 +341,16 @@ def _check_budget(estimate: int, budget: int) -> None:
         raise BudgetExceededError(estimate, budget)
 
 
+def check_block_walk_budget(profile: ScrollProfile, q: int, budget: int) -> None:
+    """Refuse a comparison over GF(q) whose block walks exceed the budget: a
+    block's points times its n_i - 1 curve equations and C(n_i, 2) minors,
+    and at least its points for a single block.  This needs the profile and
+    q alone, so it can be checked before any other work."""
+    least = 1 if profile.d == 1 else 0
+    _check_budget(sum(projective_size(n + 1, q) * max(least, n - 1 + math.comb(n, 2))
+                      for n in profile.n), budget)
+
+
 # ---------------------------------------------------------------------------
 # Variety comparison
 # ---------------------------------------------------------------------------
@@ -413,12 +441,11 @@ def _loci(eqset: EquationSet, q: int, budget: int) -> tuple[int, list, list]:
     """(walk nodes, system locus, minor locus) over GF(q), as
     ``compare_varieties`` computes them."""
     profile = eqset.profile
+    check_block_walk_budget(profile, q, budget)
     blocks = [[x_var(i, j) for j in range(ni + 1)] for i, ni in enumerate(profile.n, start=1)]
     curves = [[(p.reduce_mod(q), 1)] for _, _, p in eqset.curve_gens]
     minors = [[(p.reduce_mod(q), 1)] for p in eqset.minor_gens]
     if profile.d == 1:
-        size = projective_size(profile.num_vars, q)
-        _check_budget(size * max(1, len(curves) + len(minors)), budget)
         return _projective_scan(curves, minors, blocks[0], q)
     # The curve equations and within-block minors of each block, by block
     # index; a block with n_i = 1 has neither and is not scanned.
@@ -432,9 +459,6 @@ def _loci(eqset: EquationSet, q: int, budget: int) -> tuple[int, list, list]:
             scans.setdefault(at.pop() - 1, ([], []))[1].append(gen)
         else:
             cross.append(gen)
-    block_points = {i: projective_size(len(blocks[i]), q) for i in scans}
-    work = sum(block_points[i] * (len(c) + len(m)) for i, (c, m) in scans.items())
-    _check_budget(work, budget)
     # Each scanned block's cone representatives (Z_i u M_i), flagged as on
     # Z_i and on M_i.  The flags hold for every nonzero multiple, as those
     # polynomials are homogeneous.  A scan is reused for a block whose

