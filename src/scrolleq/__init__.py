@@ -2,7 +2,6 @@
 
 from .polyring import (
     GF,
-    QQ,
     VAR_S,
     VAR_T,
     VAR_V,
@@ -34,7 +33,6 @@ from .scroll import (
     curve_equation,
     equation_set,
     g_polynomial,
-    group_bridges,
     minors_2x2,
     term_bound,
     weight_groups,

@@ -1,12 +1,11 @@
-"""Exact sparse multivariate polynomial arithmetic over Z, Q and prime fields.
+"""Exact sparse multivariate polynomial arithmetic over Z and prime fields.
 
 A polynomial is a finite map from monomials to nonzero coefficients; a
 monomial is a finite map from variables to positive exponents.  Both maps are
 kept canonical at all times: no zero exponent and no zero coefficient is ever
 stored, so structural equality is mathematical equality.
 
-Coefficients are exact: Python ints over Z, ``fractions.Fraction`` over Q
-(always reduced), and residues ``0 <= c < p`` over GF(p).
+Coefficients are exact: Python ints over Z, residues ``0 <= c < p`` over GF(p).
 
 Variables come in two namespaces:
 
@@ -42,7 +41,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -92,46 +90,29 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Domain:
-    """Coefficient domain tag: the integers, the rationals, or GF(p)."""
+    """Coefficient domain tag: the integers (``p`` is None) or GF(p)."""
 
-    kind: str  # "Z" | "Q" | "Fp"
     p: int | None = None
 
     def coerce(self, value):
-        """Normalize ``value`` into this domain's canonical coefficient form.
-
-        Conversion is exact: a value with a fractional part raises ValueError
-        over Z and GF(p), except that over GF(p) a ``Fraction`` a/b maps to
-        a * b^-1 mod p, which raises when p divides b.
-        """
-        if self.kind == "Q":
-            return Fraction(value)
-        if isinstance(value, int):
-            return value % self.p if self.kind == "Fp" else value
-        frac = Fraction(value)
-        if frac.denominator == 1:
-            return self.coerce(frac.numerator)
-        if self.kind == "Fp" and isinstance(value, Fraction):
-            if frac.denominator % self.p == 0:
-                raise ValueError(
-                    f"{value} is undefined in {self}: {self.p} divides the denominator"
-                )
-            return frac.numerator * pow(frac.denominator, -1, self.p) % self.p
-        raise ValueError(f"non-integral value {value} in {self}")
+        """``value``, an ``int``, in this domain's canonical form; anything
+        else raises ValueError."""
+        if not isinstance(value, int):
+            raise ValueError(f"non-integral value {value!r} in {self}")
+        return value if self.p is None else value % self.p
 
     def __str__(self) -> str:
-        return f"GF({self.p})" if self.kind == "Fp" else self.kind
+        return "Z" if self.p is None else f"GF({self.p})"
 
 
-ZZ = Domain("Z")
-QQ = Domain("Q")
+ZZ = Domain()
 
 
 def GF(p: int) -> Domain:
     """The prime field with ``p`` elements."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return Domain("Fp", p)
+    return Domain(p)
 
 
 def binomial_row(m: int) -> list[int]:
@@ -221,11 +202,12 @@ VAR_V = VarId(NS_AUX, AUX_V, 0)
 
 def monomial(pairs: Iterable[tuple[VarId, int]] | Mapping[VarId, int]) -> tuple:
     """The monomial of ``pairs``: repeated variables merge, zero exponents
-    drop out and a negative exponent raises ValueError."""
+    drop out, and an exponent that is negative or not an ``int`` raises
+    ValueError."""
     acc: dict[VarId, int] = {}
     for v, e in pairs.items() if isinstance(pairs, Mapping) else pairs:
-        if e < 0:
-            raise ValueError(f"negative exponent {e} for {v.render()}")
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"non-integer or negative exponent {e!r} for {v.render()}")
         acc[v] = acc.get(v, 0) + e
     return tuple(sorted((v, e) for v, e in acc.items() if e))
 
@@ -307,7 +289,7 @@ class Polynomial:
         return tuple(sorted({v for m in self.terms for v, _ in m}))
 
     def coefficient(self, mono: tuple):
-        return self.terms.get(mono, self.domain.coerce(0))
+        return self.terms.get(mono, 0)
 
     def sorted_terms(self) -> list[tuple[tuple, object]]:
         """Terms in descending canonical order (leading term first)."""
@@ -390,7 +372,7 @@ class Polynomial:
 
     def reduce_mod(self, q: int) -> "Polynomial":
         """Coefficientwise reduction of an integer polynomial into GF(q)."""
-        if self.domain.kind != "Z":
+        if self.domain.p is not None:
             raise ValueError("reduce_mod applies to polynomials over Z")
         return _raw_poly(GF(q), _canonical(self.terms, q))
 
@@ -555,8 +537,6 @@ def format_poly(p: Polynomial, var_name=VarId.render, space: str = " ") -> str:
     ``var_name`` spells each variable and ``space`` pads the ``+``/``-``
     joiners.  The defaults give the canonical text that ``textio.parse_poly``
     reads; the script exporters pass their dialect's names and no padding.
-    Coefficients print as ``str`` does, which for a reduced ``Fraction`` is
-    ``a/b`` or, with denominator 1, the bare integer.
     """
     if not p.terms:
         return "0"

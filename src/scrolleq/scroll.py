@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,7 +71,10 @@ class ScrollProfile:
 
 def build_profile(n) -> ScrollProfile:
     """Validate block degrees and derive the ambient dimension."""
-    ns = tuple(int(v) for v in n)
+    try:
+        ns = tuple(map(operator.index, n))
+    except TypeError as err:
+        raise ValueError(f"block degrees must be integers: {err}") from None
     if not ns:
         raise ValueError("a scroll profile needs at least one block")
     if any(v < 1 for v in ns):
@@ -222,16 +226,12 @@ def weight_groups(profile: ScrollProfile) -> list[WeightGroup]:
     return groups
 
 
-def group_bridges(profile: ScrollProfile, group: WeightGroup) -> list[Polynomial]:
-    """The group's bridges, in the order of ``group.pairs``."""
-    return [bridge(profile.n[i - 1], profile.n[j - 1], i, j)[1] for i, j in group.pairs]
-
-
-def g_polynomial(profile: ScrollProfile, group: WeightGroup) -> Polynomial:
-    """Sum of the group's bridges, each raised to its balancing power."""
+def g_polynomial(bridges: dict[tuple[int, int], Polynomial], group: WeightGroup) -> Polynomial:
+    """Sum of the group's bridges, looked up in ``bridges`` by pair, each
+    raised to its balancing power."""
     acc = Polynomial.zero(ZZ)
-    for br, power in zip(group_bridges(profile, group), group.powers):
-        acc = acc + br**power
+    for pair, power in zip(group.pairs, group.powers):
+        acc = acc + bridges[pair] ** power
     return acc
 
 
@@ -276,8 +276,8 @@ class EquationSet:
 
     @cached_property
     def weight_gens(self) -> tuple[tuple[int, Polynomial], ...]:
-        """(weight, expanded generator) per group."""
-        return tuple((g.k, g_polynomial(self.profile, g)) for g in self.groups)
+        """(weight, expanded generator) per group, from ``bridges``."""
+        return tuple((g.k, g_polynomial(self.bridges, g)) for g in self.groups)
 
     @cached_property
     def bridges(self) -> dict[tuple[int, int], Polynomial]:

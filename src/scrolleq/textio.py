@@ -4,7 +4,7 @@ Text grammar (whitespace insignificant):
 
     poly   := [sign] term { sign term }
     term   := coeff [ '*' powers ] | powers
-    coeff  := integer [ '/' integer ]      # the '/' form only over Q
+    coeff  := integer
     powers := power { '*' power }
     power  := variable [ '^' exponent ]
 
@@ -15,7 +15,7 @@ the scalars ``s``, ``t``, ``z``, ``w``, ``v``.  Printing (see
 
 JSON form:
 
-    {"domain": "Z" | "Q" | {"Fp": p},
+    {"domain": "Z" | {"Fp": p},
      "terms": [{"coeff": "<string>", "exps": [[i, j, e], ...]}, ...]}
 
 ``exps`` entries use the block/slot pair for scroll variables; auxiliary
@@ -30,7 +30,6 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .polyring import (
     AUX_S,
@@ -43,7 +42,6 @@ from .polyring import (
     GF,
     NS_AUX,
     NS_SCROLL,
-    QQ,
     ZZ,
     Domain,
     Polynomial,
@@ -88,8 +86,8 @@ class ParseContext:
 # tile the text up to its trailing whitespace.  Regex \s and str.isspace agree
 # on every code point; str.isdigit and str.isalpha would also take non-ASCII
 # digits and letters, such as "\u0663" and "\u00b2".
-_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z]+|[-+*/^\[\]])")
-_BAD = re.compile(r"[^\s0-9A-Za-z+\-*/^\[\]]")
+_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z]+|[-+*^\[\]])")
+_BAD = re.compile(r"[^\s0-9A-Za-z+\-*^\[\]]")
 _SIGNS = ("+", "-")
 
 
@@ -144,14 +142,6 @@ def parse_poly(text: str, ctx: ParseContext | None = None) -> Polynomial:
         if toks[i].isdigit():
             coeff = _int(text, toks, i)
             i += 1
-            if toks[i] == "/":
-                if dom.kind != "Q":
-                    raise _fail(text, i, "rational coefficient in a non-rational domain")
-                denom = _int(text, toks, i + 1)
-                if denom == 0:
-                    raise _fail(text, i, "zero denominator")
-                coeff = Fraction(coeff, denom)
-                i += 2
             more = toks[i] == "*"
             if more:
                 i += 1
@@ -218,8 +208,8 @@ _AUX_CODES = {AUX_S: 1, AUX_T: 2, AUX_Z: 3, AUX_W: 4, AUX_V: 5}
 _CODES_AUX = {code: kind for kind, code in _AUX_CODES.items()}
 _U_BASE = 1000
 _TI_BASE = 2000
-# The coefficient text that format_poly writes: an integer or a reduced a/b.
-_COEFF = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# The coefficient text that format_poly writes.
+_COEFF = re.compile(r"-?[0-9]+")
 
 
 def _encode_var(v: VarId) -> tuple[int, int]:
@@ -250,32 +240,22 @@ def _decode_var(i: int, j: int) -> VarId:
 
 
 def _coeff_from_string(s: str, dom: Domain):
-    match = _COEFF.fullmatch(s) if isinstance(s, str) else None
-    if match is None:
+    if not (isinstance(s, str) and _COEFF.fullmatch(s)):
         raise ValueError(f"invalid coefficient {s!r}")
-    num, den = match.groups()
     try:
-        num = int(num)
-        if den is not None:
-            den = int(den)
+        value = int(s)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
         raise ValueError(f"coefficient {s[:20]}... is too long ({len(s)} characters)") from None
-    if den is None:
-        return dom.coerce(num)
-    if den == 0:
-        raise ValueError("zero denominator")
-    return dom.coerce(Fraction(num, den))
+    return dom.coerce(value)
 
 
 def domain_to_json(dom: Domain):
-    return {"Fp": dom.p} if dom.kind == "Fp" else dom.kind
+    return "Z" if dom.p is None else {"Fp": dom.p}
 
 
 def domain_from_json(obj) -> Domain:
     if obj == "Z":
         return ZZ
-    if obj == "Q":
-        return QQ
     # A bool is an int to isinstance, and a float or a string would pass
     # is_prime, so the type is compared exactly.
     if isinstance(obj, dict) and set(obj) == {"Fp"} and type(obj["Fp"]) is int:
@@ -287,7 +267,7 @@ def poly_to_json(p: Polynomial) -> dict:
     terms = []
     for mono, coeff in p.sorted_terms():
         exps = sorted([*_encode_var(v), e] for v, e in mono)
-        # Same coefficient text as format_poly: an integer or a reduced a/b.
+        # Same coefficient text as format_poly.
         terms.append({"coeff": str(coeff), "exps": exps})
     return {"domain": domain_to_json(p.domain), "terms": terms}
 
@@ -307,14 +287,14 @@ def poly_json_text(p: Polynomial, level: int = 0) -> str:
     its pure-Python encoder."""
     n1, n2, n3, n4, n5 = ("\n" + "  " * (level + k) for k in range(1, 6))
     dom = p.domain
-    domain = f'{{{n2}"Fp": {dom.p}{n1}}}' if dom.kind == "Fp" else f'"{dom.kind}"'
+    domain = '"Z"' if dom.p is None else f'{{{n2}"Fp": {dom.p}{n1}}}'
     terms = []
     for mono, coeff in p.sorted_terms():
         exps = [
             f"[{n5}{i},{n5}{j},{n5}{e}{n4}]"
             for i, j, e in sorted((*_encode_var(v), e) for v, e in mono)
         ]
-        # The coefficient is an integer or a reduced a/b: nothing to escape.
+        # The coefficient is an integer: nothing to escape.
         terms.append(
             f'{{{n3}"coeff": "{coeff}",{n3}"exps": {json_array_text(exps, level + 3)}{n2}}}'
         )

@@ -9,7 +9,7 @@ from scrolleq import scroll
 def no_expansion(monkeypatch):
     """Make expanding any weight generator fail the test."""
 
-    def refuse(profile, group):
+    def refuse(bridges, group):
         raise AssertionError("a weight generator was expanded")
 
     monkeypatch.setattr(scroll, "g_polynomial", refuse)

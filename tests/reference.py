@@ -27,7 +27,6 @@
 import itertools
 import json
 import math
-from fractions import Fraction
 
 from scrolleq import (
     GF,
@@ -189,7 +188,7 @@ def enumerate_variety(gens, variables, q=None, budget=DEFAULT_BUDGET):
     space over GF(q) where every generator vanishes.  ``q`` defaults to the
     generators' modulus; the budget bounds points times generators."""
     for g in gens:
-        if g.domain.kind != "Fp":
+        if g.domain.p is None:
             raise ValueError("enumeration generators must live over a prime field")
         if q is None:
             q = g.domain.p
@@ -222,7 +221,7 @@ def poly_to_json_text(p: Polynomial) -> str:
 
 _SCALARS = {"s": VAR_S, "t": VAR_T, "z": VAR_Z, "w": VAR_W, "v": VAR_V}
 
-_PUNCT = set("+-*/^[]")
+_PUNCT = set("+-*^[]")
 # str.isdigit and str.isalpha accept non-ASCII digits and letters, such as
 # "\u0663" and "\u00b2", which int() then reads or refuses without a position.
 _DIGITS = frozenset("0123456789")
@@ -336,7 +335,7 @@ class _Parser:
         dom = self.ctx.domain
         tok = self.peek()
         if tok.kind == "int":
-            coeff = self.coefficient()
+            coeff = self.integer()
             if self.peek().kind == "*":
                 self.advance()
                 mono = self.powers()
@@ -348,21 +347,6 @@ class _Parser:
         else:
             raise self.fail("expected a coefficient or a variable")
         return mono, dom.coerce(coeff * sign)
-
-    def coefficient(self):
-        value = self.integer()
-        if self.peek().kind == "/":
-            slash = self.peek()
-            if self.ctx.domain.kind != "Q":
-                raise ParseError(
-                    "rational coefficient in a non-rational domain", slash.line, slash.col
-                )
-            self.advance()
-            denom = self.integer()
-            if denom == 0:
-                raise ParseError("zero denominator", slash.line, slash.col)
-            return Fraction(value, denom)
-        return value
 
     def powers(self) -> tuple:
         exps: dict[VarId, int] = {}

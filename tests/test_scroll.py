@@ -29,7 +29,6 @@ from scrolleq import (
     curve_equation,
     equation_set,
     g_polynomial,
-    group_bridges,
     minors_2x2,
     monomial,
     term_bound,
@@ -62,6 +61,13 @@ def test_profile_validation():
         build_profile([2, 0])
     with pytest.raises(ValueError):
         build_profile([-1])
+
+
+@pytest.mark.parametrize("n", [[2.5, 3.9], [2.0, 3], ["2", 3], [None]], ids=repr)
+def test_profile_refuses_non_integer_degrees(n):
+    # A fractional degree is refused, not truncated: [2.5, 3.9] is not (2, 3).
+    with pytest.raises(ValueError, match="block degrees must be integers"):
+        build_profile(n)
 
 
 # -- minors ----------------------------------------------------------------------
@@ -273,16 +279,16 @@ def test_weight_groups_partition_all_pairs():
 
 
 def test_g_polynomial_degree_and_structure():
-    profile = build_profile([2, 2, 3, 4])
-    groups = {g.k: g for g in weight_groups(profile)}
-    g5 = g_polynomial(profile, groups[5])
+    es = equation_set(build_profile([2, 2, 3, 4]))
+    groups = {g.k: g for g in es.groups}
+    g5 = g_polynomial(es.bridges, groups[5])
     assert g5.is_homogeneous() and g5.total_degree() == 15
     expected = (
         bridge_from_table(BRIDGE_2_4, 1, 4) ** 5 + bridge_from_table(BRIDGE_2_3, 2, 3) ** 3
     )
     assert g5 == expected
     # single-pair weights are plain bridges
-    assert g_polynomial(profile, groups[3]) == bridge_from_table(BRIDGE_2_2, 1, 2)
+    assert g_polynomial(es.bridges, groups[3]) == bridge_from_table(BRIDGE_2_2, 1, 2)
 
 
 # Profiles of the benchmark's symbolic pool, with the weight-generator terms
@@ -304,10 +310,10 @@ def test_weight_gens_expand_to_sum_of_bridge_powers():
         assert [k for k, _ in es.weight_gens] == [g.k for g in es.groups]
         for group, (_, generator) in zip(es.groups, es.weight_gens):
             expected = Polynomial.zero(ZZ)
-            for br, (i, j), c in zip(group_bridges(profile, group), group.pairs, group.powers):
+            for (i, j), c in zip(group.pairs, group.powers):
                 key = (n[i - 1], n[j - 1], i, j, c)
                 if key not in powers:
-                    powers[key] = schoolbook_pow(br, c)
+                    powers[key] = schoolbook_pow(es.bridges[i, j], c)
                 expected = expected + powers[key]
             assert generator == expected, (n, group.k)
             assert term_bound(group) >= generator.num_terms(), (n, group.k)
@@ -315,7 +321,7 @@ def test_weight_gens_expand_to_sum_of_bridge_powers():
 
 def test_equation_set_expands_only_when_read(monkeypatch):
     calls = []
-    monkeypatch.setattr(scroll, "g_polynomial", lambda profile, group: calls.append(group.k))
+    monkeypatch.setattr(scroll, "g_polynomial", lambda bridges, group: calls.append(group.k))
     es = equation_set(build_profile([3, 5, 7, 8]))
     assert es.system_size == es.profile.N - 2 == 24
     assert len(es.labeled_curves()) == 19 and len(es.labeled_bridges()) == 5
@@ -323,6 +329,25 @@ def test_equation_set_expands_only_when_read(monkeypatch):
     es.weight_gens
     es.system()
     assert calls == [3, 4, 5, 6, 7]  # once per group, on the first read
+
+
+def test_equation_set_builds_each_bridge_once(monkeypatch):
+    built = []
+    original = scroll.bridge
+    monkeypatch.setattr(scroll, "bridge", lambda *args: built.append(args) or original(*args))
+    es = equation_set(build_profile([2, 2, 3, 4]))
+    es.bridges
+    es.weight_gens
+    assert len(built) == len(set(built)) == math.comb(4, 2)
+
+
+def test_weight_gens_expand_from_the_shared_bridges():
+    # Weight 5 of (2,2,3,4) is bridge (1,4)^5 + bridge (2,3)^3.
+    es = equation_set(build_profile([2, 2, 3, 4]))
+    stand_in = Polynomial.variable(x_var(2, 0))
+    es.bridges[2, 3] = stand_in
+    weight5 = dict(es.weight_gens)[5]
+    assert weight5 == es.bridges[1, 4] ** 5 + stand_in**3
 
 
 def test_term_bound_examples():

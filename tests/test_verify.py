@@ -29,13 +29,11 @@ from scrolleq import (
     equation_set,
     g_polynomial,
     generic_minor,
-    group_bridges,
     monomial,
     plucker_identity,
     projective_size,
     scroll_param_map,
     u_var,
-    weight_groups,
     x_var,
 )
 from scrolleq import verify
@@ -319,10 +317,11 @@ def test_scan_evaluates_weight_generators_through_bridges():
     # its expansion does.
     profile = build_profile([1, 1, 1, 2])
     variables = profile.variables()
-    for group in weight_groups(profile):
-        bridges = [b.reduce_mod(3) for b in group_bridges(profile, group)]
+    es = equation_set(profile)
+    for group in es.groups:
+        bridges = [es.bridges[pair].reduce_mod(3) for pair in group.pairs]
         summands = list(zip(bridges, group.powers))
-        expanded = g_polynomial(profile, group).reduce_mod(3)
+        expanded = g_polynomial(es.bridges, group).reduce_mod(3)
         _, hits, _ = verify._projective_scan([summands], [], variables, 3)
         assert hits == enumerate_variety([expanded], variables, 3), group.k
 
