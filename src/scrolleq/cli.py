@@ -201,38 +201,33 @@ def _run_checks(args: argparse.Namespace, field: int | None):
         # Refused before the symbolic checks, which may take far longer.
         check_block_walk_budget(profile, field, args.budget)
     eqset = equation_set(profile)
+    param = check_parametrization(profile, eqset=eqset)
     checks = []
     # Both bridge identities depend only on the block degrees (a, b): they are
     # checked once, on the equation set's bridge for the first such pair.
+    # Renaming u[j] to v is injective, so scroll vanishing is the bridge's
+    # parametrization verdict; only a failing bridge is mapped with v.
     identities = {}
     for i in range(1, profile.d + 1):
         for j in range(i + 1, profile.d + 1):
             a, b = profile.n[i - 1], profile.n[j - 1]
             if (a, b) not in identities:
+                br, ok = eqset.bridges[i, j], param.bridges[i, j]
                 identities[a, b] = (
-                    check_bridge_scroll_vanishing(a, b, i, j, eqset.bridges[i, j]),
-                    check_bridge_determinant_power(a, b, i, j, eqset.bridges[i, j]),
+                    ok,
+                    "" if ok else f"residual {check_bridge_scroll_vanishing(a, b, i, j, br)[1]}",
+                    check_bridge_determinant_power(a, b, i, j, br),
                 )
-            (ok, residual), power_ok = identities[a, b]
-            checks.append((
-                f"bridge-scroll-vanishing blocks ({i},{j})",
-                ok,
-                "" if ok else f"residual {residual}",
-            ))
+            ok, residual, power_ok = identities[a, b]
+            checks.append((f"bridge-scroll-vanishing blocks ({i},{j})", ok, residual))
             checks.append((f"bridge-determinant-power blocks ({i},{j})", power_ok, ""))
-    param = check_parametrization(profile, eqset=eqset)
-    total = len(param.checks)
-    good = sum(1 for c in param.checks if c.ok)
-    detail = f"{good}/{total} generators vanish"
+    detail = f"{sum(c.ok for c in param.checks)}/{len(param.checks)} generators vanish"
     if not param.passed:
         detail += "; failing: " + ", ".join(c.label for c in param.failures()[:5])
     checks.append(("parametrization-vanishing", param.passed, detail))
     ok, failures = plucker_identity(profile.d)
-    checks.append((
-        f"plucker-identity d={profile.d}",
-        ok,
-        "" if ok else f"failing quadruples {failures[:3]}",
-    ))
+    detail = "" if ok else f"failing quadruples {failures[:3]}"
+    checks.append((f"plucker-identity d={profile.d}", ok, detail))
     report = None
     if field is not None:
         report = compare_varieties(profile, field, budget=args.budget, seed=args.seed, eqset=eqset)

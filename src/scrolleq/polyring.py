@@ -90,9 +90,14 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Domain:
-    """Coefficient domain tag: the integers (``p`` is None) or GF(p)."""
+    """Coefficient domain tag: the integers (``p`` is None) or GF(p), p prime."""
 
     p: int | None = None
+
+    def __post_init__(self):
+        # A float or a bool would pass is_prime, so the type is compared exactly.
+        if self.p is not None and (type(self.p) is not int or not is_prime(self.p)):
+            raise ValueError(f"{self.p!r} is not prime")
 
     def coerce(self, value):
         """``value``, an ``int``, in this domain's canonical form; anything
@@ -110,8 +115,6 @@ ZZ = Domain()
 
 def GF(p: int) -> Domain:
     """The prime field with ``p`` elements."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     return Domain(p)
 
 
@@ -335,8 +338,8 @@ class Polynomial:
         return _raw_poly(dom, _canonical({m: c * c0 for m, c in self.terms.items()}, dom.p))
 
     def __pow__(self, e: int) -> "Polynomial":
-        if e < 0:
-            raise ValueError("negative polynomial power")
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"non-integer or negative polynomial power {e!r}")
         if e == 0:
             return Polynomial.const(1, self.domain)
         if e == 1 or not self.terms:
@@ -524,6 +527,24 @@ class Substitution:
             for k, c in prod.items():
                 out[k] = out.get(k, 0) + c
         return self._packing.unpack(self.domain, _canonical(out, p))
+
+    def vanishes(self, poly: Polynomial) -> bool:
+        """Whether ``poly`` maps to zero.  With single-term images for all its
+        variables, each term's image is a packed key and a coefficient, summed
+        by key; any other ``poly`` is mapped in full, with every check of a call."""
+        monomials, bound, out = self._monomials, self.degree, {}
+        if poly.domain != self.domain:
+            return self(poly).is_zero()
+        for mono, c in poly.terms.items():
+            key = degree = 0
+            for v, e in mono:
+                degree += e
+                if degree > bound or v not in monomials:
+                    return self(poly).is_zero()
+                k, fc = monomials[v]
+                key, c = key + e * k, c * fc**e
+            out[key] = out.get(key, 0) + c
+        return not _canonical(out, self.domain.p)
 
 
 # ---------------------------------------------------------------------------

@@ -302,10 +302,6 @@ class EquationSet:
     def labeled_curves(self) -> list[tuple[str, Polynomial]]:
         return [(f"curve[{i}][{j}]", p) for i, j, p in self.curve_gens]
 
-    def labeled_bridges(self) -> list[tuple[str, list[Polynomial]]]:
-        """Each weight generator's label with its bridges, unexpanded."""
-        return [(f"weight[{g.k}]", [self.bridges[ij] for ij in g.pairs]) for g in self.groups]
-
     def labeled_minors(self) -> list[tuple[str, Polynomial]]:
         """Each minor of ``minors_2x2``, labeled ``minor[c1][c2]`` by its columns."""
         pairs = itertools.combinations(range(sum(self.profile.n)), 2)

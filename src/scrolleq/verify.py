@@ -35,6 +35,7 @@ from .polyring import (
     Polynomial,
     Substitution,
     VarId,
+    _Packing,
     _raw_poly,
     binomial_row,
     monomial,
@@ -119,6 +120,7 @@ class GeneratorCheck:
 class ParamReport:
     profile: tuple[int, ...]
     checks: tuple[GeneratorCheck, ...]
+    bridges: Mapping[tuple[int, int], bool]
 
     @property
     def passed(self) -> bool:
@@ -135,24 +137,28 @@ def check_parametrization(
     under the scroll parametrization, by exact substitution over Z.
 
     A weight generator is a sum of powers of its bridges, so it vanishes when
-    every one of its bridges does: the bridges are substituted and the
-    generator is never expanded.  The parametrization is prepared once, for
-    the degree bound of each kind: i + 1 for the i-th curve equation, the
-    group degree for a bridge and 2 for a minor.
+    every one of its bridges does; the report keeps each bridge's verdict by
+    pair, and the generator is never expanded.  The parametrization is
+    prepared once, for the degree bound of each kind: i + 1 for the i-th
+    curve equation, the group degree for a bridge and 2 for a minor.  Its
+    images are single terms, so ``Substitution.vanishes`` checks each
+    polynomial by packed keys; only one that fails is mapped, for its residual.
     """
     eqset = eqset if eqset is not None else equation_set(profile)
-    entries = (
-        [(label, [p]) for label, p in eqset.labeled_curves()]
-        + eqset.labeled_bridges()
-        + [(label, [p]) for label, p in eqset.labeled_minors()]
-    )
     degree = max([2] + [j + 1 for _, j, _ in eqset.curve_gens] + [g.degree for g in eqset.groups])
     param = Substitution(scroll_param_map(profile), ZZ, degree)
+    vanished = {pair: param.vanishes(br) for pair, br in eqset.bridges.items()}
+    entries = (
+        [(label, [(p, param.vanishes(p))]) for label, p in eqset.labeled_curves()]
+        + [(f"weight[{g.k}]", [(eqset.bridges[ij], vanished[ij]) for ij in g.pairs])
+           for g in eqset.groups]
+        + [(label, [(p, param.vanishes(p))]) for label, p in eqset.labeled_minors()]
+    )
     checks = []
     for label, polys in entries:
-        residuals = [str(r) for r in map(param, polys) if not r.is_zero()]
+        residuals = [str(param(p)) for p, ok in polys if not ok]
         checks.append(GeneratorCheck(label, not residuals, "; ".join(residuals)))
-    return ParamReport(profile.n, tuple(checks))
+    return ParamReport(profile.n, tuple(checks), vanished)
 
 
 def check_bridge_scroll_vanishing(a: int, b: int, i=1, j=2, br=None) -> tuple[bool, Polynomial]:
@@ -199,9 +205,7 @@ def check_bridge_determinant_power(a: int, b: int, i=1, j=2, br=None) -> bool:
 
 def generic_minor(i: int, j: int) -> Polynomial:
     """Column-(i, j) minor t[i]*u[j] - u[i]*t[j] of the generic 2 x d matrix."""
-    return Polynomial.term(1, [(t_var(i), 1), (u_var(j), 1)], ZZ) - Polynomial.term(
-        1, [(u_var(i), 1), (t_var(j), 1)], ZZ
-    )
+    return Polynomial(ZZ, {((t_var(i), 1), (u_var(j), 1)): 1, ((u_var(i), 1), (t_var(j), 1)): -1})
 
 
 def plucker_identity(d: int) -> tuple[bool, list[tuple[int, int, int, int]]]:
@@ -209,13 +213,22 @@ def plucker_identity(d: int) -> tuple[bool, list[tuple[int, int, int, int]]]:
 
     For every quadruple a < i < j < b <= d the combination
     m(i,j)*m(a,b) - m(a,j)*m(i,b) + m(a,i)*m(j,b) must expand to zero.
-    Vacuously true for d < 4.  Each minor is built once.
+    Vacuously true for d < 4, where nothing is built.  The minors are packed
+    once, in one packing, and each quadruple sums three packed products.
     """
+    if d < 4:
+        return True, []
     m = {pair: generic_minor(*pair) for pair in itertools.combinations(range(1, d + 1), 2)}
+    bound = 2 * max(f.total_degree() for f in m.values())  # any exponent of a product
+    packing = _Packing({v for f in m.values() for v in f.variables()}, bound)
+    packed = {pair: packing.pack(f.terms).items() for pair, f in m.items()}
     failures = []
     for a, i, j, b in itertools.combinations(range(1, d + 1), 4):
-        combo = m[i, j] * m[a, b] - m[a, j] * m[i, b] + m[a, i] * m[j, b]
-        if not combo.is_zero():
+        combo: dict[int, int] = {}
+        for sign, x, y in ((1, (i, j), (a, b)), (-1, (a, j), (i, b)), (1, (a, i), (j, b))):
+            for (kx, cx), (ky, cy) in itertools.product(packed[x], packed[y]):
+                combo[kx + ky] = combo.get(kx + ky, 0) + sign * cx * cy
+        if any(combo.values()):
             failures.append((a, i, j, b))
     return not failures, failures
 

@@ -17,6 +17,13 @@
   and keeps the common zeros of expanded generators, through ``evaluate``:
   the oracle for the walk and the block-factored comparison, sharing no
   code with them.
+* ``check_parametrization`` maps every curve equation, bridge and minor in
+  full through the prepared parametrization and reads each residual off the
+  unpacked image; the library reads a verdict off packed keys and maps only
+  what fails.
+* ``plucker_identity`` multiplies and adds the generic minors as
+  ``Polynomial`` values, one packing per product; the library packs the
+  minors once and sums packed products.
 * ``poly_to_json_text`` is the compact ``json.dumps`` of ``poly_to_json``.
 * ``reference_parse`` reads the text grammar one character at a time into
   token objects and parses them by recursive descent; ``parse_poly`` reads
@@ -39,17 +46,20 @@ from scrolleq import (
     ParseContext,
     ParseError,
     Polynomial,
+    Substitution,
     VarId,
     bridge_meta,
+    generic_minor,
     monomial,
     poly_to_json,
     projective_size,
+    scroll_param_map,
     t_var,
     u_var,
     x_var,
 )
 from scrolleq.textio import MAX_EXPONENT
-from scrolleq.verify import DEFAULT_BUDGET, BudgetExceededError
+from scrolleq.verify import DEFAULT_BUDGET, BudgetExceededError, GeneratorCheck
 
 
 def binomial(m: int, alpha: int) -> int:
@@ -212,6 +222,36 @@ def enumerate_variety(gens, variables, q=None, budget=DEFAULT_BUDGET):
             if all(evaluate(g, values) == 0 for g in gens):
                 hits.append(point)
     return sorted(hits)
+
+
+def check_parametrization(eqset) -> tuple[GeneratorCheck, ...]:
+    """The checks of ``verify.check_parametrization``, each polynomial mapped
+    in full: a curve equation, a weight generator through its bridges, a
+    minor.  A check's residual is its nonzero images, joined by "; "."""
+    entries = (
+        [(label, [p]) for label, p in eqset.labeled_curves()]
+        + [(f"weight[{g.k}]", [eqset.bridges[ij] for ij in g.pairs]) for g in eqset.groups]
+        + [(label, [p]) for label, p in eqset.labeled_minors()]
+    )
+    degree = max([2] + [j + 1 for _, j, _ in eqset.curve_gens] + [g.degree for g in eqset.groups])
+    param = Substitution(scroll_param_map(eqset.profile), ZZ, degree)
+    checks = []
+    for label, polys in entries:
+        residuals = [str(r) for r in map(param, polys) if not r.is_zero()]
+        checks.append(GeneratorCheck(label, not residuals, "; ".join(residuals)))
+    return tuple(checks)
+
+
+def plucker_identity(d: int, minor=generic_minor) -> tuple[bool, list[tuple[int, int, int, int]]]:
+    """The result of ``verify.plucker_identity`` from ``Polynomial``
+    products of the minors that ``minor(i, j)`` gives."""
+    m = {pair: minor(*pair) for pair in itertools.combinations(range(1, d + 1), 2)}
+    failures = []
+    for a, i, j, b in itertools.combinations(range(1, d + 1), 4):
+        combo = m[i, j] * m[a, b] - m[a, j] * m[i, b] + m[a, i] * m[j, b]
+        if not combo.is_zero():
+            failures.append((a, i, j, b))
+    return not failures, failures
 
 
 def poly_to_json_text(p: Polynomial) -> str:

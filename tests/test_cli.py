@@ -151,6 +151,64 @@ def test_verify_field_budget_is_checked_before_the_symbolic_checks(capsys, monke
     assert capsys.readouterr().err.startswith("budget exceeded: enumeration needs an estimated ")
 
 
+# verify on a system with one bridge's leading coefficient off by one.  The
+# scroll-vanishing line is read off the parametrization and only a failing
+# bridge is mapped again with u[j] renamed to v, for its residual.  The bridge
+# identities of one pair of degrees are checked on the first pair of blocks
+# with them, so in (2,2,3,3) blocks (1,4), (2,3) and (2,4) repeat the verdict
+# of (1,3).  The plain texts and the SHA-256 of the JSON texts are those of
+# the version that mapped every bridge twice.
+MUTATED_BRIDGE_REPORTS = {
+    ("2,3,4", (1, 3)): ("""\
+PASS bridge-scroll-vanishing blocks (1,2)
+PASS bridge-determinant-power blocks (1,2)
+FAIL bridge-scroll-vanishing blocks (1,3) (residual u[1]^2*s^4*t^4*v)
+FAIL bridge-determinant-power blocks (1,3)
+PASS bridge-scroll-vanishing blocks (2,3)
+PASS bridge-determinant-power blocks (2,3)
+FAIL parametrization-vanishing (44/45 generators vanish; failing: weight[4])
+PASS plucker-identity d=3
+FAIL suite for profile (2, 3, 4)
+""", "c34f18bd5e868fa9025645e7b918f0b7f49b3f790283feb85cfc69b50c5b2f61"),
+    ("2,2,3,3", (1, 3)): ("""\
+PASS bridge-scroll-vanishing blocks (1,2)
+PASS bridge-determinant-power blocks (1,2)
+FAIL bridge-scroll-vanishing blocks (1,3) (residual u[1]^3*s^6*t^6*v^2)
+FAIL bridge-determinant-power blocks (1,3)
+FAIL bridge-scroll-vanishing blocks (1,4) (residual u[1]^3*s^6*t^6*v^2)
+FAIL bridge-determinant-power blocks (1,4)
+FAIL bridge-scroll-vanishing blocks (2,3) (residual u[1]^3*s^6*t^6*v^2)
+FAIL bridge-determinant-power blocks (2,3)
+FAIL bridge-scroll-vanishing blocks (2,4) (residual u[1]^3*s^6*t^6*v^2)
+FAIL bridge-determinant-power blocks (2,4)
+PASS bridge-scroll-vanishing blocks (3,4)
+PASS bridge-determinant-power blocks (3,4)
+FAIL parametrization-vanishing (55/56 generators vanish; failing: weight[4])
+PASS plucker-identity d=4
+FAIL suite for profile (2, 2, 3, 3)
+""", "1a1d696325adeba65ea1dc174983f4fbb9e75ea169da81991ba654f66e3d9465"),
+}
+
+
+@pytest.mark.parametrize("profile, pair", list(MUTATED_BRIDGE_REPORTS), ids=["234", "2233"])
+def test_verify_reports_a_mutated_bridge_as_before(capsys, monkeypatch, profile, pair):
+    from scrolleq import cli
+    from test_verify import bump_bridge
+
+    plain, json_digest = MUTATED_BRIDGE_REPORTS[profile, pair]
+    mutant = bump_bridge(cli.equation_set(cli.build_profile(map(int, profile.split(",")))), pair)
+    monkeypatch.setattr(cli, "equation_set", lambda profile: mutant)
+    assert run(["--profile", profile, "verify"]) == 1
+    assert capsys.readouterr().out == plain
+    assert run(["--profile", profile, "verify", "--format", "json"]) == 1
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == json_digest
+    doc = json.loads(text)
+    assert [("PASS" if c["passed"] else "FAIL") + " " + c["name"]
+            + (f" ({c['detail']})" if c["detail"] else "") for c in doc["checks"]] == (
+        plain.splitlines()[:-1])
+
+
 def test_budget_env_default(capsys, monkeypatch):
     monkeypatch.setenv("SCROLLEQ_BUDGET", "10")
     assert run(["--profile", "1,1", "enumerate", "--field", "3"]) == 3

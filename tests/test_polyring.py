@@ -1,5 +1,6 @@
 """Unit tests for the sparse polynomial kernel."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,13 +16,17 @@ from scrolleq import (
     Domain,
     DomainMismatchError,
     Polynomial,
+    Substitution,
     binomial_row,
     grevlex_key,
     is_prime,
     monomial,
     x_var,
 )
+from scrolleq import polyring
 from scrolleq.scroll import bridge
+from scrolleq.textio import ParseContext, domain_from_json, domain_to_json, parse_poly
+from scrolleq.textio import poly_from_json, poly_to_json
 
 X0, X1, X2 = x_var(1, 0), x_var(1, 1), x_var(1, 2)
 Y0, Y1, Y2, Y3, Y4 = (x_var(2, j) for j in range(5))
@@ -93,6 +98,29 @@ def test_is_prime_is_exact_up_to_its_limit_and_refuses_beyond():
             is_prime(n)
         with pytest.raises(ValueError, match="too large for the primality test"):
             GF(n)
+
+
+@pytest.mark.parametrize("p", [4, 1, 0, -7, 7.0, True, "7"])
+def test_domain_refuses_a_modulus_that_is_not_prime(p):
+    # Domain(4) was the ring Z/4 printed as GF(4), where 2 * 2 is 0, and
+    # Domain(7.0) made float coefficients.
+    message = f"^{re.escape(repr(p))} is not prime$"
+    with pytest.raises(ValueError, match=message):
+        Domain(p)
+    with pytest.raises(ValueError, match=message):
+        GF(p)
+
+
+def test_domains_and_their_round_trips_are_unchanged():
+    assert ZZ == Domain() and ZZ.p is None and str(ZZ) == "Z"
+    assert GF(7) == Domain(7) and GF(7).p == 7 and str(GF(7)) == "GF(7)"
+    for dom in (ZZ, GF(7)):
+        p = term(12, [(X0, 2), (X1, 1)], dom) - term(5, [(X2, 3)], dom) + Polynomial.const(9, dom)
+        assert parse_poly(str(p), ParseContext(domain=dom)) == p
+        assert poly_from_json(poly_to_json(p)) == p
+        assert domain_from_json(domain_to_json(dom)) == dom
+    assert str(term(12, [(X0, 1)], GF(7))) == "5*x[1][0]"
+    assert domain_to_json(GF(7)) == {"Fp": 7} and domain_to_json(ZZ) == "Z"
 
 
 # -- addition -----------------------------------------------------------------
@@ -187,6 +215,23 @@ def test_pow_bridge_fifth_degree():
     assert p5.total_degree() == 15
 
 
+@pytest.mark.parametrize("e", [2.0, Fraction(2), "2"])
+def test_pow_refuses_an_exponent_that_is_not_an_int(monkeypatch, e):
+    # Refused before any packing: 2.0 used to fail inside _Packing with an
+    # AttributeError on float.bit_length.
+    def no_packing(*args):
+        raise AssertionError("packed before the exponent was checked")
+
+    monkeypatch.setattr(polyring, "_Packing", no_packing)
+    with pytest.raises(ValueError, match="non-integer or negative polynomial power"):
+        (var(X0) + var(X1)) ** e
+
+
+def test_pow_refuses_a_negative_exponent():
+    with pytest.raises(ValueError, match="non-integer or negative polynomial power -1"):
+        var(X0) ** -1
+
+
 # -- substitution ----------------------------------------------------------------
 
 
@@ -229,6 +274,36 @@ def test_substitute_strict_requires_all_variables():
 def test_substitute_rejects_foreign_domain():
     with pytest.raises(DomainMismatchError):
         var(X0, ZZ).substitute({X0: var(X1, GF(3))})
+
+
+def test_vanishes_agrees_with_the_full_map():
+    # Single-term images are compared by packed key; a multi-term image is
+    # mapped in full.  Both must give the verdict of __call__.
+    images = {X0: term(1, [(VAR_S, 2)]), X1: term(1, [(VAR_S, 1), (VAR_T, 1)]),
+              X2: term(1, [(VAR_T, 2)]), Y0: term(-3, [(VAR_Z, 1)]),
+              Y1: var(VAR_Z) - var(VAR_W), Y2: Polynomial.zero(ZZ)}
+    sub = Substitution(images, ZZ, 4)
+    conic = term(1, [(X0, 1), (X2, 1)]) - term(1, [(X1, 2)])
+    polys = [
+        conic, conic + var(X0), conic.scale(5), Polynomial.zero(ZZ), Polynomial.const(2),
+        term(3, [(Y0, 1)]) + term(9, [(X0, 1)]) - term(9, [(X0, 1)]),
+        term(1, [(Y0, 2)]) - term(9, [(VAR_Z, 0), (Y0, 2)]), conic * var(Y1),
+        term(1, [(Y1, 2)]) - term(1, [(Y1, 2)]), var(Y2) + conic, var(Y2) + var(X0),
+    ]
+    for p in polys:
+        assert sub.vanishes(p) == sub(p).is_zero(), p
+    assert [sub.vanishes(p) for p in polys] == [
+        True, False, True, True, False, False, False, True, True, True, False]
+
+
+def test_vanishes_keeps_the_checks_of_a_call():
+    sub = Substitution({X0: term(1, [(VAR_S, 1)]), X1: term(1, [(VAR_T, 1)])}, ZZ, 2)
+    with pytest.raises(ValueError, match="degree 3 exceeds the prepared bound 2"):
+        sub.vanishes(term(1, [(X0, 2), (X1, 1)]) - term(1, [(X0, 1), (X1, 2)]))
+    with pytest.raises(ValueError, match="no image for variable x\\[1\\]\\[2\\]"):
+        sub.vanishes(var(X0) - var(X2))
+    with pytest.raises(DomainMismatchError):
+        sub.vanishes(var(X0, GF(3)))
 
 
 # -- reference evaluation ---------------------------------------------------------

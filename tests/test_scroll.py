@@ -324,7 +324,7 @@ def test_equation_set_expands_only_when_read(monkeypatch):
     monkeypatch.setattr(scroll, "g_polynomial", lambda bridges, group: calls.append(group.k))
     es = equation_set(build_profile([3, 5, 7, 8]))
     assert es.system_size == es.profile.N - 2 == 24
-    assert len(es.labeled_curves()) == 19 and len(es.labeled_bridges()) == 5
+    assert len(es.labeled_curves()) == 19 and len(es.bridges) == 6
     assert calls == []
     es.weight_gens
     es.system()

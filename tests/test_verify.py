@@ -2,12 +2,14 @@
 
 import itertools
 import json
+import math
 import re
 import time
 from dataclasses import replace
 
 import pytest
 
+import reference
 from reference import enumerate_variety, evaluate
 from scrolleq import (
     GF,
@@ -233,9 +235,10 @@ def test_generic_minor_antisymmetry():
 
 
 def test_plucker_identity_small_matrices():
-    for d in range(1, 7):
+    for d in range(1, 9):
         ok, failures = plucker_identity(d)
         assert ok and not failures
+        assert reference.plucker_identity(d) == (True, [])
 
 
 def test_plucker_single_quadruple_by_hand():
@@ -425,13 +428,13 @@ def drop_bridge(eqset, k):
     return replace(eqset, groups=groups)
 
 
-def bump_curve(eqset, block, index):
-    """The equation set with one coefficient of curve[block][index] raised by 1."""
+def bump_curve(eqset, block, index, delta=1):
+    """The equation set with one coefficient of curve[block][index] raised by ``delta``."""
     curves = []
     for i, j, p in eqset.curve_gens:
         if (i, j) == (block, index):
             lead, _ = p.sorted_terms()[0]
-            p = p + Polynomial(ZZ, {lead: 1})
+            p = p + Polynomial(ZZ, {lead: delta})
         curves.append((i, j, p))
     return replace(eqset, curve_gens=tuple(curves))
 
@@ -510,3 +513,101 @@ def test_compare_varieties_nonprime_field():
     with pytest.raises(ValueError):
         compare_varieties(build_profile([1, 1]), 4)
 
+
+# -- cross-checks against the full-map references ------------------------------------
+
+PARAM_GRID = [n for d in (1, 2) for n in itertools.product(range(1, 6), repeat=d)] + [
+    (1, 1, 1), (2, 3, 5), (3, 1, 4), (5, 5, 5), (1, 1, 1, 1), (2, 2, 3, 4), (5, 4, 3, 2),
+    (1, 2, 3, 4, 5), (4, 4, 1, 4, 4), (1, 1, 1, 1, 1, 1), (2, 3, 2, 3, 2, 3), (5, 4, 3, 2, 1, 5),
+    (5, 5, 5, 5, 5, 5),
+]
+
+
+def scroll_vanishing_by_pair(eqset):
+    """Each bridge's verdict under the u[j] -> v parametrization."""
+    n = eqset.profile.n
+    return {(i, j): check_bridge_scroll_vanishing(n[i - 1], n[j - 1], i, j, br)[0]
+            for (i, j), br in eqset.bridges.items()}
+
+
+@pytest.mark.parametrize("n", PARAM_GRID, ids=lambda n: "-".join(map(str, n)))
+def test_parametrization_matches_the_full_map_reference(n):
+    eqset = equation_set(build_profile(n))
+    report = check_parametrization(eqset.profile, eqset=eqset)
+    assert report.checks == reference.check_parametrization(eqset)
+    assert report.passed and len(report.bridges) == math.comb(len(n), 2)
+    assert report.bridges == scroll_vanishing_by_pair(eqset)
+
+
+def bump_bridge(eqset, pair, delta=1):
+    """The equation set with the leading coefficient of bridge ``pair`` raised by ``delta``."""
+    br = eqset.bridges[pair]
+    lead, _ = br.sorted_terms()[0]
+    mutant = replace(eqset)
+    bumped = br + Polynomial(ZZ, {lead: delta})
+    object.__setattr__(mutant, "bridges", {**eqset.bridges, pair: bumped})
+    return mutant
+
+
+def bump_minor(eqset, index):
+    """The equation set with the -1 coefficient of minor ``index`` made -2."""
+    minors = list(eqset.minor_gens)
+    terms = minors[index].terms.items()
+    minors[index] = Polynomial(ZZ, {m: 2 * c if c < 0 else c for m, c in terms})
+    return replace(eqset, minor_gens=tuple(minors))
+
+
+def move_minor_term(eqset, index):
+    """The equation set with the -1 term of minor ``index`` moved to the square
+    of the first variable of the minor whose square is neither term."""
+    minors = list(eqset.minor_gens)
+    (plus, _), (minus, _) = sorted(minors[index].terms.items(), key=lambda t: -t[1])
+    squares = [((v, 2),) for v in minors[index].variables()]
+    square = next(m for m in squares if m not in (plus, minus))
+    minors[index] = Polynomial(ZZ, {plus: 1, square: -1})
+    return replace(eqset, minor_gens=tuple(minors))
+
+
+@pytest.mark.parametrize("mutate, args, n", [
+    (bump_minor, (0,), (2, 3, 4)),
+    (bump_minor, (2,), (1, 1, 1)),
+    (bump_minor, (20,), (3, 3, 3)),
+    (move_minor_term, (0,), (2, 3, 4)),
+    (move_minor_term, (1,), (3,)),
+    (move_minor_term, (7,), (1, 2, 2)),
+    (bump_bridge, ((1, 3),), (2, 3, 4)),
+    (bump_bridge, ((2, 4),), (2, 2, 3, 4)),
+    (bump_bridge, ((1, 2),), (1, 1)),
+    (bump_bridge, ((3, 4), -1), (2, 2, 3, 3)),
+    (bump_curve, (1, 1, 2), (3, 2)),
+    (bump_curve, (2, 2, -2), (2, 4)),
+    (bump_curve, (1, 3, 2), (5,)),
+    (bump_curve, (3, 1, -2), (1, 1, 5)),
+], ids=lambda a: "-".join(map(str, a)) if isinstance(a, tuple) else getattr(a, "__name__", None))
+def test_parametrization_matches_the_full_map_reference_on_mutants(mutate, args, n):
+    eqset = mutate(equation_set(build_profile(n)), *args)
+    report = check_parametrization(eqset.profile, eqset=eqset)
+    checks = reference.check_parametrization(eqset)
+    assert report.checks == checks
+    assert not report.passed and all(c.residual for c in report.failures())
+    assert report.bridges == scroll_vanishing_by_pair(eqset)
+    assert all(report.bridges.values()) == (mutate is not bump_bridge)
+
+
+@pytest.mark.parametrize("d, pair, wrong", [
+    (4, (1, 2), lambda: generic_minor(1, 2).scale(2)),
+    (5, (2, 4), lambda: generic_minor(4, 2)),
+    (5, (1, 5), lambda: generic_minor(1, 5) + Polynomial.term(1, [(u_var(1), 1), (u_var(5), 1)])),
+    (6, (3, 4), lambda: generic_minor(3, 4) * Polynomial.term(1, [(u_var(6), 3)])),
+    (6, (2, 6), lambda: Polynomial.zero(ZZ)),
+], ids=["doubled", "negated", "extra-term", "degree-5", "zero"])
+def test_plucker_identity_matches_the_reference_with_a_wrong_minor(monkeypatch, d, pair, wrong):
+    bad = wrong()
+
+    def minor(i, j):
+        return bad if (i, j) == pair else generic_minor(i, j)
+
+    monkeypatch.setattr(verify, "generic_minor", minor)
+    ok, failures = plucker_identity(d)
+    assert (ok, failures) == reference.plucker_identity(d, minor)
+    assert not ok and all(pair in itertools.combinations(q, 2) for q in failures)
