@@ -2,9 +2,8 @@
 
 Commands: ``equations`` (print the defining system), ``verify`` (symbolic
 checks plus optional finite-field comparison), ``enumerate`` (finite-field
-variety comparison only), ``export`` (Macaulay2 / Singular scripts) and
-``bench`` (phase timings).  Common flags may appear before or after the
-command name.
+variety comparison only) and ``export`` (Macaulay2 / Singular scripts).
+Common flags may appear before or after the command name.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error, 3 the
 evaluation budget was exceeded.
@@ -19,7 +18,6 @@ import json
 import math
 import os
 import sys
-import time
 
 from .export import cas_script
 from .polyring import is_prime
@@ -36,8 +34,6 @@ from .verify import (
     compare_varieties,
     plucker_identity,
 )
-
-BUDGET_ENV = "SCROLLEQ_BUDGET"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -72,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (export: m2|singular)")
     parser.add_argument("--seed", type=int, help="seed recorded in reports")
     parser.add_argument("--budget", type=int,
-                        help=f"evaluation budget (default ${BUDGET_ENV} or {DEFAULT_BUDGET})")
+                        help=f"evaluation budget (default {DEFAULT_BUDGET})")
     parser.add_argument("--out", metavar="PATH",
                         help="write output to a file instead of stdout")
     return parser
@@ -116,23 +112,17 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     ``--out``, ``--field``, the budget, the format (``export`` writes
     m2|singular and every other command plain|json), then the terms of the
     curve equations and minors against the budget.
-    Fills in ``args.fmt`` and ``args.budget``; the budget comes from
-    ``--budget`` or the environment and must be a positive integer."""
+    Fills in ``args.fmt`` and ``args.budget``; the budget is ``--budget``,
+    a positive integer, or ``DEFAULT_BUDGET``."""
     if args.profile is None:
         parser.error("--profile is required")
     _check_out(args.out)
     if args.field is not None and not is_prime(args.field):
         raise ValueError(f"--field {args.field} is not prime")
-    if args.budget is not None:
-        source, text = "--budget", str(args.budget)
-    else:
-        source, text = BUDGET_ENV, os.environ.get(BUDGET_ENV, str(DEFAULT_BUDGET))
-    try:
-        args.budget = int(text)
-    except ValueError:
-        args.budget = 0
-    if args.budget < 1:
-        raise ValueError(f"{source} must be a positive integer, got {text!r}")
+    if args.budget is None:
+        args.budget = DEFAULT_BUDGET
+    elif args.budget < 1:
+        raise ValueError(f"--budget must be a positive integer, got '{args.budget}'")
     if args.fmt is None:
         args.fmt = "m2" if args.command == "export" else "plain"
     elif args.command == "export" and args.fmt not in ("m2", "singular"):
@@ -195,32 +185,38 @@ def cmd_equations(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_checks(args: argparse.Namespace, field: int | None):
-    profile = args.profile
+def _run_checks(args: argparse.Namespace):
+    """The symbolic checks, then the variety comparison under ``--field``, as
+    (name, passed, detail) lines, and the comparison's report or None.
+
+    Work that depends on the profile and q alone is refused first: the block
+    walks under ``--field``, and the Plucker identity's 12 products of
+    two-term minors per quadruple of blocks.  Each pair of blocks reports its
+    own bridge's scroll vanishing.  The determinant power depends only on the
+    block degrees (a, b), so it is checked once, on the first pair of blocks
+    with them, and every pair with those degrees reports that verdict."""
+    profile, field = args.profile, args.field
     if field is not None:
-        # Refused before the symbolic checks, which may take far longer.
         check_block_walk_budget(profile, field, args.budget)
+    products = 12 * math.comb(profile.d, 4)
+    if products > args.budget:
+        raise BudgetExceededError(products, args.budget, "the Plucker identity",
+                                  "minor-term products")
     eqset = equation_set(profile)
     param = check_parametrization(profile, eqset=eqset)
     checks = []
-    # Both bridge identities depend only on the block degrees (a, b): they are
-    # checked once, on the equation set's bridge for the first such pair.
-    # Renaming u[j] to v is injective, so scroll vanishing is the bridge's
-    # parametrization verdict; only a failing bridge is mapped with v.
-    identities = {}
+    # Renaming u[j] to v is injective, so a pair's scroll vanishing is its
+    # bridge's parametrization verdict; only a failing bridge is mapped with v.
+    power = {}
     for i in range(1, profile.d + 1):
         for j in range(i + 1, profile.d + 1):
             a, b = profile.n[i - 1], profile.n[j - 1]
-            if (a, b) not in identities:
-                br, ok = eqset.bridges[i, j], param.bridges[i, j]
-                identities[a, b] = (
-                    ok,
-                    "" if ok else f"residual {check_bridge_scroll_vanishing(a, b, i, j, br)[1]}",
-                    check_bridge_determinant_power(a, b, i, j, br),
-                )
-            ok, residual, power_ok = identities[a, b]
+            br, ok = eqset.bridges[i, j], param.bridges[i, j]
+            if (a, b) not in power:
+                power[a, b] = check_bridge_determinant_power(a, b, i, j, br)
+            residual = "" if ok else f"residual {check_bridge_scroll_vanishing(a, b, i, j, br)[1]}"
             checks.append((f"bridge-scroll-vanishing blocks ({i},{j})", ok, residual))
-            checks.append((f"bridge-determinant-power blocks ({i},{j})", power_ok, ""))
+            checks.append((f"bridge-determinant-power blocks ({i},{j})", power[a, b], ""))
     detail = f"{sum(c.ok for c in param.checks)}/{len(param.checks)} generators vanish"
     if not param.passed:
         detail += "; failing: " + ", ".join(c.label for c in param.failures()[:5])
@@ -241,7 +237,7 @@ def _run_checks(args: argparse.Namespace, field: int | None):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    checks, report = _run_checks(args, args.field)
+    checks, report = _run_checks(args)
     passed = all(ok for _, ok, _ in checks)
     if args.fmt == "json":
         doc = {
@@ -295,38 +291,12 @@ def cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    rows = []
-    start = time.perf_counter()
-    eqset = equation_set(args.profile)
-    rows.append(("construct", (time.perf_counter() - start) * 1000))
-
-    start = time.perf_counter()
-    _run_checks(args, None)
-    rows.append(("symbolic", (time.perf_counter() - start) * 1000))
-
-    if args.field is not None:
-        start = time.perf_counter()
-        compare_varieties(args.profile, args.field, budget=args.budget, seed=args.seed,
-                          eqset=eqset)
-        rows.append((f"enumerate q={args.field}", (time.perf_counter() - start) * 1000))
-
-    if args.fmt == "json":
-        doc = [{"phase": name, "ms": round(ms, 3)} for name, ms in rows]
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        lines = [f"{name}\t{ms:.3f} ms" for name, ms in rows]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
-
-
 # name: (help line, function), in the order the help lists them.
 COMMANDS = {
     "equations": ("print the N-2 defining polynomials", cmd_equations),
     "verify": ("run the symbolic check suite, plus enumeration when --field is given", cmd_verify),
     "enumerate": ("compare the system's zero set with the minors' over GF(q)", cmd_enumerate),
     "export": ("emit a computer-algebra script declaring both ideals", cmd_export),
-    "bench": ("time construction, symbolic checks and enumeration", cmd_bench),
 }
 
 

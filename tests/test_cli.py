@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import sys
 import time
 import tracemalloc
@@ -151,13 +152,12 @@ def test_verify_field_budget_is_checked_before_the_symbolic_checks(capsys, monke
     assert capsys.readouterr().err.startswith("budget exceeded: enumeration needs an estimated ")
 
 
-# verify on a system with one bridge's leading coefficient off by one.  The
-# scroll-vanishing line is read off the parametrization and only a failing
-# bridge is mapped again with u[j] renamed to v, for its residual.  The bridge
-# identities of one pair of degrees are checked on the first pair of blocks
-# with them, so in (2,2,3,3) blocks (1,4), (2,3) and (2,4) repeat the verdict
-# of (1,3).  The plain texts and the SHA-256 of the JSON texts are those of
-# the version that mapped every bridge twice.
+# verify on a system with one bridge's leading coefficient off by one.  Each
+# pair's scroll-vanishing line is read off the parametrization and only a
+# failing bridge is mapped again with u[j] renamed to v, for its residual.  The
+# determinant power of one pair of degrees is checked on the first pair of
+# blocks with them, so in (2,2,3,3) blocks (1,4), (2,3) and (2,4) repeat its
+# verdict for (1,3), while their own bridges pass scroll vanishing.
 MUTATED_BRIDGE_REPORTS = {
     ("2,3,4", (1, 3)): ("""\
 PASS bridge-scroll-vanishing blocks (1,2)
@@ -175,18 +175,18 @@ PASS bridge-scroll-vanishing blocks (1,2)
 PASS bridge-determinant-power blocks (1,2)
 FAIL bridge-scroll-vanishing blocks (1,3) (residual u[1]^3*s^6*t^6*v^2)
 FAIL bridge-determinant-power blocks (1,3)
-FAIL bridge-scroll-vanishing blocks (1,4) (residual u[1]^3*s^6*t^6*v^2)
+PASS bridge-scroll-vanishing blocks (1,4)
 FAIL bridge-determinant-power blocks (1,4)
-FAIL bridge-scroll-vanishing blocks (2,3) (residual u[1]^3*s^6*t^6*v^2)
+PASS bridge-scroll-vanishing blocks (2,3)
 FAIL bridge-determinant-power blocks (2,3)
-FAIL bridge-scroll-vanishing blocks (2,4) (residual u[1]^3*s^6*t^6*v^2)
+PASS bridge-scroll-vanishing blocks (2,4)
 FAIL bridge-determinant-power blocks (2,4)
 PASS bridge-scroll-vanishing blocks (3,4)
 PASS bridge-determinant-power blocks (3,4)
 FAIL parametrization-vanishing (55/56 generators vanish; failing: weight[4])
 PASS plucker-identity d=4
 FAIL suite for profile (2, 2, 3, 3)
-""", "1a1d696325adeba65ea1dc174983f4fbb9e75ea169da81991ba654f66e3d9465"),
+""", "7e1232b2dfae6cdfbdd90d6f2aacf5cfd81422d332a562ffda63da03ae283dc6"),
 }
 
 
@@ -209,21 +209,34 @@ def test_verify_reports_a_mutated_bridge_as_before(capsys, monkeypatch, profile,
         plain.splitlines()[:-1])
 
 
-def test_budget_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("SCROLLEQ_BUDGET", "10")
-    assert run(["--profile", "1,1", "enumerate", "--field", "3"]) == 3
-    monkeypatch.setenv("SCROLLEQ_BUDGET", "100000")
-    assert run(["--profile", "1,1", "enumerate", "--field", "3"]) == 0
-    capsys.readouterr()
+@pytest.mark.parametrize("pair", [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+                         ids=lambda pair: f"{pair[0]}{pair[1]}")
+def test_verify_reports_each_pairs_own_bridge(capsys, monkeypatch, pair):
+    # Blocks (1,3), (1,4), (2,3) and (2,4) of (2,2,3,3) share their degrees,
+    # but each scroll-vanishing line reads its own bridge: only the mutated
+    # pair fails, with its own residual.
+    from scrolleq import cli
+    from test_verify import bump_bridge
+
+    mutant = bump_bridge(cli.equation_set(cli.build_profile([2, 2, 3, 3])), pair)
+    monkeypatch.setattr(cli, "equation_set", lambda profile: mutant)
+    assert run(["--profile", "2,2,3,3", "verify"]) == 1
+    failed = [line for line in lines_of(capsys)
+              if line.startswith("FAIL bridge-scroll-vanishing")]
+    assert len(failed) == 1
+    assert failed[0].startswith(f"FAIL bridge-scroll-vanishing blocks ({pair[0]},{pair[1]}) "
+                                f"(residual u[{pair[0]}]")
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-5", ""])
-def test_bad_budget_env_is_usage_error(capsys, monkeypatch, value):
+@pytest.mark.parametrize("value", ["10", "abc", "0", "-5", ""])
+def test_budget_env_is_ignored(capsys, monkeypatch, value):
+    # The budget is --budget or the default; no environment variable sets it.
+    argv = ["--profile", "1,1", "enumerate", "--field", "3"]
+    assert run(argv) == 0
+    expected = capsys.readouterr()
     monkeypatch.setenv("SCROLLEQ_BUDGET", value)
-    assert run(["--profile", "1,1", "enumerate", "--field", "3"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: SCROLLEQ_BUDGET must be a positive integer")
-    assert err.count("\n") == 1
+    assert run(argv) == 0
+    assert capsys.readouterr() == expected
 
 
 @pytest.mark.parametrize("value", ["-1", "0"])
@@ -233,6 +246,38 @@ def test_bad_budget_flag_is_usage_error(capsys, value):
     assert err.startswith("error: --budget must be a positive integer")
     assert "budget exceeded" not in err
     assert err.count("\n") == 1
+
+
+def test_plucker_budget_is_checked_before_anything_is_built(capsys, monkeypatch):
+    # 400 n_i = 1 blocks pass the eager construction check (159,600 terms),
+    # but the Plucker identity would multiply 12 * C(400, 4) pairs of minor
+    # terms, some three hours of work.
+    from scrolleq import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the symbolic checks started")
+
+    for name in ["equation_set", "plucker_identity"]:
+        monkeypatch.setattr(cli, name, refuse)
+    start = time.perf_counter()
+    assert run(["--profile", ",".join(["1"] * 400), "verify"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"budget exceeded: the Plucker identity needs an estimated {12 * math.comb(400, 4)} "
+        "minor-term products, budget is 100000000\n"
+    )
+
+
+def test_plucker_budget_boundary(capsys):
+    # Five n_i = 1 blocks: 20 minor terms to build, 12 * C(5, 4) = 60 products.
+    argv = ["--profile", "1,1,1,1,1", "verify", "--budget"]
+    assert run(argv + ["59"]) == 3
+    assert capsys.readouterr().err == (
+        "budget exceeded: the Plucker identity needs an estimated 60 minor-term products, "
+        "budget is 59\n"
+    )
+    assert run(argv + ["60"]) == 0
+    assert capsys.readouterr().out.endswith("PASS suite for profile (1, 1, 1, 1, 1)\n")
 
 
 def test_nonprime_field_is_usage_error(capsys):
@@ -334,7 +379,7 @@ def test_construction_budget_boundary(capsys):
     check_construction_budget(equation_set(build_profile([2, 3, 5, 7])), DEFAULT_BUDGET)
 
 
-@pytest.mark.parametrize("command", ["equations", "verify", "enumerate", "export", "bench"])
+@pytest.mark.parametrize("command", ["equations", "verify", "enumerate", "export"])
 def test_eager_construction_is_refused_before_anything_is_built(capsys, monkeypatch, command):
     import scrolleq.cli
     import scrolleq.scroll
@@ -449,7 +494,7 @@ def test_export_rejects_plain():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["equations", "verify", "enumerate", "bench"])
+@pytest.mark.parametrize("command", ["equations", "verify", "enumerate"])
 @pytest.mark.parametrize("dialect", ["m2", "singular"])
 def test_script_format_is_usage_error_outside_export(capsys, command, dialect):
     with pytest.raises(SystemExit) as exc:
@@ -469,23 +514,6 @@ def test_export_reports_unwritable_out_before_the_format(capsys, tmp_path):
     # The --out check runs first and returns; the format check would exit.
     assert err.startswith(f"error: cannot write {target}:")
     assert err.count("\n") == 1
-
-
-# -- bench ---------------------------------------------------------------------------------
-
-
-def test_bench_rows(capsys):
-    assert run(["--profile", "1,2", "bench", "--field", "3"]) == 0
-    out = lines_of(capsys)
-    phases = [l.split("\t")[0] for l in out]
-    assert phases == ["construct", "symbolic", "enumerate q=3"]
-
-
-def test_bench_json_without_field(capsys):
-    assert run(["--profile", "1,1", "bench", "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert [row["phase"] for row in doc] == ["construct", "symbolic"]
-    assert all(row["ms"] >= 0 for row in doc)
 
 
 # -- flags and usage -------------------------------------------------------------------------
@@ -553,3 +581,13 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["--profile", "1,1", "frobnicate"])
     assert exc.value.code == 2
+
+
+def test_bench_is_not_a_command(capsys):
+    # Phase timings come from the scrollbench harness, not from the CLI.
+    with pytest.raises(SystemExit) as exc:
+        run(["--profile", "1,1", "bench"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'bench'" in captured.err

@@ -123,15 +123,15 @@ def test_bridge_mutant_fails_lazy_and_expanded_checks(monkeypatch, capsys):
     images = scroll_param_map(profile)
     residuals = {label: p.substitute(images) for label, p in eqset.system()}
     assert [label for label, r in residuals.items() if not r.is_zero()] == ["weight[5]"]
-    # The bridge identities are checked on the equation set's bridge for the
-    # first pair of blocks with each pair of degrees. Degrees (2,4) are first
-    # met at blocks (1,4), so blocks (2,4) report that result too.
+    # Each pair of blocks checks its own bridge's scroll vanishing. The
+    # determinant power is checked on the first pair of blocks with each pair
+    # of degrees: (2,4) is first met at blocks (1,4), so blocks (2,4) report
+    # that result too.
     assert run(["--profile", "2,2,3,4", "verify"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert [re.sub(r" \(residual .+\)$", "", line) for line in failed] == [
         "FAIL bridge-scroll-vanishing blocks (1,4)",
         "FAIL bridge-determinant-power blocks (1,4)",
-        "FAIL bridge-scroll-vanishing blocks (2,4)",
         "FAIL bridge-determinant-power blocks (2,4)",
         "FAIL parametrization-vanishing (66/67 generators vanish; failing: weight[5])",
         "FAIL suite for profile (2, 2, 3, 4)",
