@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--profile", type=_profile_arg,
                         help="comma-separated block degrees, e.g. 2,2,3,4")
     parser.add_argument("--field", type=int, metavar="Q",
-                        help="prime field size for enumeration")
+                        help="prime field size for enumeration; enumerate requires it")
     parser.add_argument("--format", dest="fmt", choices=["plain", "json", "m2", "singular"],
                         help="output format (export: m2|singular)")
     parser.add_argument("--seed", type=int, help="seed recorded in reports")
@@ -110,8 +110,9 @@ def _check_out(out: str | None) -> None:
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Check the parsed flags before any work, in this order: the profile,
     ``--out``, ``--field``, the budget, the format (``export`` writes
-    m2|singular and every other command plain|json), then the terms of the
-    curve equations and minors against the budget.
+    m2|singular and every other command plain|json), that ``enumerate`` has
+    ``--field``, then the terms of the curve equations and minors against
+    the budget.
     Fills in ``args.fmt`` and ``args.budget``; the budget is ``--budget``,
     a positive integer, or ``DEFAULT_BUDGET``."""
     if args.profile is None:
@@ -129,6 +130,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         parser.error(f"export needs --format m2|singular, got {args.fmt!r}")
     elif args.command != "export" and args.fmt not in ("plain", "json"):
         parser.error(f"{args.command} needs --format plain|json, got {args.fmt!r}")
+    if args.command == "enumerate" and args.field is None:
+        parser.error("enumerate needs --field")
     # Every command builds each curve equation (i + 1 terms for i < n_i) and
     # each 2-term minor at once, before any other budget check can run.
     n = args.profile.n
@@ -260,14 +263,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def default_field(profile: ScrollProfile) -> int:
-    """Default comparison field: 3, dropping to 2 for large ambient spaces."""
-    return 2 if profile.N >= 12 else 3
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    q = args.field if args.field is not None else default_field(args.profile)
-    report = compare_varieties(args.profile, q, budget=args.budget, seed=args.seed)
+    report = compare_varieties(args.profile, args.field, budget=args.budget, seed=args.seed)
     if args.fmt == "json":
         _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
     else:

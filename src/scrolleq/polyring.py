@@ -33,8 +33,10 @@ Multiplication, powers and substitution compute on a packed form instead
 involves a fixed bit field of one Python int, so a monomial product is an
 integer addition.  Each field is as wide as an exact bound on the exponents
 the operation can produce, so no field carries into the next.  The operation
-packs its inputs once and unpacks its result once; a ``Substitution`` packs
-its images once and then maps many polynomials.
+packs its inputs once and unpacks its result once.  A ``Substitution`` is a
+monomial map, every image one term or zero, as the scroll's parametrization
+is: it packs its images once, and then maps each term of many polynomials by
+adding keys.
 """
 
 from __future__ import annotations
@@ -368,7 +370,8 @@ class Polynomial:
         """Ring-homomorphism image under ``v -> images[v]``.
 
         Every variable of this polynomial needs an image, and all images must
-        share its domain.  This is a ``Substitution`` prepared for this one
+        share its domain and be single terms or zero; a multi-term image
+        raises ValueError.  This is a ``Substitution`` prepared for this one
         polynomial.
         """
         return Substitution(images, self.domain, max(0, self.total_degree()))(self)
@@ -463,18 +466,20 @@ def _packed_pow(base: dict, e: int, p: int | None) -> dict:
 
 
 class Substitution:
-    """The ring homomorphism ``v -> images[v]``, prepared once to map any
-    number of polynomials over ``domain`` of total degree at most ``degree``.
+    """The monomial map ``v -> images[v]``, prepared once to map any number of
+    polynomials over ``domain`` of total degree at most ``degree``.
 
-    The domain of every image is checked and every image is packed here.  A
-    single-term image is kept as its key and coefficient, so ``v^e`` maps to
-    ``e`` times the key and the ``e``-th power of the coefficient; the others
-    are multiplied out.  A field is as wide as ``degree`` times the largest
-    image degree, which bounds every exponent an image can produce.  Every
-    variable of a mapped polynomial needs an image.
+    Every image must be a single term or zero, and share ``domain``; both are
+    checked here, and a multi-term image raises ValueError.  Each image is
+    kept as its packed key and coefficient, so ``v^e`` maps to ``e`` times
+    the key and the ``e``-th power of the coefficient.  A zero image is key 0
+    with coefficient 0, which empties every term it is in.  A field is as
+    wide as ``degree`` times the largest image degree, which bounds every
+    exponent an image can produce.  Every variable of a mapped polynomial
+    needs an image.
     """
 
-    __slots__ = ("domain", "degree", "_packing", "_monomials", "_packed", "_powers")
+    __slots__ = ("domain", "degree", "_packing", "_monomials")
 
     def __init__(self, images: Mapping[VarId, Polynomial], domain: Domain, degree: int):
         for v, img in images.items():
@@ -482,69 +487,48 @@ class Substitution:
                 raise DomainMismatchError(
                     f"image of {v.render()} lives in {img.domain}, not {domain}"
                 )
-        # A zero image has degree -1 and empties every term it is in.
+            if len(img.terms) > 1:
+                raise ValueError(f"image of {v.render()} is not a single term: {img}")
         top = max((img.total_degree() for img in images.values()), default=0)
         self.domain = domain
         self.degree = degree
         self._packing = _Packing(
             {w for img in images.values() for w in img.variables()}, degree * max(0, top)
         )
-        packed = {v: self._packing.pack(img.terms) for v, img in images.items()}
-        self._monomials = {v: next(iter(f.items())) for v, f in packed.items() if len(f) == 1}
-        self._packed = {v: f for v, f in packed.items() if len(f) != 1}
-        self._powers: dict[tuple[VarId, int], dict] = {}
+        self._monomials = {
+            v: next(iter(self._packing.pack(img.terms).items()), (0, 0))
+            for v, img in images.items()
+        }
 
-    def __call__(self, poly: Polynomial) -> Polynomial:
+    def _image(self, poly: Polynomial) -> dict:
+        """The canonical packed image of ``poly``: each term's image is a key
+        and a coefficient, summed by key.  The running degree is checked
+        before each power of an image coefficient is taken."""
         if poly.domain != self.domain:
             raise DomainMismatchError(f"domain mismatch: {poly.domain} vs {self.domain}")
-        p, monomials, packed, powers = self.domain.p, self._monomials, self._packed, self._powers
-        bound = self.degree
-        out: dict[int, object] = {}
-        for mono, coeff in poly.terms.items():
-            # Single-term images only shift the key and scale the coefficient;
-            # the others are multiplied out after them.  The running degree
-            # is checked before each power of an image is taken.
-            key, c, factors, degree = 0, coeff, [], 0
+        monomials, bound, out = self._monomials, self.degree, {}
+        for mono, c in poly.terms.items():
+            key = degree = 0
             for v, e in mono:
                 degree += e
                 if degree > bound:
                     raise ValueError(
                         f"degree {poly.total_degree()} exceeds the prepared bound {bound}"
                     )
-                if v in monomials:
+                try:
                     k, fc = monomials[v]
-                    key, c = key + e * k, c * fc**e
-                    continue
-                f = powers.get((v, e))
-                if f is None:
-                    if v not in packed:
-                        raise ValueError(f"no image for variable {v.render()}")
-                    f = powers[v, e] = _packed_pow(packed[v], e, p)
-                factors.append(f)
-            prod = {key: c}
-            for f in factors:
-                prod = _packed_mul(prod, f, p)
-            for k, c in prod.items():
-                out[k] = out.get(k, 0) + c
-        return self._packing.unpack(self.domain, _canonical(out, p))
-
-    def vanishes(self, poly: Polynomial) -> bool:
-        """Whether ``poly`` maps to zero.  With single-term images for all its
-        variables, each term's image is a packed key and a coefficient, summed
-        by key; any other ``poly`` is mapped in full, with every check of a call."""
-        monomials, bound, out = self._monomials, self.degree, {}
-        if poly.domain != self.domain:
-            return self(poly).is_zero()
-        for mono, c in poly.terms.items():
-            key = degree = 0
-            for v, e in mono:
-                degree += e
-                if degree > bound or v not in monomials:
-                    return self(poly).is_zero()
-                k, fc = monomials[v]
+                except KeyError:
+                    raise ValueError(f"no image for variable {v.render()}") from None
                 key, c = key + e * k, c * fc**e
             out[key] = out.get(key, 0) + c
-        return not _canonical(out, self.domain.p)
+        return _canonical(out, self.domain.p)
+
+    def __call__(self, poly: Polynomial) -> Polynomial:
+        return self._packing.unpack(self.domain, self._image(poly))
+
+    def vanishes(self, poly: Polynomial) -> bool:
+        """Whether ``poly`` maps to zero, without unpacking its image."""
+        return not self._image(poly)
 
 
 # ---------------------------------------------------------------------------

@@ -159,10 +159,9 @@ def bridge_meta(a: int, b: int) -> BridgeMeta:
     return BridgeMeta(a, b, m, m // a, m // b)
 
 
-def bridge(
-    a: int, b: int, x_block: int = 1, y_block: int = 2
-) -> tuple[BridgeMeta, Polynomial]:
-    """The bridge polynomial coupling a degree-a block and a degree-b block.
+def bridge(a: int, b: int, x_block: int = 1, y_block: int = 2) -> Polynomial:
+    """The bridge polynomial coupling a degree-a block and a degree-b block;
+    ``bridge_meta(a, b)`` gives its arithmetic.
 
     Term alpha (0 <= alpha <= m) is (-1)^alpha * C(m, alpha) *
     x[a-c-1]^r * x[a-c]^(p-r) * y[e]^(q-f) * y[e+1]^f with
@@ -185,7 +184,7 @@ def bridge(
           for e in range(b) for f in range(q)] + [((y[b], q),)]
     if y_block < x_block:
         xs, ys = ys, xs
-    return meta, _raw_poly(ZZ, {u + w: c for u, w, c in zip(xs, ys, binomial_row(m))})
+    return _raw_poly(ZZ, {u + w: c for u, w, c in zip(xs, ys, binomial_row(m))})
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +282,7 @@ class EquationSet:
     def bridges(self) -> dict[tuple[int, int], Polynomial]:
         """Bridge (i, j) for each pair i < j in group order, built on first read."""
         n = self.profile.n
-        return {(i, j): bridge(n[i - 1], n[j - 1], i, j)[1]
-                for g in self.groups for i, j in g.pairs}
+        return {(i, j): bridge(n[i - 1], n[j - 1], i, j) for g in self.groups for i, j in g.pairs}
 
     @property
     def claimed_arithmetic_rank(self) -> int:

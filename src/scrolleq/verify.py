@@ -168,7 +168,7 @@ def check_bridge_scroll_vanishing(a: int, b: int, i=1, j=2, br=None) -> tuple[bo
     the bridge ``br`` on blocks (i, j), built when not given; returns
     (vanished, residual).
     """
-    br = bridge(a, b, i, j)[1] if br is None else br
+    br = bridge(a, b, i, j) if br is None else br
     images = {
         **_curve_images(i, a, VAR_S, VAR_T, u_var(i)),
         **_curve_images(j, b, VAR_S, VAR_T, VAR_V),
@@ -187,7 +187,7 @@ def check_bridge_determinant_power(a: int, b: int, i=1, j=2, br=None) -> bool:
     is checked first: row[0] = 1 and (k + 1) * row[k + 1] = -(m - k) * row[k]
     fix it, so a wrong row cannot agree with a bridge built from it.
     """
-    br = bridge(a, b, i, j)[1] if br is None else br
+    br = bridge(a, b, i, j) if br is None else br
     images = {**_curve_images(i, a, VAR_S, VAR_T), **_curve_images(j, b, VAR_Z, VAR_W)}
     lhs = br.substitute(images)
     m = math.lcm(a, b)

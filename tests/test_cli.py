@@ -116,19 +116,20 @@ def test_deep_walk_stays_under_the_recursion_limit(capsys):
     assert out.endswith("count_J = 3, count_P = 3, witnesses = 0\nPASS: point sets agree\n")
 
 
-def test_enumerate_field_defaults():
-    from scrolleq import build_profile
-    from scrolleq.cli import default_field
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["plain", "json"])
+def test_enumerate_without_field_is_usage_error(capsys, monkeypatch, fmt):
+    from scrolleq import cli
 
-    assert default_field(build_profile([1, 1])) == 3
-    assert default_field(build_profile([2, 2, 3, 4])) == 2
+    def refuse(*args, **kwargs):
+        raise AssertionError("an enumeration ran")
 
-
-def test_enumerate_without_field_uses_default(capsys):
-    assert run(["--profile", "1,1", "enumerate"]) == 0
-    assert "GF(3)" in capsys.readouterr().out
-    assert run(["--profile", "2,2,3,4", "enumerate"]) == 0
-    assert "GF(2)" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "compare_varieties", refuse)
+    with pytest.raises(SystemExit) as exc:
+        run(["--profile", "1,2", "enumerate", *fmt])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: enumerate needs --field\n")
 
 
 def test_enumerate_budget_exit_code(capsys):
@@ -391,8 +392,9 @@ def test_eager_construction_is_refused_before_anything_is_built(capsys, monkeypa
     for module in (scrolleq.cli, scrolleq.scroll, scrolleq.verify):
         monkeypatch.setattr(module, "equation_set", refuse)
     n = 10**20 - 1
+    field = ["--field", "2"] if command == "enumerate" else []
     start = time.perf_counter()
-    assert run(["--profile", str(n), command]) == 3
+    assert run(["--profile", str(n), command, *field]) == 3
     assert time.perf_counter() - start < 1.0
     estimate = (n - 1) * (n + 2) // 2 + n * (n - 1)
     assert capsys.readouterr().err == (

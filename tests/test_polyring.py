@@ -141,7 +141,7 @@ def test_add_assembles_bridge_head():
     second = term(-4, [(X2, 1), (X1, 1), (Y1, 1)])
     combined = lead + second
     assert combined.num_terms() == 2
-    _, full = bridge(2, 4)
+    full = bridge(2, 4)
     for mono, coeff in combined.terms.items():
         assert full.terms[mono] == coeff
 
@@ -209,7 +209,7 @@ def test_pow_binomial_fourth():
 
 
 def test_pow_bridge_fifth_degree():
-    _, b = bridge(2, 4)
+    b = bridge(2, 4)
     p5 = b**5
     assert p5.is_homogeneous()
     assert p5.total_degree() == 15
@@ -257,7 +257,7 @@ def test_substitute_bridge_on_scroll_points_vanishes():
     # Both blocks over one base point: the bridge of equal blocks collapses.
     from scrolleq import VAR_V, u_var
 
-    _, b22 = bridge(2, 2)
+    b22 = bridge(2, 2)
     images = {}
     for j in range(3):
         images[x_var(1, j)] = term(1, [(u_var(1), 1), (VAR_S, 2 - j), (VAR_T, j)])
@@ -276,12 +276,28 @@ def test_substitute_rejects_foreign_domain():
         var(X0, ZZ).substitute({X0: var(X1, GF(3))})
 
 
+@pytest.mark.parametrize("dom", [ZZ, GF(3)], ids=str)
+def test_multi_term_image_is_refused(dom):
+    two_terms = var(X0, dom) + var(X2, dom)
+    message = re.escape(f"image of x[1][1] is not a single term: {two_terms}")
+    images = {X0: var(X0, dom), X1: two_terms}
+    with pytest.raises(ValueError, match=message):
+        Substitution(images, dom, 2)
+    with pytest.raises(ValueError, match=message):
+        var(X1, dom).substitute(images)
+    # Zero and constant images are single terms or none.
+    images[X1] = Polynomial.zero(dom)
+    assert term(1, [(X0, 1), (X1, 1)], dom).substitute(images).is_zero()
+    images[X1] = Polynomial.const(2, dom)
+    assert term(1, [(X0, 1), (X1, 1)], dom).substitute(images) == term(2, [(X0, 1)], dom)
+
+
 def test_vanishes_agrees_with_the_full_map():
-    # Single-term images are compared by packed key; a multi-term image is
-    # mapped in full.  Both must give the verdict of __call__.
+    # vanishes reads the packed image that __call__ unpacks, so both give one
+    # verdict, through a zero image and through terms whose images cancel.
     images = {X0: term(1, [(VAR_S, 2)]), X1: term(1, [(VAR_S, 1), (VAR_T, 1)]),
               X2: term(1, [(VAR_T, 2)]), Y0: term(-3, [(VAR_Z, 1)]),
-              Y1: var(VAR_Z) - var(VAR_W), Y2: Polynomial.zero(ZZ)}
+              Y1: term(2, [(VAR_Z, 1), (VAR_W, 1)]), Y2: Polynomial.zero(ZZ)}
     sub = Substitution(images, ZZ, 4)
     conic = term(1, [(X0, 1), (X2, 1)]) - term(1, [(X1, 2)])
     polys = [
@@ -346,7 +362,7 @@ def test_reduce_drops_characteristic_multiples():
 def test_reduce_bridge_mod_two():
     # Coefficients 1, -4, 6, -4, 1 reduce to 1, 0, 0, 0, 1: only the two
     # extreme terms survive in characteristic 2.
-    _, b = bridge(2, 4)
+    b = bridge(2, 4)
     expected = Polynomial.term(1, [(X2, 2), (Y0, 1)], GF(2)) + Polynomial.term(
         1, [(X0, 2), (Y4, 1)], GF(2)
     )
@@ -355,7 +371,7 @@ def test_reduce_bridge_mod_two():
 
 def test_reduce_bridge_mod_three():
     # 1, -4, 6, -4, 1 mod 3 -> 1, 2, 0, 2, 1: the middle term drops.
-    _, b = bridge(2, 4)
+    b = bridge(2, 4)
     r = b.reduce_mod(3)
     assert r.num_terms() == 4
     assert sorted(r.terms.values()) == [1, 1, 2, 2]

@@ -150,10 +150,10 @@ def test_bridge_meta():
 
 
 def test_bridge_golden_tables():
-    assert bridge(2, 4)[1] == bridge_from_table(BRIDGE_2_4, 1, 2)
-    assert bridge(2, 3)[1] == bridge_from_table(BRIDGE_2_3, 1, 2)
-    assert bridge(2, 2)[1] == bridge_from_table(BRIDGE_2_2, 1, 2)
-    assert bridge(3, 4)[1] == bridge_from_table(BRIDGE_3_4, 1, 2)
+    assert bridge(2, 4) == bridge_from_table(BRIDGE_2_4, 1, 2)
+    assert bridge(2, 3) == bridge_from_table(BRIDGE_2_3, 1, 2)
+    assert bridge(2, 2) == bridge_from_table(BRIDGE_2_2, 1, 2)
+    assert bridge(3, 4) == bridge_from_table(BRIDGE_3_4, 1, 2)
 
 
 def test_bridge_equal_blocks_formula():
@@ -164,7 +164,7 @@ def test_bridge_equal_blocks_formula():
             expected = expected + Polynomial.term(
                 (-1) ** j * math.comb(a, j), [(x_var(1, a - j), 1), (x_var(2, j), 1)]
             )
-        assert bridge(a, a)[1] == expected
+        assert bridge(a, a) == expected
 
 
 def test_bridge_trivial_case():
@@ -176,7 +176,7 @@ def test_bridge_trivial_case():
 def test_bridge_constructions_agree():
     for a in range(1, 9):
         for b in range(1, 9):
-            meta, direct = bridge(a, b)
+            meta, direct = bridge_meta(a, b), bridge(a, b)
             listed = bridge_via_lists(a, b)
             assert direct == listed, (a, b)
             assert direct.num_terms() == meta.m + 1
@@ -185,7 +185,7 @@ def test_bridge_constructions_agree():
 def test_bridge_homogeneity_and_block_degrees():
     for a in range(1, 7):
         for b in range(1, 7):
-            meta, p = bridge(a, b, 3, 5)
+            meta, p = bridge_meta(a, b), bridge(a, b, 3, 5)
             assert p.is_homogeneous()
             assert p.total_degree() == meta.degree
             for mono in p.terms:
@@ -200,8 +200,8 @@ def test_bridge_swap_symmetry():
     # least common multiple is odd.
     for a in range(1, 7):
         for b in range(1, 7):
-            meta, forward = bridge(a, b, 1, 2)
-            _, backward = bridge(b, a, 2, 1)
+            meta, forward = bridge_meta(a, b), bridge(a, b, 1, 2)
+            backward = bridge(b, a, 2, 1)
             expected = forward if meta.m % 2 == 0 else -forward
             assert backward == expected, (a, b)
 
@@ -219,7 +219,7 @@ def test_bridge_is_canonical_as_built():
     for a in range(1, 9):
         for b in range(1, 9):
             for blocks in [(1, 2), (2, 1), (3, 5), (5, 3)]:
-                assert_canonical_as_built(bridge(a, b, *blocks)[1])
+                assert_canonical_as_built(bridge(a, b, *blocks))
 
 
 def test_curve_equation_is_canonical_as_built():
@@ -379,7 +379,7 @@ def test_equation_set_surface_counts():
     labels = [label for label, _ in es.system()]
     assert labels == ["curve[1][1]", "curve[1][2]", "curve[2][1]", "curve[2][2]",
                       "curve[2][3]", "weight[3]"]
-    assert es.system()[-1] == ("weight[3]", bridge(3, 4)[1])
+    assert es.system()[-1] == ("weight[3]", bridge(3, 4))
 
 
 def test_equation_set_2234_labels():

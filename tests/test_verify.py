@@ -108,11 +108,11 @@ def test_bridge_mutant_fails_lazy_and_expanded_checks(monkeypatch, capsys):
     bridge = scroll.bridge
 
     def mutant(a, b, x_block=1, y_block=2):
-        meta, br = bridge(a, b, x_block, y_block)
+        br = bridge(a, b, x_block, y_block)
         if (x_block, y_block) == (1, 4):
             lead, _ = br.sorted_terms()[0]
             br = br + Polynomial(ZZ, {lead: 1})
-        return meta, br
+        return br
 
     monkeypatch.setattr(scroll, "bridge", mutant)
     profile = build_profile([2, 2, 3, 4])
@@ -176,7 +176,7 @@ def test_bridge_determinant_power_examples():
 
 def test_bridge_determinant_power_fails_a_coefficient_off_by_one():
     for a, b in [(1, 1), (2, 3), (4, 6)]:
-        _, br = bridge(a, b, 1, 2)
+        br = bridge(a, b, 1, 2)
         for mono in list(br.terms)[:: max(1, len(br.terms) // 3)]:
             assert not check_bridge_determinant_power(a, b, br=br + Polynomial(ZZ, {mono: 1}))
 
@@ -213,7 +213,7 @@ def test_bridge_curve_pair_substitution_base_case():
     # By hand for degrees (1, 1): the bridge becomes t*z - s*w itself.
     from scrolleq import bridge
 
-    _, b11 = bridge(1, 1)
+    b11 = bridge(1, 1)
     images = {
         x_var(1, 0): Polynomial.variable(VAR_S),
         x_var(1, 1): Polynomial.variable(VAR_T),
