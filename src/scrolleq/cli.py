@@ -22,7 +22,7 @@ import sys
 from .export import cas_script
 from .polyring import is_prime
 from .scroll import ScrollProfile, build_profile, equation_set
-from .textio import json_array_text, poly_json_text
+from .textio import json_array_text, polys_json_text
 from .verify import (
     BudgetExceededError,
     DEFAULT_BUDGET,
@@ -154,7 +154,7 @@ def cmd_equations(args: argparse.Namespace) -> int:
     if args.fmt == "json":
         # The bytes json.dumps(doc, indent=2) gives: the scalar fields through
         # json, cut before their closing "\n}", then the polynomials written
-        # directly by poly_json_text.
+        # directly by polys_json_text.
         header = json.dumps({
             "profile": list(profile.n),
             "d": profile.d,
@@ -162,12 +162,12 @@ def cmd_equations(args: argparse.Namespace) -> int:
             "system_size": eqset.system_size,
             "arithmetic_rank": eqset.claimed_arithmetic_rank,
         }, indent=2)
+        system = eqset.system()
         generators = [
-            f'{{\n      "label": {json.dumps(label)},\n'
-            f'      "poly": {poly_json_text(p, 3)}\n    }}'
-            for label, p in eqset.system()
+            f'{{\n      "label": {json.dumps(label)},\n      "poly": {poly}\n    }}'
+            for (label, _), poly in zip(system, polys_json_text([p for _, p in system], 3))
         ]
-        minors = [poly_json_text(p, 2) for p in eqset.minor_gens]
+        minors = polys_json_text(eqset.minor_gens, 2)
         _emit(
             f'{header[:-2]},\n  "generators": {json_array_text(generators, 1)},\n'
             f'  "minors": {json_array_text(minors, 1)}\n}}\n',

@@ -9,6 +9,8 @@ repeated invocations are byte-identical.
 
 from __future__ import annotations
 
+import functools
+
 from .polyring import NS_SCROLL, VarId, format_poly
 from .scroll import EquationSet
 
@@ -50,6 +52,8 @@ def cas_script(eqset: EquationSet, dialect: str) -> str:
         raise ValueError(f"unknown dialect {dialect!r} (supported: {', '.join(_DIALECTS)})")
     comment, spelling, ring, (opening, closing), check = _DIALECTS[dialect]
 
+    # Each variable is spelled once per script; a refusal raises every time.
+    @functools.cache
     def var_name(v: VarId) -> str:
         if v.ns != NS_SCROLL:
             raise ValueError(f"cannot export auxiliary variable {v.render()}")

@@ -221,8 +221,9 @@ def grevlex_key(mono: tuple) -> tuple:
     """Sort key of the canonical order: total degree, then reverse
     lexicographic.  Walking up from the smallest variable, the first
     difference decides: weight on the smaller variable, or a smaller
-    exponent on the same one, makes the larger monomial."""
-    return (sum(e for _, e in mono), tuple([(v, -e) for v, e in mono]))
+    exponent on the same one, makes the larger monomial.  The tail is a
+    list, which compares like a tuple and is cheaper to build."""
+    return (sum([e for _, e in mono]), [(v, -e) for v, e in mono])
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +543,12 @@ def format_poly(p: Polynomial, var_name=VarId.render, space: str = " ") -> str:
     ``var_name`` spells each variable and ``space`` pads the ``+``/``-``
     joiners.  The defaults give the canonical text that ``textio.parse_poly``
     reads; the script exporters pass their dialect's names and no padding.
+    Each distinct (variable, exponent) factor is spelled once per call.
     """
     if not p.terms:
         return "0"
     plus, minus = f"{space}+{space}", f"{space}-{space}"
+    spelled: dict[tuple[VarId, int], str] = {}
     parts: list[str] = []
     for mono, coeff in p.sorted_terms():
         mag = str(coeff)
@@ -557,9 +560,14 @@ def format_poly(p: Polynomial, var_name=VarId.render, space: str = " ") -> str:
         if not mono:
             parts.append(mag)
         else:
-            factors = "*".join(
-                [var_name(v) if e == 1 else f"{var_name(v)}^{e}" for v, e in mono]
-            )
+            names = []
+            for factor in mono:
+                name = spelled.get(factor)
+                if name is None:
+                    v, e = factor
+                    name = spelled[factor] = var_name(v) if e == 1 else f"{var_name(v)}^{e}"
+                names.append(name)
+            factors = "*".join(names)
             parts.append(factors if mag == "1" else f"{mag}*{factors}")
     parts[0] = "-" if parts[0] == minus else ""
     return "".join(parts)

@@ -22,6 +22,9 @@ JSON form:
 parameters are encoded with block 0 and a fixed slot code (s=1, t=2, z=3,
 w=4, v=5, u[i]=1000+i, t[i]=2000+i).  Entries are sorted by (i, j) and terms
 appear in descending canonical order, so the serialization is byte-stable.
+Each call below keeps its own tables, shared with no other call: ``parse_poly``
+builds each distinct variable once, ``poly_from_json`` decodes each distinct
+``(i, j)`` once and ``polys_json_text`` renders each distinct factor once.
 """
 
 from __future__ import annotations
@@ -108,10 +111,9 @@ def _fail(text: str, k: int, message: str) -> ParseError:
     return _error(text, tok.start(1) if tok else len(text), message)
 
 
-def _expect(text: str, toks: list[str], k: int, kind: str) -> str:
-    if _kind(toks[k]) != kind:
-        raise _fail(text, k, f"expected {kind!r}, found {_kind(toks[k])!r}")
-    return toks[k]
+def _unexpected(text: str, toks: list[str], k: int, kind: str) -> ParseError:
+    """The error for token ``k`` where a token of ``kind`` was expected."""
+    return _fail(text, k, f"expected {kind!r}, found {_kind(toks[k])!r}")
 
 
 def _int(text: str, toks: list[str], k: int) -> int:
@@ -120,8 +122,9 @@ def _int(text: str, toks: list[str], k: int) -> int:
         return int(toks[k])
     except ValueError:
         pass
-    tok = _expect(text, toks, k, "int")
-    raise _fail(text, k, f"integer too long ({len(tok)} digits)")
+    if not toks[k].isdigit():
+        raise _unexpected(text, toks, k, "int")
+    raise _fail(text, k, f"integer too long ({len(toks[k])} digits)")
 
 
 def parse_poly(text: str, ctx: ParseContext | None = None) -> Polynomial:
@@ -133,6 +136,7 @@ def parse_poly(text: str, ctx: ParseContext | None = None) -> Polynomial:
     dom, sizes = ctx.domain, ctx.block_sizes
     toks = _TOKEN.findall(text)
     toks.append("")
+    variables: dict[tuple, VarId] = {}
     terms = []
     i = 1 if toks[0] in _SIGNS else 0
     sign = -1 if toks[0] == "-" else 1
@@ -153,7 +157,9 @@ def parse_poly(text: str, ctx: ParseContext | None = None) -> Polynomial:
         while more:
             # power := variable [ '^' exponent ]
             at = i
-            name = _expect(text, toks, i, "name")
+            name = toks[i]
+            if not name.isalpha():
+                raise _unexpected(text, toks, i, "name")
             i += 1
             if name in ("x", "u") or (name == "t" and toks[i] == "["):
                 index = []
@@ -161,20 +167,23 @@ def parse_poly(text: str, ctx: ParseContext | None = None) -> Polynomial:
                     if toks[i] != "[":
                         raise _fail(text, i, f"variable {name!r} requires an index")
                     value = _int(text, toks, i + 1)
-                    _expect(text, toks, i + 2, "]")
+                    if toks[i + 2] != "]":
+                        raise _unexpected(text, toks, i + 2, "]")
                     if value < minimum:
                         raise _fail(text, i, f"index {value} out of range")
                     index.append(value)
                     i += 3
-                if name == "x":
+                key = (name, *index)
+                v = variables.get(key)
+                if v is None and name == "x":
                     block, slot = index
                     if sizes is not None and not (
                         1 <= block <= len(sizes) and slot <= sizes[block - 1]
                     ):
                         raise _fail(text, at, f"unknown variable x[{block}][{slot}]")
-                    v = x_var(block, slot)
-                else:
-                    v = (u_var if name == "u" else t_var)(index[0])
+                    v = variables[key] = x_var(block, slot)
+                elif v is None:
+                    v = variables[key] = (u_var if name == "u" else t_var)(index[0])
             elif name in _SCALARS:
                 if toks[i] == "[":
                     raise _fail(text, i, f"variable {name!r} takes no index")
@@ -281,27 +290,31 @@ def json_array_text(items: list[str], level: int) -> str:
     return f"[{inner}{f',{inner}'.join(items)}\n{'  ' * level}]"
 
 
-def poly_json_text(p: Polynomial, level: int = 0) -> str:
-    """``json.dumps(poly_to_json(p), indent=2)`` for ``p`` at depth ``level``
-    of an indented document, written directly: any ``indent`` puts json on
-    its pure-Python encoder."""
-    n1, n2, n3, n4, n5 = ("\n" + "  " * (level + k) for k in range(1, 6))
-    dom = p.domain
-    domain = '"Z"' if dom.p is None else f'{{{n2}"Fp": {dom.p}{n1}}}'
-    terms = []
-    for mono, coeff in p.sorted_terms():
-        exps = [
-            f"[{n5}{i},{n5}{j},{n5}{e}{n4}]"
-            for i, j, e in sorted((*_encode_var(v), e) for v, e in mono)
-        ]
-        # The coefficient is an integer: nothing to escape.
-        terms.append(
-            f'{{{n3}"coeff": "{coeff}",{n3}"exps": {json_array_text(exps, level + 3)}{n2}}}'
-        )
-    return (
-        f'{{{n1}"domain": {domain},{n1}"terms": {json_array_text(terms, level + 1)}'
-        f'\n{"  " * level}}}'
-    )
+def polys_json_text(polys, level: int = 0) -> list[str]:
+    """``json.dumps(poly_to_json(p), indent=2)`` for each ``p`` at depth ``level``,
+    written directly (any ``indent`` puts json on its pure-Python encoder), with
+    the indentation and each distinct factor's ``[i, j, e]`` entry built once."""
+    n0, n1, n2, n3, n4, n5 = ("\n" + "  " * (level + k) for k in range(6))
+    entries: dict[tuple[VarId, int], tuple[int, int, str]] = {}
+    out = []
+    for p in polys:
+        domain = '"Z"' if p.domain.p is None else f'{{{n2}"Fp": {p.domain.p}{n1}}}'
+        terms = []
+        for mono, coeff in p.sorted_terms():
+            exps = []
+            for factor in mono:
+                entry = entries.get(factor)
+                if entry is None:
+                    i, j = _encode_var(factor[0])
+                    entry = entries[factor] = (i, j, f"[{n5}{i},{n5}{j},{n5}{factor[1]}{n4}]")
+                exps.append(entry)
+            exps.sort()  # by (i, j), distinct within a monomial
+            exps_text = f"[{n4}{f',{n4}'.join([e[2] for e in exps])}{n3}]" if exps else "[]"
+            # The coefficient is an integer: nothing to escape.
+            terms.append(f'{{{n3}"coeff": "{coeff}",{n3}"exps": {exps_text}{n2}}}')
+        terms_text = f"[{n2}{f',{n2}'.join(terms)}{n1}]" if terms else "[]"
+        out.append(f'{{{n1}"domain": {domain},{n1}"terms": {terms_text}{n0}}}')
+    return out
 
 
 def poly_from_json(obj) -> Polynomial:
@@ -311,6 +324,7 @@ def poly_from_json(obj) -> Polynomial:
     if type(obj) is not dict or "domain" not in obj or type(obj.get("terms")) is not list:
         raise ValueError('a polynomial is an object with "domain" and a "terms" list')
     dom = domain_from_json(obj["domain"])
+    variables: dict[tuple[int, int], VarId] = {}
     terms = []
     for entry in obj["terms"]:
         if type(entry) is not dict or type(entry.get("exps")) is not list:
@@ -321,13 +335,17 @@ def poly_from_json(obj) -> Polynomial:
                 i, j, e = exp
             except (TypeError, ValueError):
                 raise ValueError(f"exps entry {exp!r} is not [block, slot, exponent]") from None
-            # A bool is an int to isinstance, so the type is compared exactly.
-            # A negative exponent is refused by the Polynomial constructor.
+            # A bool is an int to isinstance, so types are compared exactly, and
+            # (i, j) is looked up only once they pass: True == 1 and [1] is
+            # unhashable.  The Polynomial constructor refuses a negative exponent.
             if type(e) is not int:
                 raise ValueError(f"exponent {e!r} is not an integer")
             if e > MAX_EXPONENT:
                 raise ValueError(f"exponent overflow ({e} > {MAX_EXPONENT})")
-            factors.append((_decode_var(i, j), e))
+            v = variables.get((i, j)) if type(i) is type(j) is int else None
+            if v is None:
+                v = variables[i, j] = _decode_var(i, j)
+            factors.append((v, e))
         terms.append((factors, _coeff_from_string(entry.get("coeff"), dom)))
     # As in the text parser, the constructor merges repeated monomials.
     return Polynomial(dom, terms)

@@ -1,8 +1,10 @@
 """Script generation tests: determinism and structural content."""
 
+from dataclasses import replace
+
 import pytest
 
-from scrolleq import build_profile, equation_set
+from scrolleq import Polynomial, build_profile, equation_set, u_var, x_var
 from scrolleq.export import cas_script
 
 
@@ -56,3 +58,16 @@ def test_rendering_has_no_canonical_text_syntax():
     # Exported polynomials must use dialect variable names, not x[i][j].
     for dialect in ("m2", "singular"):
         assert "x[" not in cas_script(equation_set(build_profile([2, 2])), dialect)
+
+
+@pytest.mark.parametrize("dialect", ["m2", "singular"])
+def test_auxiliary_variable_is_refused_after_spelled_scroll_variables(dialect):
+    eqset = equation_set(build_profile([2, 3]))
+    (i, j, p), *rest = eqset.curve_gens
+    # x[1][0] and x[1][1] are spelled in the ring line, and again in this
+    # term just before u[1].
+    term = Polynomial.term(1, [(x_var(1, 0), 1), (x_var(1, 1), 1), (u_var(1), 1)])
+    mutant = replace(eqset, curve_gens=((i, j, p + term), *rest))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^cannot export auxiliary variable u\[1\]$"):
+            cas_script(mutant, dialect)

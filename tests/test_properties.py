@@ -39,7 +39,7 @@ from scrolleq import (
     x_var,
 )
 from scrolleq import verify
-from scrolleq.textio import poly_json_text, poly_to_json
+from scrolleq.textio import poly_to_json, polys_json_text
 
 VARS = [x_var(1, 0), x_var(1, 1), x_var(1, 2), x_var(2, 0), x_var(2, 1), VAR_S, VAR_T, u_var(1)]
 
@@ -630,10 +630,13 @@ def json_polys(draw):
     return p + Polynomial.const(draw(coeffs), dom)
 
 
-@given(json_polys(), st.integers(0, 4))
-@example(Polynomial.zero(ZZ), 2)
-@example(Polynomial.const(-3, ZZ), 0)
-@example(Polynomial.const(3, GF(7)), 3)
-def test_json_writer_matches_indented_dumps(p, level):
-    expected = json.dumps(poly_to_json(p), indent=2).replace("\n", "\n" + "  " * level)
-    assert poly_json_text(p, level) == expected
+@given(st.lists(json_polys(), min_size=1, max_size=5), st.integers(0, 4))
+@example([Polynomial.zero(ZZ)], 2)
+@example([Polynomial.const(-3, ZZ)], 0)
+@example([Polynomial.const(3, GF(7))], 3)
+def test_json_writer_matches_indented_dumps(ps, level):
+    # One call renders the whole list from one table of [i, j, e] entries.
+    expected = [
+        json.dumps(poly_to_json(p), indent=2).replace("\n", "\n" + "  " * level) for p in ps
+    ]
+    assert polys_json_text(ps, level) == expected

@@ -286,10 +286,21 @@ def test_json_accepts_exponents_from_zero_to_the_limit():
 
 @pytest.mark.parametrize("block, slot", [
     ("1", 0), (1, "0"), (1.0, 0), (1, 0.0), (True, 0), (1, False), (None, 0), (0, True),
+    # Unhashable: refused by the type check, before (i, j) is looked up.
+    ([1], 0), (1, [0]), ({}, 0),
 ])
 def test_json_refuses_non_integer_blocks_and_slots(block, slot):
     with pytest.raises(ValueError, match="invalid variable encoding"):
         poly_from_json(one_factor_doc(block, slot, 1))
+
+
+@pytest.mark.parametrize("twin", [[True, 0, 1], [1, False, 1], [1.0, 0, 1]])
+def test_json_refuses_a_non_integer_twin_of_a_decoded_variable(twin):
+    # True == 1.0 == 1 and they hash alike, so the twin of the decoded [1, 0]
+    # must be refused by its type, not found in the table of decoded pairs.
+    doc = {"domain": "Z", "terms": [{"coeff": "1", "exps": [[1, 0, 1], twin]}]}
+    with pytest.raises(ValueError, match="invalid variable encoding"):
+        poly_from_json(doc)
 
 
 @pytest.mark.parametrize("p", [7.0, "7", True, None])
