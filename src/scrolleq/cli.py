@@ -192,19 +192,14 @@ def _run_checks(args: argparse.Namespace):
     """The symbolic checks, then the variety comparison under ``--field``, as
     (name, passed, detail) lines, and the comparison's report or None.
 
-    Work that depends on the profile and q alone is refused first: the block
-    walks under ``--field``, and the Plucker identity's 12 products of
-    two-term minors per quadruple of blocks.  Each pair of blocks reports its
-    own bridge's scroll vanishing.  The determinant power depends only on the
-    block degrees (a, b), so it is checked once, on the first pair of blocks
-    with them, and every pair with those degrees reports that verdict."""
+    The block walks under ``--field`` depend on the profile and q alone, so
+    they are refused first.  Each pair of blocks reports its own bridge's
+    scroll vanishing.  The determinant power depends only on the block
+    degrees (a, b), so it is checked once, on the first pair of blocks with
+    them, and every pair with those degrees reports that verdict."""
     profile, field = args.profile, args.field
     if field is not None:
         check_block_walk_budget(profile, field, args.budget)
-    products = 12 * math.comb(profile.d, 4)
-    if products > args.budget:
-        raise BudgetExceededError(products, args.budget, "the Plucker identity",
-                                  "minor-term products")
     eqset = equation_set(profile)
     param = check_parametrization(profile, eqset=eqset)
     checks = []
@@ -224,9 +219,7 @@ def _run_checks(args: argparse.Namespace):
     if not param.passed:
         detail += "; failing: " + ", ".join(c.label for c in param.failures()[:5])
     checks.append(("parametrization-vanishing", param.passed, detail))
-    ok, failures = plucker_identity(profile.d)
-    detail = "" if ok else f"failing quadruples {failures[:3]}"
-    checks.append((f"plucker-identity d={profile.d}", ok, detail))
+    checks.append((f"plucker-identity d={profile.d}", *plucker_identity(profile.d)))
     report = None
     if field is not None:
         report = compare_varieties(profile, field, budget=args.budget, seed=args.seed, eqset=eqset)

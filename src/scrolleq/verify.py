@@ -35,7 +35,6 @@ from .polyring import (
     Polynomial,
     Substitution,
     VarId,
-    _Packing,
     _raw_poly,
     binomial_row,
     monomial,
@@ -208,29 +207,36 @@ def generic_minor(i: int, j: int) -> Polynomial:
     return Polynomial(ZZ, {((t_var(i), 1), (u_var(j), 1)): 1, ((u_var(i), 1), (t_var(j), 1)): -1})
 
 
-def plucker_identity(d: int) -> tuple[bool, list[tuple[int, int, int, int]]]:
+def plucker_identity(d: int) -> tuple[bool, str]:
     """Exact three-term relation among the 2 x 2 minors of a generic 2 x d matrix.
 
-    For every quadruple a < i < j < b <= d the combination
-    m(i,j)*m(a,b) - m(a,j)*m(i,b) + m(a,i)*m(j,b) must expand to zero.
-    Vacuously true for d < 4, where nothing is built.  The minors are packed
-    once, in one packing, and each quadruple sums three packed products.
+    For a < i < j < b <= d, m(i,j)*m(a,b) - m(a,j)*m(i,b) + m(a,i)*m(j,b) is
+    the image of the relation at (1, 2, 3, 4) under the ring map renaming
+    columns 1, 2, 3, 4 to a, i, j, b, once m(1,2) uses columns 1 and 2 alone
+    and each m(i,j) is m(1,2) with them renamed to i, j; a ring map sends
+    zero to zero.  Those two facts and that relation are checked in turn,
+    for (ok, the first failure or "").  Vacuous, building nothing, for d < 4.
     """
     if d < 4:
-        return True, []
-    m = {pair: generic_minor(*pair) for pair in itertools.combinations(range(1, d + 1), 2)}
-    bound = 2 * max(f.total_degree() for f in m.values())  # any exponent of a product
-    packing = _Packing({v for f in m.values() for v in f.variables()}, bound)
-    packed = {pair: packing.pack(f.terms).items() for pair, f in m.items()}
-    failures = []
-    for a, i, j, b in itertools.combinations(range(1, d + 1), 4):
-        combo: dict[int, int] = {}
-        for sign, x, y in ((1, (i, j), (a, b)), (-1, (a, j), (i, b)), (1, (a, i), (j, b))):
-            for (kx, cx), (ky, cy) in itertools.product(packed[x], packed[y]):
-                combo[kx + ky] = combo.get(kx + ky, 0) + sign * cx * cy
-        if any(combo.values()):
-            failures.append((a, i, j, b))
-    return not failures, failures
+        return True, ""
+    base = generic_minor(1, 2)
+    column = {f(k): k for f in (t_var, u_var) for k in (1, 2)}
+    if stray := [v.render() for v in base.variables() if v not in column]:
+        return False, f"minor (1,2) uses {', '.join(stray)}"
+    m = {}  # the terms of the minors of columns 1 to 4
+    for i, j in itertools.combinations(range(1, d + 1), 2):
+        # Renaming keeps the variable order, so each monomial stays sorted.
+        renamed = {tuple([(VarId(v.ns, v.block, (i, j)[column[v] - 1]), e) for v, e in mono]): c
+                   for mono, c in base.terms.items()}
+        if generic_minor(i, j).terms != renamed:
+            return False, f"minor ({i},{j}) is not minor (1,2) renamed"
+        if j <= 4:
+            m[i, j] = renamed.items()
+    products = ((1, (2, 3), (1, 4)), (-1, (1, 3), (2, 4)), (1, (1, 2), (3, 4)))
+    if not Polynomial(ZZ, [(mx + my, sign * cx * cy) for sign, x, y in products
+                           for (mx, cx), (my, cy) in itertools.product(m[x], m[y])]).is_zero():
+        return False, "relation fails at (1,2,3,4)"
+    return True, ""
 
 
 # ---------------------------------------------------------------------------

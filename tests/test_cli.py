@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import math
 import sys
 import time
 import tracemalloc
@@ -249,36 +248,33 @@ def test_bad_budget_flag_is_usage_error(capsys, value):
     assert err.count("\n") == 1
 
 
-def test_plucker_budget_is_checked_before_anything_is_built(capsys, monkeypatch):
-    # 400 n_i = 1 blocks pass the eager construction check (159,600 terms),
-    # but the Plucker identity would multiply 12 * C(400, 4) pairs of minor
-    # terms, some three hours of work.
-    from scrolleq import cli
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the symbolic checks started")
-
-    for name in ["equation_set", "plucker_identity"]:
-        monkeypatch.setattr(cli, name, refuse)
-    start = time.perf_counter()
-    assert run(["--profile", ",".join(["1"] * 400), "verify"]) == 3
-    assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err == (
-        f"budget exceeded: the Plucker identity needs an estimated {12 * math.comb(400, 4)} "
-        "minor-term products, budget is 100000000\n"
-    )
-
-
-def test_plucker_budget_boundary(capsys):
-    # Five n_i = 1 blocks: 20 minor terms to build, 12 * C(5, 4) = 60 products.
+def test_eager_construction_budget_boundary_on_verify(capsys):
+    # Five n_i = 1 blocks build 2 * C(5, 2) = 20 minor terms and no curve
+    # equation; the eager construction estimate is the only refusal.
     argv = ["--profile", "1,1,1,1,1", "verify", "--budget"]
-    assert run(argv + ["59"]) == 3
+    assert run(argv + ["19"]) == 3
     assert capsys.readouterr().err == (
-        "budget exceeded: the Plucker identity needs an estimated 60 minor-term products, "
-        "budget is 59\n"
+        "budget exceeded: construction needs an estimated 20 curve-equation and minor terms, "
+        "budget is 19\n"
     )
-    assert run(argv + ["60"]) == 0
+    assert run(argv + ["20"]) == 0
     assert capsys.readouterr().out.endswith("PASS suite for profile (1, 1, 1, 1, 1)\n")
+
+
+def test_verify_names_the_first_failing_minor(capsys, monkeypatch):
+    from scrolleq import verify
+
+    genuine = verify.generic_minor
+    monkeypatch.setattr(verify, "generic_minor",
+                        lambda i, j: -genuine(i, j) if (i, j) == (2, 5) else genuine(i, j))
+    argv = ["--profile", "1,1,1,1,1,1", "verify"]
+    assert run(argv) == 1
+    [line] = [line for line in lines_of(capsys) if "plucker-identity" in line]
+    assert line.startswith("FAIL plucker-identity d=6 (") and "(2,5)" in line
+    assert run(argv + ["--format", "json"]) == 1
+    [check] = [c for c in json.loads(capsys.readouterr().out)["checks"]
+               if c["name"] == "plucker-identity d=6"]
+    assert not check["passed"] and "(2,5)" in check["detail"]
 
 
 def test_nonprime_field_is_usage_error(capsys):
