@@ -22,8 +22,10 @@ with every exponent positive, so ``()`` is the monomial 1; ``monomial``
 builds one from any pairs.  ``Polynomial.terms`` always maps such tuples to
 coefficients.  The ``Polynomial`` constructor takes any (pairs, coefficient)
 items and is the one place they are made canonical; the internal
-``_raw_poly`` wraps terms that are canonical by construction, such as a
-packed result.  Monomials are ordered by total degree first and
+``_raw_poly`` wraps terms that are canonical by construction: a packed or
+summed result, a variable, and, built in order, the curve equations,
+bridges and minors of ``scroll`` and the curve images and generic minors of
+``verify``.  Monomials are ordered by total degree first and
 reverse-lexicographically on the variable order to break ties:
 ``grevlex_key`` gives that order as a sort key, and it is the canonical term
 order used for printing and serialization.
@@ -269,7 +271,7 @@ class Polynomial:
 
     @staticmethod
     def variable(v: VarId, domain: Domain = ZZ) -> "Polynomial":
-        return Polynomial(domain, [(((v, 1),), 1)])
+        return _raw_poly(domain, {((v, 1),): 1})
 
     @staticmethod
     def term(coeff, pairs, domain: Domain = ZZ) -> "Polynomial":
@@ -483,6 +485,8 @@ class Substitution:
     __slots__ = ("domain", "degree", "_packing", "_monomials")
 
     def __init__(self, images: Mapping[VarId, Polynomial], domain: Domain, degree: int):
+        # One pass reads each image's domain, single term, degree and variables.
+        terms, top, variables = {}, 0, set()
         for v, img in images.items():
             if img.domain != domain:
                 raise DomainMismatchError(
@@ -490,46 +494,49 @@ class Substitution:
                 )
             if len(img.terms) > 1:
                 raise ValueError(f"image of {v.render()} is not a single term: {img}")
-        top = max((img.total_degree() for img in images.values()), default=0)
-        self.domain = domain
-        self.degree = degree
-        self._packing = _Packing(
-            {w for img in images.values() for w in img.variables()}, degree * max(0, top)
-        )
+            mono, _ = terms[v] = next(iter(img.terms.items()), ((), 0))
+            top = max(top, sum([e for _, e in mono]))
+            variables.update([w for w, _ in mono])
+        self.domain, self.degree = domain, degree
+        self._packing = _Packing(variables, degree * top)
+        shift = self._packing.shift
         self._monomials = {
-            v: next(iter(self._packing.pack(img.terms).items()), (0, 0))
-            for v, img in images.items()
+            v: (sum([e << shift[w] for w, e in mono]), c) for v, (mono, c) in terms.items()
         }
 
-    def _image(self, poly: Polynomial) -> dict:
-        """The canonical packed image of ``poly``: each term's image is a key
-        and a coefficient, summed by key.  The running degree is checked
-        before each power of an image coefficient is taken."""
-        if poly.domain != self.domain:
-            raise DomainMismatchError(f"domain mismatch: {poly.domain} vs {self.domain}")
-        monomials, bound, out = self._monomials, self.degree, {}
-        for mono, c in poly.terms.items():
-            key = degree = 0
-            for v, e in mono:
-                degree += e
-                if degree > bound:
-                    raise ValueError(
-                        f"degree {poly.total_degree()} exceeds the prepared bound {bound}"
-                    )
-                try:
-                    k, fc = monomials[v]
-                except KeyError:
-                    raise ValueError(f"no image for variable {v.render()}") from None
-                key, c = key + e * k, c * fc**e
-            out[key] = out.get(key, 0) + c
-        return _canonical(out, self.domain.p)
+    def _images(self, polys: Iterable[Polynomial]):
+        """The canonical packed image of each of ``polys``, in turn: each
+        term's image is a key and a coefficient, summed by key.  The running
+        degree is checked before each power of an image coefficient is
+        taken."""
+        domain, monomials, bound = self.domain, self._monomials, self.degree
+        for poly in polys:
+            if poly.domain != domain:
+                raise DomainMismatchError(f"domain mismatch: {poly.domain} vs {domain}")
+            out = {}
+            for mono, c in poly.terms.items():
+                key = degree = 0
+                for v, e in mono:
+                    degree += e
+                    if degree > bound:
+                        raise ValueError(
+                            f"degree {poly.total_degree()} exceeds the prepared bound {bound}"
+                        )
+                    try:
+                        k, fc = monomials[v]
+                    except KeyError:
+                        raise ValueError(f"no image for variable {v.render()}") from None
+                    key, c = key + e * k, c * fc**e
+                out[key] = out.get(key, 0) + c
+            yield _canonical(out, domain.p)
 
     def __call__(self, poly: Polynomial) -> Polynomial:
-        return self._packing.unpack(self.domain, self._image(poly))
+        (image,) = self._images([poly])
+        return self._packing.unpack(self.domain, image)
 
-    def vanishes(self, poly: Polynomial) -> bool:
-        """Whether ``poly`` maps to zero, without unpacking its image."""
-        return not self._image(poly)
+    def vanishing(self, polys: Iterable[Polynomial]) -> list[bool]:
+        """Whether each of ``polys`` maps to zero; no image is unpacked."""
+        return [not image for image in self._images(polys)]
 
 
 # ---------------------------------------------------------------------------

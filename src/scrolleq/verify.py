@@ -37,7 +37,6 @@ from .polyring import (
     VarId,
     _raw_poly,
     binomial_row,
-    monomial,
     t_var,
     u_var,
     x_var,
@@ -90,11 +89,14 @@ def _curve_images(
 ) -> dict[VarId, Polynomial]:
     """The images x[block][j] -> [scale *] s^(n - j) * t^j for j = 0..n, which
     put the block on the cone over the rational normal curve of degree n.
-    Each is one monomial, built sorted and without zero exponents."""
+    Each is one monomial, built in the variable order with no zero exponent:
+    s < t, and a scale goes before s (as u[i] does) or after t (as v does)."""
     lead = () if scale is None else ((scale, 1),)
+    before, after = (lead, ()) if scale is None or scale < s else ((), lead)
     return {
         x_var(block, j): _raw_poly(ZZ, {
-            tuple(sorted(lead + tuple((v, e) for v, e in ((s, n - j), (t, j)) if e))): 1
+            before + (((s, n - j), (t, j)) if 0 < j < n else ((t, n),) if j else ((s, n),))
+            + after: 1
         })
         for j in range(n + 1)
     }
@@ -140,23 +142,26 @@ def check_parametrization(
     pair, and the generator is never expanded.  The parametrization is
     prepared once, for the degree bound of each kind: i + 1 for the i-th
     curve equation, the group degree for a bridge and 2 for a minor.  Its
-    images are single terms, so ``Substitution.vanishes`` checks each
-    polynomial by packed keys; only one that fails is mapped, for its residual.
+    images are single terms, so ``Substitution.vanishing`` checks the curve
+    equations, the bridges and the minors by packed keys, one call each; only
+    a polynomial that fails is mapped, for its residual.
     """
     eqset = eqset if eqset is not None else equation_set(profile)
     degree = max([2] + [j + 1 for _, j, _ in eqset.curve_gens] + [g.degree for g in eqset.groups])
     param = Substitution(scroll_param_map(profile), ZZ, degree)
-    vanished = {pair: param.vanishes(br) for pair, br in eqset.bridges.items()}
-    entries = (
-        [(label, [(p, param.vanishes(p))]) for label, p in eqset.labeled_curves()]
-        + [(f"weight[{g.k}]", [(eqset.bridges[ij], vanished[ij]) for ij in g.pairs])
-           for g in eqset.groups]
-        + [(label, [(p, param.vanishes(p))]) for label, p in eqset.labeled_minors()]
-    )
-    checks = []
-    for label, polys in entries:
-        residuals = [str(param(p)) for p, ok in polys if not ok]
-        checks.append(GeneratorCheck(label, not residuals, "; ".join(residuals)))
+    vanished = dict(zip(eqset.bridges, param.vanishing(eqset.bridges.values())))
+
+    def singles(labeled, oks):
+        return [GeneratorCheck(label, ok, "" if ok else str(param(p)))
+                for (label, p), ok in zip(labeled, oks)]
+
+    weights = [
+        GeneratorCheck(f"weight[{g.k}]", all(vanished[ij] for ij in g.pairs), "; ".join(
+            [str(param(eqset.bridges[ij])) for ij in g.pairs if not vanished[ij]]))
+        for g in eqset.groups
+    ]
+    checks = (singles(eqset.labeled_curves(), param.vanishing([p for *_, p in eqset.curve_gens]))
+              + weights + singles(eqset.labeled_minors(), param.vanishing(eqset.minor_gens)))
     return ParamReport(profile.n, tuple(checks), vanished)
 
 
@@ -187,24 +192,27 @@ def check_bridge_determinant_power(a: int, b: int, i=1, j=2, br=None) -> bool:
     fix it, so a wrong row cannot agree with a bridge built from it.
     """
     br = bridge(a, b, i, j) if br is None else br
-    images = {**_curve_images(i, a, VAR_S, VAR_T), **_curve_images(j, b, VAR_Z, VAR_W)}
-    lhs = br.substitute(images)
     m = math.lcm(a, b)
     row = binomial_row(m)
     if len(row) != m + 1 or row[0] != 1 or any(
         (k + 1) * row[k + 1] != -(m - k) * row[k] for k in range(m)
     ):
         return False
+    images = {**_curve_images(i, a, VAR_S, VAR_T), **_curve_images(j, b, VAR_Z, VAR_W)}
+    lhs = br.substitute(images)
     s, t, z, w = (Polynomial.variable(v, ZZ) for v in (VAR_S, VAR_T, VAR_Z, VAR_W))
-    tz, sw = (next(iter(f.terms)) for f in (t * z, s * w))
-    expansion = {monomial([(v, e * (m - k)) for v, e in tz] + [(v, e * k) for v, e in sw]): c
-                 for k, c in enumerate(row)}
+    ((vt, _), (vz, _)), ((vs, _), (vw, _)) = (next(iter(f.terms)) for f in (t * z, s * w))
+    # (t*z)^(m-k) * (s*w)^k = s^k * t^(m-k) * z^(m-k) * w^k, built in the variable order.
+    expansion = {((vs, k), (vt, m - k), (vz, m - k), (vw, k)): row[k] for k in range(1, m)}
+    expansion.update({((vt, m), (vz, m)): row[0], ((vs, m), (vw, m)): row[m]})
     return lhs.terms == expansion
 
 
 def generic_minor(i: int, j: int) -> Polynomial:
-    """Column-(i, j) minor t[i]*u[j] - u[i]*t[j] of the generic 2 x d matrix."""
-    return Polynomial(ZZ, {((t_var(i), 1), (u_var(j), 1)): 1, ((u_var(i), 1), (t_var(j), 1)): -1})
+    """Column-(i, j) minor t[i]*u[j] - u[i]*t[j] of the generic 2 x d matrix,
+    each term built in the variable order, u before t; zero for i == j."""
+    ui, ti, uj, tj = u_var(i), t_var(i), u_var(j), t_var(j)
+    return _raw_poly(ZZ, {} if i == j else {((uj, 1), (ti, 1)): 1, ((ui, 1), (tj, 1)): -1})
 
 
 def plucker_identity(d: int) -> tuple[bool, str]:

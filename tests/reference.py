@@ -17,6 +17,10 @@
   and keeps the common zeros of expanded generators, through ``evaluate``:
   the oracle for the walk and the block-factored comparison, sharing no
   code with them.
+* ``determinant_power`` maps a bridge onto two coordinate curves with
+  ``schoolbook_substitute`` and compares it with the schoolbook power of the
+  2 x 2 determinant, multiplied out: no binomial row and no packing; the
+  library checks a binomial row and builds the expansion term by term.
 * ``check_parametrization`` maps every curve equation, bridge and minor in
   full through the prepared parametrization and reads each residual off the
   unpacked image; the library reads a verdict off packed keys and maps only
@@ -222,6 +226,19 @@ def enumerate_variety(gens, variables, q=None, budget=DEFAULT_BUDGET):
             if all(evaluate(g, values) == 0 for g in gens):
                 hits.append(point)
     return sorted(hits)
+
+
+def determinant_power(a: int, b: int, i: int, j: int, br: Polynomial) -> bool:
+    """The verdict of ``verify.check_bridge_determinant_power``: whether
+    ``br`` maps under x[i][c] -> s^(a-c)*t^c, x[j][h] -> z^(b-h)*w^h to
+    (t*z - s*w)^m, m = lcm(a, b)."""
+    images = {x_var(i, c): Polynomial.term(1, [(VAR_S, a - c), (VAR_T, c)]) for c in range(a + 1)}
+    images.update(
+        {x_var(j, h): Polynomial.term(1, [(VAR_Z, b - h), (VAR_W, h)]) for h in range(b + 1)}
+    )
+    s, t, z, w = (Polynomial.variable(v) for v in (VAR_S, VAR_T, VAR_Z, VAR_W))
+    det = schoolbook_mul(t, z) - schoolbook_mul(s, w)
+    return schoolbook_substitute(br, images) == schoolbook_pow(det, math.lcm(a, b))
 
 
 def check_parametrization(eqset) -> tuple[GeneratorCheck, ...]:

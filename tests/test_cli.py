@@ -471,6 +471,12 @@ PINNED_OUTPUTS = [
      "2cc4dd6e3617e18d662f8e2ee5bbf95d3065014aca224864346c5919cc39a96d"),
     (["--profile", "2,2", "enumerate", "--field", "3"],
      "5135749588502ea4e2ea63f4d0e5eaa8f841d662a3e06b6da5fe213c993fc363"),
+    # d = 5 with swapped and repeated degree pairs: 107 generators and the
+    # Plücker line.
+    (["--profile", "2,3,2,4,3", "verify"],
+     "97bb9f0bc3bec77d20ed36804bcd8d97b6f90351580ce4089686a5568b6b181a"),
+    (["--profile", "2,3,2,4,3", "verify", "--format", "json"],
+     "c600720af41558888a2d6351ffe8cc1d79b6fa4eb6f068b261c3a4970ffe002b"),
 ]
 
 

@@ -292,9 +292,9 @@ def test_multi_term_image_is_refused(dom):
     assert term(1, [(X0, 1), (X1, 1)], dom).substitute(images) == term(2, [(X0, 1)], dom)
 
 
-def test_vanishes_agrees_with_the_full_map():
-    # vanishes reads the packed image that __call__ unpacks, so both give one
-    # verdict, through a zero image and through terms whose images cancel.
+def test_vanishing_agrees_with_the_full_map():
+    # vanishing reads the packed images that __call__ unpacks, so both give
+    # one verdict, through a zero image and through terms whose images cancel.
     images = {X0: term(1, [(VAR_S, 2)]), X1: term(1, [(VAR_S, 1), (VAR_T, 1)]),
               X2: term(1, [(VAR_T, 2)]), Y0: term(-3, [(VAR_Z, 1)]),
               Y1: term(2, [(VAR_Z, 1), (VAR_W, 1)]), Y2: Polynomial.zero(ZZ)}
@@ -307,19 +307,23 @@ def test_vanishes_agrees_with_the_full_map():
         term(1, [(Y1, 2)]) - term(1, [(Y1, 2)]), var(Y2) + conic, var(Y2) + var(X0),
     ]
     for p in polys:
-        assert sub.vanishes(p) == sub(p).is_zero(), p
-    assert [sub.vanishes(p) for p in polys] == [
+        assert sub.vanishing([p]) == [sub(p).is_zero()], p
+    assert sub.vanishing(polys) == [
         True, False, True, True, False, False, False, True, True, True, False]
+    assert sub.vanishing(iter(polys)) == sub.vanishing(polys)
+    assert sub.vanishing([]) == []
 
 
-def test_vanishes_keeps_the_checks_of_a_call():
+def test_vanishing_keeps_the_checks_of_a_call():
+    # Alone or after a polynomial that maps, a bad one raises what a call does.
     sub = Substitution({X0: term(1, [(VAR_S, 1)]), X1: term(1, [(VAR_T, 1)])}, ZZ, 2)
-    with pytest.raises(ValueError, match="degree 3 exceeds the prepared bound 2"):
-        sub.vanishes(term(1, [(X0, 2), (X1, 1)]) - term(1, [(X0, 1), (X1, 2)]))
-    with pytest.raises(ValueError, match="no image for variable x\\[1\\]\\[2\\]"):
-        sub.vanishes(var(X0) - var(X2))
-    with pytest.raises(DomainMismatchError):
-        sub.vanishes(var(X0, GF(3)))
+    for before in [[], [var(X0) - var(X1)]]:
+        with pytest.raises(ValueError, match="degree 3 exceeds the prepared bound 2"):
+            sub.vanishing(before + [term(1, [(X0, 2), (X1, 1)]) - term(1, [(X0, 1), (X1, 2)])])
+        with pytest.raises(ValueError, match="no image for variable x\\[1\\]\\[2\\]"):
+            sub.vanishing(before + [var(X0) - var(X2)])
+        with pytest.raises(DomainMismatchError):
+            sub.vanishing(before + [var(X0, GF(3))])
 
 
 # -- reference evaluation ---------------------------------------------------------

@@ -462,6 +462,59 @@ def test_prepared_map_refuses_what_it_was_not_prepared_for():
         Substitution({VARS[0]: _x(1, 1, 1, GF(5))}, ZZ, 3)
 
 
+@st.composite
+def vanishing_cases(draw):
+    """Single-term or zero images of a few variables of VARS, the first two
+    equal at times, and polynomials in those variables.  A polynomial minus
+    itself with the second variable renamed to the first maps to zero when
+    their images are equal."""
+    dom = draw(domains)
+    pool = draw(st.lists(st.sampled_from(VARS), min_size=2, max_size=5, unique=True))
+    images = {v: draw(map_images(dom)) for v in pool}
+    if draw(st.booleans()):
+        images[pool[1]] = images[pool[0]]
+    ps = []
+    for f in draw(st.lists(polys(dom, 4, pool=pool), max_size=5)):
+        renamed = Polynomial(dom, [([(pool[0] if v == pool[1] else v, e) for v, e in mono], c)
+                                   for mono, c in f.terms.items()])
+        ps.append(draw(st.sampled_from([f, f - renamed])))
+    return dom, images, ps
+
+
+@settings(deadline=None)
+@given(vanishing_cases())
+def test_vanishing_matches_the_full_map(case):
+    dom, images, ps = case
+    sub = Substitution(images, dom, max(p.total_degree() for p in ps + [Polynomial.zero(dom)]))
+    expected = [schoolbook_substitute(p, images).is_zero() for p in ps]
+    assert sub.vanishing(ps) == [sub(p).is_zero() for p in ps] == expected
+    assert sub.vanishing([]) == []
+
+
+@settings(deadline=None)
+@given(vanishing_cases(), st.sampled_from(["degree", "image", "domain"]), st.data())
+def test_vanishing_raises_what_a_call_on_its_bad_polynomial_raises(case, kind, data):
+    # One bad polynomial anywhere in a batch: over the degree bound, with a
+    # variable that has no image, or over another domain.
+    dom, images, ps = case
+    bound = max([0] + [p.total_degree() for p in ps])
+    sub = Substitution(images, dom, bound)
+    good = data.draw(st.sampled_from(ps + [Polynomial.zero(dom)]))
+    if kind == "degree":
+        bad = good + Polynomial.term(1, [(next(iter(images)), bound + data.draw(st.integers(1, 3)))], dom)
+    elif kind == "image":
+        bad = good + Polynomial.variable(x_var(3, 0), dom)
+    else:
+        bad = data.draw(polys(GF(3) if dom.p is None else ZZ, 3, pool=list(images)))
+    at = data.draw(st.integers(0, len(ps)))
+    with pytest.raises(ValueError) as single:
+        sub(bad)
+    with pytest.raises(ValueError) as batch:
+        sub.vanishing(ps[:at] + [bad] + ps[at:])
+    assert type(batch.value) is type(single.value)
+    assert str(batch.value) == str(single.value)
+
+
 # -- homogeneity ----------------------------------------------------------------------
 
 

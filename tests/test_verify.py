@@ -23,6 +23,7 @@ from scrolleq import (
     Polynomial,
     WeightGroup,
     bridge,
+    bridge_meta,
     build_profile,
     check_bridge_determinant_power,
     check_bridge_scroll_vanishing,
@@ -180,6 +181,23 @@ def test_bridge_determinant_power_fails_a_coefficient_off_by_one():
         br = bridge(a, b, 1, 2)
         for mono in list(br.terms)[:: max(1, len(br.terms) // 3)]:
             assert not check_bridge_determinant_power(a, b, br=br + Polynomial(ZZ, {mono: 1}))
+
+
+@pytest.mark.parametrize("i, j", [(1, 2), (3, 1)])
+def test_bridge_determinant_power_matches_the_reference(i, j):
+    # Each bridge, its off-by-one mutants, and its leading term moved to
+    # x[i][0]^p * x[j][0]^q, a monomial of the same bidegree that no bridge has.
+    for a, b in itertools.product(range(1, 7), repeat=2):
+        br, meta = bridge(a, b, i, j), bridge_meta(a, b)
+        moved = monomial([(x_var(i, 0), meta.p), (x_var(j, 0), meta.q)])
+        (lead, c), *_ = br.sorted_terms()
+        assert moved not in br.terms
+        mutants = [br + Polynomial(ZZ, {mono: 1})
+                   for mono in list(br.terms)[:: max(1, len(br.terms) // 3)]]
+        mutants.append(br + Polynomial(ZZ, {lead: -c, moved: c}))
+        for poly, expected in [(br, True)] + [(mutant, False) for mutant in mutants]:
+            verdict = check_bridge_determinant_power(a, b, i, j, poly)
+            assert verdict == reference.determinant_power(a, b, i, j, poly) == expected, (a, b)
 
 
 @pytest.mark.parametrize("k", [0, 1, 3, 6])
