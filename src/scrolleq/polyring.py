@@ -210,7 +210,18 @@ VAR_V = VarId(NS_AUX, AUX_V, 0)
 def monomial(pairs: Iterable[tuple[VarId, int]] | Mapping[VarId, int]) -> tuple:
     """The monomial of ``pairs``: repeated variables merge, zero exponents
     drop out, and an exponent that is negative or not an ``int`` raises
-    ValueError."""
+    ValueError.  A list or tuple of ``(v, e)`` tuples already in that form,
+    with strictly increasing variables and ``int`` exponents e >= 1, is
+    returned as a tuple without the merge."""
+    if type(pairs) is tuple or type(pairs) is list:
+        last = None
+        for pair in pairs:
+            if (type(pair) is not tuple or len(pair) != 2 or type(pair[1]) is not int
+                    or pair[1] < 1 or (last is not None and not last < pair[0])):
+                break
+            last = pair[0]
+        else:
+            return tuple(pairs)
     acc: dict[VarId, int] = {}
     for v, e in pairs.items() if isinstance(pairs, Mapping) else pairs:
         if not isinstance(e, int) or e < 0:

@@ -51,11 +51,11 @@ from .scroll import (
 
 DEFAULT_BUDGET = 10**8
 
-# A generator as the walk evaluates it: the sum of each polynomial over GF(q)
-# raised to its power.  A weight generator is its group's bridges with their
-# balancing powers, so it is never expanded; any other is one polynomial.  The
-# alias is a string: subscripting typing.Sequence caches its arguments for the
-# life of the process, which would keep every imported copy of Polynomial.
+# A generator as ``_flat`` takes it: the sum of each polynomial raised to its
+# power.  A weight generator is its group's bridges with their balancing
+# powers, so it is never expanded; any other is one polynomial.  The alias is
+# a string: subscripting typing.Sequence caches its arguments for the life of
+# the process, which would keep every imported copy of Polynomial.
 Summands: TypeAlias = "Sequence[tuple[Polynomial, int]]"
 
 
@@ -252,15 +252,16 @@ def plucker_identity(d: int) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def _flat(summands: Summands, index: Mapping[VarId, int]) -> tuple:
-    """A generator as the walk evaluates it: per summand, its terms as
-    (coefficient, coordinate indices, each repeated by its exponent), and
-    its power."""
-    return tuple(
-        (tuple((int(c), tuple(index[v] for v, e in mono for _ in range(e)))
-               for mono, c in poly.terms.items()), power)
+def _flat(summands: Summands, index: Mapping[VarId, int], q: int) -> tuple:
+    """A generator as the walk evaluates it, over GF(q): per summand, its
+    terms as (coefficient mod q, coordinate indices, each repeated by its
+    exponent), without the terms whose coefficient q divides, and its power.
+    This is the flat form of each polynomial's ``reduce_mod(q)``."""
+    return tuple([
+        (tuple([(r, tuple([index[v] for v, e in mono for _ in range(e)]))
+                for mono, c in poly.terms.items() if (r := c % q)]), power)
         for poly, power in summands
-    )
+    ])
 
 
 def _vanishes(gens: Sequence[tuple], x: Sequence[int], q: int) -> bool:
@@ -280,8 +281,7 @@ def _vanishes(gens: Sequence[tuple], x: Sequence[int], q: int) -> bool:
 
 
 def _walk(
-    levels: Sequence[tuple], system: Sequence[Summands], minors: Sequence[Summands],
-    size: int, q: int,
+    levels: Sequence[tuple], system: Sequence[tuple], minors: Sequence[tuple], size: int, q: int,
 ) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Walk depth first over the canonical points (first nonzero coordinate
     1) of the product of the levels' cones; return (nodes, system hits,
@@ -289,14 +289,15 @@ def _walk(
 
     A level is the variables it sets and its cone's leading-1
     representatives, each flagged as on the system and on the minors, or
-    None for a bare coordinate, whose cone is GF(q).  A generator is
+    None for a bare coordinate, whose cone is GF(q).  Generators are flat
+    (see ``_flat``), indexed by coordinate position in level order.  Each is
     evaluated at the first level where all its variables are set, and a
     prefix is pruned once it is off both.  The leaves plus the
     candidates under every pruned prefix must be the ``size`` candidates,
     or the walk raises AssertionError.  Its stack is a list, not the
     interpreter's, so the recursion limit does not bound its depth.
     """
-    spans, level_at, index, true = [], [], {}, itertools.repeat(True)
+    spans, level_at, true = [], [], itertools.repeat(True)
     for depth, (vs, reps) in enumerate(levels, start=1):
         zero = ((0,) * len(vs), True, True)
         if reps is None:  # q may be as large as the budget, so GF(q) is made as it is walked
@@ -305,13 +306,11 @@ def _walk(
             cone = [(tuple(c * y % q for y in r), s, m) for c in range(1, q) for r, s, m in reps]
             high = sorted([zero, *cone]).__iter__
         low, cone_size = [zero, *reps].__iter__, 1 + (q - 1) * len(reps)
-        spans.append((len(index), len(index) + len(vs), low, high, cone_size))
-        index.update((v, len(level_at) + k) for k, v in enumerate(vs))
+        spans.append((len(level_at), len(level_at) + len(vs), low, high, cone_size))
         level_at += [depth] * len(vs)
     at = ([[] for _ in range(len(levels) + 1)], [[] for _ in range(len(levels) + 1)])
     for depths, gens in zip(at, (system, minors)):
-        for summands in gens:
-            gen = _flat(summands, index)
+        for gen in gens:
             tops = [max(idx) for terms, _ in gen for _, idx in terms if idx]
             depths[level_at[max(tops)] if tops else 1].append(gen)
     # The candidates under a nonzero prefix of each depth; under the zero
@@ -319,7 +318,7 @@ def _walk(
     full = [1]
     for *_, cone_size in reversed(spans):
         full.insert(0, cone_size * full[0])
-    x = [0] * len(index)
+    x = [0] * len(level_at)
     leaves = []
     nodes = pruned = 0
     stack = [(spans[0][2](), True, True, False)]
@@ -355,10 +354,10 @@ def projective_size(n: int, q: int) -> int:
 
 
 def _projective_scan(
-    system: Sequence[Summands], minors: Sequence[Summands], variables: Sequence[VarId], q: int
+    system: Sequence[tuple], minors: Sequence[tuple], variables: Sequence[VarId], q: int
 ) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
     """The walk over all of projective space on ``variables``, one level per
-    coordinate."""
+    coordinate, of flat generators indexed by position in ``variables``."""
     levels = [([v], None) for v in variables]
     return _walk(levels, system, minors, projective_size(len(variables), q), q)
 
@@ -422,18 +421,19 @@ def compare_varieties(
     """Enumerate the zero sets of the defining system and of the minors and
     report counts plus any system-only points (expected none).
 
-    Generators are built over Z and reduced mod q, so characteristics that
-    divide bridge coefficients are probed faithfully; a weight generator is
-    evaluated through its bridges, never expanded.  The minor locus is always
-    contained in the system locus; the converse inclusion is the content of
-    the check.
+    Generators are built over Z and reduced mod q as they are flattened, so
+    characteristics that divide bridge coefficients are probed faithfully; a
+    weight generator is evaluated through its bridges, never expanded.  The
+    minor locus is always contained in the system locus; the converse
+    inclusion is the content of the check.
 
     A single block is walked over all of projective space.  With d >= 2
     blocks the comparison is block-factored, and exact: curve equations and
     within-block minors use only their block's coordinates, so each block of
     a point of either locus lies in the cone C_i = {0} u GF(q)* (Z_i u M_i)
     over their projective zero sets Z_i and M_i.  Each block with n_i >= 2
-    is walked for Z_i and M_i; with n_i = 1 the cone is all of GF(q)^2.  One
+    is walked for Z_i and M_i, after its polynomials are checked homogeneous
+    over GF(q) (ValueError if not); with n_i = 1 the cone is GF(q)^2.  One
     more walk covers the product of the cones.  Each stage is checked
     against the budget before it starts.
     """
@@ -470,34 +470,37 @@ def _loci(eqset: EquationSet, q: int, budget: int) -> tuple[int, list, list]:
     profile = eqset.profile
     check_block_walk_budget(profile, q, budget)
     blocks = [[x_var(i, j) for j in range(ni + 1)] for i, ni in enumerate(profile.n, start=1)]
-    curves = [[(p.reduce_mod(q), 1)] for _, _, p in eqset.curve_gens]
-    minors = [[(p.reduce_mod(q), 1)] for p in eqset.minor_gens]
     if profile.d == 1:
-        return _projective_scan(curves, minors, blocks[0], q)
+        slots = {v: v.slot for v in blocks[0]}
+        return _projective_scan([_flat([(p, 1)], slots, q) for *_, p in eqset.curve_gens],
+                                [_flat([(p, 1)], slots, q) for p in eqset.minor_gens], blocks[0], q)
     # The curve equations and within-block minors of each block, by block
     # index; a block with n_i = 1 has neither and is not scanned.
     scans: dict[int, tuple[list, list]] = {}
-    for gen, (i, _, _) in zip(curves, eqset.curve_gens):
-        scans.setdefault(i - 1, ([], []))[0].append(gen)
+    for i, _, p in eqset.curve_gens:
+        scans.setdefault(i - 1, ([], []))[0].append(p)
     cross = []
-    for gen, p in zip(minors, eqset.minor_gens):
+    for p in eqset.minor_gens:
         at = {v.block for v in p.variables()}
         if len(at) == 1:
-            scans.setdefault(at.pop() - 1, ([], []))[1].append(gen)
+            scans.setdefault(at.pop() - 1, ([], []))[1].append(p)
         else:
-            cross.append(gen)
+            cross.append(p)
     # Each scanned block's cone representatives (Z_i u M_i), flagged as on
-    # Z_i and on M_i.  The flags hold for every nonzero multiple, as those
-    # polynomials are homogeneous.  A scan is reused for a block whose
-    # polynomials are the same up to the block index.
+    # Z_i and on M_i.  The flags hold for every nonzero multiple because those
+    # polynomials are checked homogeneous over GF(q).  A block's flat
+    # polynomials by slot are its scan's generators and its reuse key, so a
+    # scan is reused for a block whose polynomials match up to the block index.
     visited = 0
     by_shape: dict[tuple, list] = {}
     flagged = {}
     for i, groups in scans.items():
         slots = {v: v.slot for v in blocks[i]}
-        shape = tuple(tuple(_flat(gen, slots) for gen in group) for group in groups)
+        shape = tuple(tuple([_flat([(p, 1)], slots, q) for p in group]) for group in groups)
         if shape not in by_shape:
-            nodes, *hits = _projective_scan(*groups, blocks[i], q)
+            if any(len({len(idx) for _, idx in terms}) > 1 for (terms, _), in sum(shape, ())):
+                raise ValueError(f"block {i + 1}: an equation is not homogeneous over GF({q})")
+            nodes, *hits = _projective_scan(*shape, blocks[i], q)
             visited += nodes
             on_z, on_m = map(set, hits)
             by_shape[shape] = [(r, r in on_z, r in on_m) for r in sorted(on_z | on_m)]
@@ -511,10 +514,10 @@ def _loci(eqset: EquationSet, q: int, budget: int) -> tuple[int, list, list]:
     # zero; a cone is zero and q - 1 multiples of each representative.
     cones = [q if reps is None else 1 + (q - 1) * len(reps) for _, reps in levels]
     size = (math.prod(cones) - 1) // (q - 1)
-    _check_budget(size * (eqset.system_size + len(minors)), budget)
-    weights = [
-        [(eqset.bridges[pair].reduce_mod(q), c) for pair, c in zip(g.pairs, g.powers)]
-        for g in eqset.groups
-    ]
-    nodes, in_system, in_minors = _walk(levels, weights, cross, size, q)
+    _check_budget(size * (eqset.system_size + len(eqset.minor_gens)), budget)
+    index = {v: k for k, v in enumerate([v for vs, _ in levels for v in vs])}
+    weights = [_flat([(eqset.bridges[pair], c) for pair, c in zip(g.pairs, g.powers)], index, q)
+               for g in eqset.groups]
+    nodes, in_system, in_minors = _walk(
+        levels, weights, [_flat([(p, 1)], index, q) for p in cross], size, q)
     return visited + nodes, in_system, in_minors

@@ -8,6 +8,9 @@
   on dicts of monomial tuples directly, with no packed exponents: the
   multiply is the one ``Polynomial.__mul__`` used before packing, the power
   is repeated multiplication and the substitution expands term by term.
+* ``merge_monomial`` merges every factor list by a dict of exponents and
+  sorts it, the whole of ``monomial`` before it returned canonical input
+  unmerged.
 * ``grevlex_cmp`` compares two monomials by walking their exponents, the
   comparator that ``grevlex_key`` replaced.
 * ``evaluate`` computes a polynomial's value at a point term by term; the
@@ -148,6 +151,18 @@ def schoolbook_substitute(a: Polynomial, images) -> Polynomial:
             prod = schoolbook_mul(prod, schoolbook_pow(img, e))
         acc = acc + prod
     return acc
+
+
+def merge_monomial(pairs) -> tuple:
+    """The monomial of ``pairs`` by merging: repeated variables add, zero
+    exponents drop out, and an exponent that is negative or not an ``int``
+    raises ValueError."""
+    acc = {}
+    for v, e in pairs.items() if isinstance(pairs, dict) else pairs:
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"non-integer or negative exponent {e!r} for {v.render()}")
+        acc[v] = acc.get(v, 0) + e
+    return tuple(sorted((v, e) for v, e in acc.items() if e))
 
 
 def grevlex_cmp(a: tuple, b: tuple) -> int:

@@ -12,6 +12,7 @@ from reference import (
     enumerate_variety,
     evaluate,
     grevlex_cmp,
+    merge_monomial,
     reference_parse,
     schoolbook_mul,
     schoolbook_pow,
@@ -203,6 +204,41 @@ def is_canonical_monomial(m) -> bool:
         and all(type(v) is VarId and type(e) is int and e > 0 for v, e in m)
         and all(f[0] < g[0] for f, g in zip(m, m[1:]))
     )
+
+
+@st.composite
+def factor_lists(draw):
+    """A list or tuple of factors: about half strictly increasing by
+    variable, the rest unsorted or repeated; exponents that are positive,
+    zero, negative or bool; and now and then a factor that is a list."""
+    variables = draw(st.lists(st.sampled_from(VARS[:5]), max_size=5))
+    if draw(st.booleans()):
+        variables = sorted(set(variables))
+    exponent = st.one_of(st.integers(1, 3), st.integers(-2, 0), st.booleans())
+    factors = [(v, draw(exponent)) for v in variables]
+    factors = [list(f) if draw(st.integers(0, 4)) == 0 else f for f in factors]
+    return draw(st.sampled_from([list, tuple]))(factors)
+
+
+def result_or_error(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(factor_lists())
+@example([(VARS[0], True)])
+@example(((VARS[0], 1), [VARS[1], 1]))
+@example([(VARS[1], 1), (VARS[0], 1)])
+@example([(VARS[0], 2), (VARS[0], -1)])
+@example([(VARS[0], 1), (VARS[0], 2)])
+def test_monomial_matches_the_reference_merge(factors):
+    # Canonical input skips the merge, so it must come back as the merge
+    # would give it: a tuple of (VarId, int) tuples, with no list and no bool.
+    result = result_or_error(monomial, factors)
+    assert result == result_or_error(merge_monomial, factors)
+    assert type(result) is str or is_canonical_monomial(result)
 
 
 @settings(deadline=None)
@@ -613,9 +649,11 @@ def test_walk_matches_brute_force(q, data):
     )
     first.append(Polynomial.zero(GF(q)))
     constant = Polynomial.const(data.draw(st.integers(1, q - 1)), GF(q))
+    index = {v: k for k, v in enumerate(variables)}
     for system in (first, first + [constant]):
         _, hits, other = verify._projective_scan(
-            [[(g, 1)] for g in system], [[(g, 1)] for g in second], variables, q
+            [verify._flat([(g, 1)], index, q) for g in system],
+            [verify._flat([(g, 1)], index, q) for g in second], variables, q
         )
         assert hits == enumerate_variety(system, variables, q)
         assert other == enumerate_variety(second, variables, q)

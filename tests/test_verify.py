@@ -314,7 +314,8 @@ def test_walk_evaluates_a_generator_past_5000_terms():
     ]
     assert 0 < len(expected) < projective_size(3, 7)
     assert enumerate_variety([g], xs, 7) == expected
-    assert verify._projective_scan([[(g, 1)]], [], xs, 7)[1] == expected
+    index = {v: k for k, v in enumerate(xs)}
+    assert verify._projective_scan([verify._flat([(g, 1)], index, 7)], [], xs, 7)[1] == expected
 
 
 def test_enumerate_matches_brute_force_surface_system():
@@ -339,12 +340,13 @@ def test_scan_evaluates_weight_generators_through_bridges():
     # its expansion does.
     profile = build_profile([1, 1, 1, 2])
     variables = profile.variables()
+    index = {v: k for k, v in enumerate(variables)}
     es = equation_set(profile)
     for group in es.groups:
         bridges = [es.bridges[pair].reduce_mod(3) for pair in group.pairs]
         summands = list(zip(bridges, group.powers))
         expanded = g_polynomial(es.bridges, group).reduce_mod(3)
-        _, hits, _ = verify._projective_scan([summands], [], variables, 3)
+        _, hits, _ = verify._projective_scan([verify._flat(summands, index, 3)], [], variables, 3)
         assert hits == enumerate_variety([expanded], variables, 3), group.k
 
 
@@ -485,6 +487,74 @@ def test_factored_loci_match_oracle_on_mutated_systems(mutate, args, n, q):
     else:
         report = compare_varieties(eqset.profile, q, eqset=eqset)
         assert report.witnesses == witnesses and not report.passed
+
+
+@pytest.mark.parametrize("block, index, n, q", [
+    (1, 1, (2, 2), 3), (2, 1, (2, 3), 2), (2, 2, (3, 3), 5),
+], ids=["curve-22-q3", "curve-23-q2", "curve-33-q5"])
+def test_a_bump_that_vanishes_mod_q_leaves_the_loci(block, index, n, q):
+    # A coefficient raised by q is the same coefficient over GF(q), so the
+    # block's flat form, its scan and the loci are the unmutated ones.
+    eqset = equation_set(build_profile(n))
+    bumped = bump_curve(eqset, block, index, delta=q)
+    assert bumped.curve_gens != eqset.curve_gens
+    loci = verify._loci(bumped, q, DEFAULT_BUDGET)
+    assert loci == verify._loci(eqset, q, DEFAULT_BUDGET)
+    assert loci[1:] == whole_space_loci(bumped, q)
+
+
+@pytest.mark.parametrize("n", [(2, 2), (2, 3)])
+@pytest.mark.parametrize("coeff", [1, 5])
+def test_an_inhomogeneous_block_equation_is_refused(n, coeff):
+    # x[2][0] added to curve[2][1] makes it inhomogeneous over GF(5), and the
+    # block flags would no longer hold for every multiple of a point: the
+    # factored loci gave |J| = 56 on (2,2), where the whole-space scan finds
+    # 36, and 43 against 31 on (2,3).  Added five times it vanishes mod 5.
+    eqset = equation_set(build_profile(n))
+    stray = Polynomial.term(coeff, [(x_var(2, 0), 1)])
+    eqset = replace(eqset, curve_gens=tuple(
+        (i, j, p + stray if (i, j) == (2, 1) else p) for i, j, p in eqset.curve_gens))
+    if coeff % 5:
+        with pytest.raises(ValueError, match=re.escape("block 2: an equation is not homogeneous "
+                                                       "over GF(5)")):
+            compare_varieties(eqset.profile, 5, eqset=eqset)
+    else:
+        assert compare_varieties(eqset.profile, 5, eqset=eqset).passed
+
+
+def flat_reduced(summands, index, q):
+    """The flat form of each summand's ``reduce_mod(q)``, read term by term."""
+    return tuple(
+        (tuple((c, tuple(index[v] for v, e in mono for _ in range(e)))
+               for mono, c in p.reduce_mod(q).terms.items()), power)
+        for p, power in summands
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_flat_generators_are_the_reduced_polynomials(q):
+    # Bridge coefficients are binomial coefficients, so some vanish mod q and
+    # their terms must be gone from the flat form.
+    eqset = equation_set(build_profile([2, 2, 3, 4]))
+    index = {v: k for k, v in enumerate(eqset.profile.variables())}
+    generators = [[(p, 1)] for *_, p in eqset.curve_gens] + [[(p, 1)] for p in eqset.minor_gens]
+    generators += [[(eqset.bridges[pair], c) for pair, c in zip(g.pairs, g.powers)]
+                   for g in eqset.groups]
+    dropped = 0
+    for summands in generators:
+        flat = verify._flat(summands, index, q)
+        assert flat == flat_reduced(summands, index, q)
+        dropped += sum(p.num_terms() - len(terms) for (p, _), (terms, _) in zip(summands, flat))
+    assert dropped > 0
+
+
+def test_compare_varieties_reduces_no_polynomial(monkeypatch):
+    def refuse(self, q):
+        raise AssertionError("reduce_mod called")
+
+    monkeypatch.setattr(Polynomial, "reduce_mod", refuse)
+    for n, q in [((3,), 3), ((2, 2, 3, 4), 2), ((1, 1, 2), 5)]:
+        assert compare_varieties(build_profile(n), q).passed
 
 
 def test_block_scan_is_shared_by_equal_blocks(monkeypatch):
