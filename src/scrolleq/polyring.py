@@ -20,25 +20,27 @@ then ``s < t < z < w < v``).
 A monomial is a plain tuple ``((VarId, exponent), ...)`` sorted by variable
 with every exponent positive, so ``()`` is the monomial 1; ``monomial``
 builds one from any pairs.  ``Polynomial.terms`` always maps such tuples to
-coefficients.  The ``Polynomial`` constructor takes any (pairs, coefficient)
-items and is the one place they are made canonical; the internal
-``_raw_poly`` wraps terms that are canonical by construction: a packed or
-summed result, a variable, and, built in order, the curve equations,
-bridges and minors of ``scroll`` and the curve images and generic minors of
-``verify``.  Monomials are ordered by total degree first and
+coefficients.  Monomials are ordered by total degree first and
 reverse-lexicographically on the variable order to break ties:
-``grevlex_key`` gives that order as a sort key, and it is the canonical term
-order used for printing and serialization.
+``grevlex_key`` gives that order as a sort key, and its descending order is
+the print order.  The ``Polynomial`` constructor takes any (pairs,
+coefficient) items and is the one place they are made canonical; the
+internal ``_raw_poly`` wraps terms that are canonical and in print order by
+construction: an unpacked result, a variable, and the built families of
+``scroll`` and ``verify``.  Negation, scaling and reduction keep their
+operand's order; the constructor and ``+`` leave it unknown, to be sorted
+by ``grevlex_key`` when first printed.
 
 Multiplication, powers and substitution compute on a packed form instead
 (Monagan and Pearce, CASC 2007): each operation gives every variable it
-involves a fixed bit field of one Python int, so a monomial product is an
-integer addition.  Each field is as wide as an exact bound on the exponents
-the operation can produce, so no field carries into the next.  The operation
-packs its inputs once and unpacks its result once.  A ``Substitution`` is a
-monomial map, every image one term or zero, as the scroll's parametrization
-is: it packs its images once, and then maps each term of many polynomials by
-adding keys.
+involves a fixed bit field of one Python int, the smallest variable the most
+significant, under a total-degree field, so a monomial product is an integer
+addition and within one degree ascending keys are print order.  Each field
+is as wide as an exact bound on the degrees the operation can produce, so no
+field carries into the next.  The operation packs its inputs once and
+unpacks its result once.  A ``Substitution`` is a monomial map, every image
+one term or zero, as the scroll's parametrization is: it packs its images
+once, and then maps each term of many polynomials by adding keys.
 """
 
 from __future__ import annotations
@@ -256,7 +258,7 @@ class Polynomial:
     Arithmetic requires both operands to share the same domain.
     """
 
-    __slots__ = ("domain", "terms", "_hash")
+    __slots__ = ("domain", "terms", "_hash", "_unsorted")
 
     def __init__(self, domain: Domain, terms: Mapping | Iterable = ()):
         acc: dict[tuple, object] = {}
@@ -265,7 +267,7 @@ class Polynomial:
             acc[mono] = acc.get(mono, 0) + domain.coerce(coeff)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "terms", _canonical(acc, domain.p))
-        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_unsorted", len(self.terms) > 1)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Polynomial is immutable")
@@ -311,8 +313,15 @@ class Polynomial:
         return self.terms.get(mono, 0)
 
     def sorted_terms(self) -> list[tuple[tuple, object]]:
-        """Terms in descending canonical order (leading term first)."""
-        return sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0]), reverse=True)
+        """Terms in descending canonical order (leading term first), which is
+        the order they are stored in.  Terms that the constructor or ``+``
+        left in an unknown order are sorted by ``grevlex_key`` on the first
+        call and stored so; ``terms`` stays the same mapping."""
+        if self._unsorted:
+            terms = sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0]), reverse=True)
+            object.__setattr__(self, "terms", dict(terms))
+            object.__setattr__(self, "_unsorted", False)
+        return list(self.terms.items())
 
     # -- ring operations -----------------------------------------------------
 
@@ -327,12 +336,12 @@ class Polynomial:
         out = dict(self.terms)
         for mono, c in other.terms.items():
             out[mono] = out.get(mono, 0) + c
-        return _raw_poly(self.domain, _canonical(out, self.domain.p))
+        return _raw_poly(self.domain, _canonical(out, self.domain.p), unsorted=True)
 
     def __neg__(self) -> "Polynomial":
         return _raw_poly(self.domain, _canonical(
             {m: -c for m, c in self.terms.items()}, self.domain.p
-        ))
+        ), self._unsorted)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -351,7 +360,8 @@ class Polynomial:
     def scale(self, value) -> "Polynomial":
         dom = self.domain
         c0 = dom.coerce(value)
-        return _raw_poly(dom, _canonical({m: c * c0 for m, c in self.terms.items()}, dom.p))
+        terms = _canonical({m: c * c0 for m, c in self.terms.items()}, dom.p)
+        return _raw_poly(dom, terms, self._unsorted)
 
     def __pow__(self, e: int) -> "Polynomial":
         if not isinstance(e, int) or e < 0:
@@ -372,7 +382,7 @@ class Polynomial:
         )
 
     def __hash__(self) -> int:
-        h = self._hash
+        h = getattr(self, "_hash", None)
         if h is None:
             h = hash((self.domain, frozenset(self.terms.items())))
             object.__setattr__(self, "_hash", h)
@@ -394,7 +404,7 @@ class Polynomial:
         """Coefficientwise reduction of an integer polynomial into GF(q)."""
         if self.domain.p is not None:
             raise ValueError("reduce_mod applies to polynomials over Z")
-        return _raw_poly(GF(q), _canonical(self.terms, q))
+        return _raw_poly(GF(q), _canonical(self.terms, q), self._unsorted)
 
     # -- printing -------------------------------------------------------------
 
@@ -405,14 +415,14 @@ class Polynomial:
         return f"Polynomial({self.domain}, {format_poly(self)})"
 
 
-def _raw_poly(domain: Domain, terms: dict) -> Polynomial:
+def _raw_poly(domain: Domain, terms: dict, unsorted: bool = False) -> Polynomial:
     # Internal: wraps ``terms`` as they are, so they must already be in
-    # canonical form for ``domain``; everything else goes through the
-    # constructor.
+    # canonical form for ``domain`` and, unless ``unsorted``, in print
+    # order; everything else goes through the constructor.
     p = Polynomial.__new__(Polynomial)
     object.__setattr__(p, "domain", domain)
     object.__setattr__(p, "terms", terms)
-    object.__setattr__(p, "_hash", None)
+    object.__setattr__(p, "_unsorted", unsorted and len(terms) > 1)
     return p
 
 
@@ -422,29 +432,39 @@ def _raw_poly(domain: Domain, terms: dict) -> Polynomial:
 
 
 class _Packing:
-    """Bit fields for one operation: the i-th variable in the fixed order owns
-    bits [i * width, (i + 1) * width) of a packed key.  ``bound`` must bound
-    every exponent the operation produces, so adding keys never carries.
+    """Graded bit fields for one operation: of k variables, the i-th in the
+    fixed order (from 1) owns bits [(k - i) * width, (k - i + 1) * width) of
+    a packed key and the total degree the bits from k * width up, so
+    ``mult[v]`` adds one to both.  ``bound`` must bound the degree of every
+    monomial the operation produces, so adding keys never carries.  Within
+    one degree, ascending keys are descending ``grevlex_key`` order.
     """
 
-    __slots__ = ("width", "shift")
+    __slots__ = ("width", "mult")
 
     def __init__(self, variables: Iterable[VarId], bound: int):
-        self.width = bound.bit_length()
-        self.shift = {v: i * self.width for i, v in enumerate(sorted(variables))}
+        width = self.width = bound.bit_length()
+        ordered = sorted(variables)
+        degree = 1 << len(ordered) * width
+        self.mult = {v: degree | degree >> i * width for i, v in enumerate(ordered, 1)}
 
     def pack(self, terms: Mapping[tuple, object]) -> dict[int, object]:
-        shift = self.shift
-        return {sum(e << shift[v] for v, e in m): c for m, c in terms.items()}
+        mult = self.mult
+        return {sum([e * mult[v] for v, e in m]): c for m, c in terms.items()}
 
     def unpack(self, domain: Domain, packed: Mapping[int, object]) -> Polynomial:
-        """The polynomial of canonical packed terms."""
-        mask = (1 << self.width) - 1
-        fields = self.shift.items()
-        terms = {}
-        for key, c in packed.items():
-            terms[tuple([(v, e) for v, s in fields if (e := key >> s & mask)])] = c
-        return _raw_poly(domain, terms)
+        """The polynomial of canonical packed terms, in print order: keys
+        ascending, then grouped by descending degree if of several degrees."""
+        width = self.width
+        mask, top = (1 << width) - 1, len(self.mult) * width
+        fields = [(v, top - i * width) for i, v in enumerate(self.mult, 1)]
+        keys = sorted(packed)
+        if keys and keys[0] >> top != keys[-1] >> top:
+            keys.sort(key=lambda key: -(key >> top))  # stable: keeps each degree's order
+        return _raw_poly(domain, {
+            tuple([(v, e) for v, s in fields if (e := key >> s & mask)]): packed[key]
+            for key in keys
+        })
 
 
 def _canonical(packed: dict, p: int | None) -> dict:
@@ -488,8 +508,8 @@ class Substitution:
     kept as its packed key and coefficient, so ``v^e`` maps to ``e`` times
     the key and the ``e``-th power of the coefficient.  A zero image is key 0
     with coefficient 0, which empties every term it is in.  A field is as
-    wide as ``degree`` times the largest image degree, which bounds every
-    exponent an image can produce.  Every variable of a mapped polynomial
+    wide as ``degree`` times the largest image degree, which bounds the
+    degree of every image.  Every variable of a mapped polynomial
     needs an image.
     """
 
@@ -510,16 +530,16 @@ class Substitution:
             variables.update([w for w, _ in mono])
         self.domain, self.degree = domain, degree
         self._packing = _Packing(variables, degree * top)
-        shift = self._packing.shift
+        mult = self._packing.mult
         self._monomials = {
-            v: (sum([e << shift[w] for w, e in mono]), c) for v, (mono, c) in terms.items()
+            v: (sum([e * mult[w] for w, e in mono]), c) for v, (mono, c) in terms.items()
         }
 
     def _images(self, polys: Iterable[Polynomial]):
-        """The canonical packed image of each of ``polys``, in turn: each
-        term's image is a key and a coefficient, summed by key.  The running
-        degree is checked before each power of an image coefficient is
-        taken."""
+        """The packed image of each of ``polys``, in turn: each term's image
+        is a key and a coefficient, summed by key, with zero sums kept and,
+        over GF(p), sums not reduced.  The running degree is checked before
+        each power of an image coefficient is taken."""
         domain, monomials, bound = self.domain, self._monomials, self.degree
         for poly in polys:
             if poly.domain != domain:
@@ -539,15 +559,18 @@ class Substitution:
                         raise ValueError(f"no image for variable {v.render()}") from None
                     key, c = key + e * k, c * fc**e
                 out[key] = out.get(key, 0) + c
-            yield _canonical(out, domain.p)
+            yield out
 
     def __call__(self, poly: Polynomial) -> Polynomial:
         (image,) = self._images([poly])
-        return self._packing.unpack(self.domain, image)
+        return self._packing.unpack(self.domain, _canonical(image, self.domain.p))
 
     def vanishing(self, polys: Iterable[Polynomial]) -> list[bool]:
-        """Whether each of ``polys`` maps to zero; no image is unpacked."""
-        return [not image for image in self._images(polys)]
+        """Whether each of ``polys`` maps to zero: every sum of its image is
+        0, mod p over GF(p).  No image is made canonical or unpacked."""
+        p = self.domain.p
+        return [not any([c % p for c in image.values()] if p else image.values())
+                for image in self._images(polys)]
 
 
 # ---------------------------------------------------------------------------

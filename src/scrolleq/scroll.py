@@ -93,12 +93,13 @@ def minors_2x2(profile: ScrollProfile) -> list[Polynomial]:
     bottom-left*top-right.
 
     Distinct column pairs carry distinct variable entries, so the list is
-    duplicate-free, and the two monomials of a minor always differ.
+    duplicate-free, and the two monomials of a minor always differ.  The
+    term without the smallest variable, top-left, prints first.
     """
     columns = [(x_var(i, j), x_var(i, j + 1))
                for i, ni in enumerate(profile.n, start=1) for j in range(ni)]
     return [
-        _raw_poly(ZZ, {_product(top1, bottom2): 1, _product(bottom1, top2): -1})
+        _raw_poly(ZZ, {_product(bottom1, top2): -1, _product(top1, bottom2): 1})
         for (top1, bottom1), (top2, bottom2) in itertools.combinations(columns, 2)
     ]
 
@@ -121,15 +122,15 @@ def curve_equation(n: int, i: int, block: int = 1) -> Polynomial:
     The polynomial is homogeneous of degree i + 1 in x[block][0..i+1]:
     the signed binomial sum over alpha of C(i, alpha) *
     x[i+1]^(i-alpha) * x[alpha] * x[i]^alpha.  Valid for 1 <= i <= n - 1.
-    The terms are built sorted, with the coefficients of ``binomial_row(i)``.
+    The terms are built in print order, alpha = i down to 0.
     """
     if not 1 <= i <= n - 1:
         raise ValueError(f"curve equation index {i} out of range for block degree {n}")
     x = [x_var(block, j) for j in range(i + 2)]
-    monos = [((x[0], 1), (x[i + 1], i))]
-    monos += [((x[k], 1), (x[i], k), (x[i + 1], i - k)) for k in range(1, i)]
-    monos.append(((x[i], i + 1),))
-    return _raw_poly(ZZ, dict(zip(monos, binomial_row(i))))
+    monos = [((x[i], i + 1),)]
+    monos += [((x[k], 1), (x[i], k), (x[i + 1], i - k)) for k in range(i - 1, 0, -1)]
+    monos.append(((x[0], 1), (x[i + 1], i)))
+    return _raw_poly(ZZ, dict(zip(monos, binomial_row(i)[::-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +169,10 @@ def bridge(a: int, b: int, x_block: int = 1, y_block: int = 2) -> Polynomial:
     (c, r) = divmod(alpha, p) and (e, f) = divmod(alpha, q), x the first
     block and y the second; zero-exponent factors are left out.  The terms
     are built sorted, lower block first, with the coefficients of
-    ``binomial_row(m)``.  The result is homogeneous of degree p + q, with
-    first-block degree exactly p and second-block degree exactly q in every
-    term.
+    ``binomial_row(m)``, in print order: alpha ascending when the first block
+    is the lower, descending when it is the higher.  The result is
+    homogeneous of degree p + q, with first-block degree exactly p and
+    second-block degree exactly q in every term.
     """
     meta = bridge_meta(a, b)
     if x_block == y_block:
@@ -182,9 +184,10 @@ def bridge(a: int, b: int, x_block: int = 1, y_block: int = 2) -> Polynomial:
           for v in range(a, 0, -1) for r in range(p)] + [((x[0], p),)]
     ys = [((y[e], q - f), (y[e + 1], f)) if f else ((y[e], q),)
           for e in range(b) for f in range(q)] + [((y[b], q),)]
+    row = binomial_row(m)
     if y_block < x_block:
-        xs, ys = ys, xs
-    return _raw_poly(ZZ, {u + w: c for u, w, c in zip(xs, ys, binomial_row(m))})
+        xs, ys, row = ys[::-1], xs[::-1], row[::-1]
+    return _raw_poly(ZZ, {u + w: c for u, w, c in zip(xs, ys, row)})
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +230,13 @@ def weight_groups(profile: ScrollProfile) -> list[WeightGroup]:
 
 def g_polynomial(bridges: dict[tuple[int, int], Polynomial], group: WeightGroup) -> Polynomial:
     """Sum of the group's bridges, looked up in ``bridges`` by pair, each
-    raised to its balancing power."""
-    acc = Polynomial.zero(ZZ)
-    for pair, power in zip(group.pairs, group.powers):
-        acc = acc + bridges[pair] ** power
-    return acc
+    raised to its balancing power.  The pairs are nested, i < i' < j' < j,
+    so the powers share no monomial, have one degree, and print the later
+    first block first: the sum concatenates their terms in that order."""
+    terms = {}
+    for pair, power in sorted(zip(group.pairs, group.powers), reverse=True):
+        terms.update((bridges[pair] ** power).sorted_terms())
+    return _raw_poly(ZZ, terms)
 
 
 def term_bound(group: WeightGroup) -> int:

@@ -210,9 +210,11 @@ def check_bridge_determinant_power(a: int, b: int, i=1, j=2, br=None) -> bool:
 
 def generic_minor(i: int, j: int) -> Polynomial:
     """Column-(i, j) minor t[i]*u[j] - u[i]*t[j] of the generic 2 x d matrix,
-    each term built in the variable order, u before t; zero for i == j."""
+    each term built in the variable order, u before t, and the term without
+    the smaller of u[i], u[j] first; zero for i == j."""
     ui, ti, uj, tj = u_var(i), t_var(i), u_var(j), t_var(j)
-    return _raw_poly(ZZ, {} if i == j else {((uj, 1), (ti, 1)): 1, ((ui, 1), (tj, 1)): -1})
+    terms = [(((uj, 1), (ti, 1)), 1), (((ui, 1), (tj, 1)), -1)]
+    return _raw_poly(ZZ, {} if i == j else dict(terms if i < j else terms[::-1]))
 
 
 def plucker_identity(d: int) -> tuple[bool, str]:

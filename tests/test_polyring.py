@@ -314,6 +314,29 @@ def test_vanishing_agrees_with_the_full_map():
     assert sub.vanishing([]) == []
 
 
+@pytest.mark.parametrize("dom, expected", [
+    (ZZ, [True, False, False, False, False]),
+    (GF(5), [True, True, True, True, False]),
+    (GF(7), [True, False, False, False, False]),
+    (GF(13), [True, False, True, False, False]),
+], ids=str)
+def test_vanishing_reads_image_sums_mod_p(dom, expected):
+    # vanishing reads the image sums unreduced: 2*s + 3*s sums to 5*s, and
+    # 4^3*t^3 + t^3 to 65*t^3, so over GF(5) (and the latter over GF(13))
+    # they cancel only once reduced mod p.
+    images = {X0: term(2, [(VAR_S, 1)], dom), X1: term(3, [(VAR_S, 1)], dom),
+              X2: term(4, [(VAR_T, 1)], dom), Y0: term(1, [(VAR_T, 1)], dom)}
+    sub = Substitution(images, dom, 3)
+    polys = [
+        var(X0, dom).scale(3) - var(X1, dom).scale(2),
+        var(X0, dom) + var(X1, dom),
+        var(X2, dom) ** 3 + var(Y0, dom) ** 3,
+        (var(X0, dom) + var(X1, dom)) * var(Y0, dom) ** 2,
+        var(X0, dom) * var(X1, dom),
+    ]
+    assert sub.vanishing(polys) == [sub(p).is_zero() for p in polys] == expected
+
+
 def test_vanishing_keeps_the_checks_of_a_call():
     # Alone or after a polynomial that maps, a bad one raises what a call does.
     sub = Substitution({X0: term(1, [(VAR_S, 1)]), X1: term(1, [(VAR_T, 1)])}, ZZ, 2)

@@ -1,5 +1,6 @@
 """Property-based tests: ring axioms, homomorphism laws, canonical form."""
 
+import itertools
 import json
 import math
 from functools import cmp_to_key
@@ -31,7 +32,12 @@ from scrolleq import (
     Substitution,
     VarId,
     binomial_row,
+    bridge,
+    build_profile,
+    curve_equation,
+    equation_set,
     grevlex_key,
+    minors_2x2,
     monomial,
     parse_poly,
     poly_from_json,
@@ -194,6 +200,52 @@ def test_substitution_homomorphism(data):
     p, q, images = data
     assert (p + q).substitute(images) == p.substitute(images) + q.substitute(images)
     assert (p * q).substitute(images) == p.substitute(images) * q.substitute(images)
+
+
+# -- print order ----------------------------------------------------------------------
+
+
+def assert_in_print_order(p):
+    """``sorted_terms()``, and the stored terms after it, are the terms in
+    descending order of the reference comparator."""
+    expected = sorted(p.terms.items(), key=lambda kv: cmp_to_key(grevlex_cmp)(kv[0]), reverse=True)
+    assert p.sorted_terms() == expected, p
+    assert list(p.terms.items()) == expected, p
+
+
+def test_built_families_are_stored_in_print_order():
+    # Built terms are never sorted: each family writes them in print order,
+    # bridges and generic minors in either block or column order.
+    built = [curve_equation(n, i, block) for n in range(2, 9) for i in range(1, n) for block in (1, 3)]
+    built += [bridge(a, b, i, j) for a in range(1, 7) for b in range(1, 7)
+              for i, j in ((1, 2), (2, 1), (2, 5), (5, 2))]
+    built += [m for n in ((1, 1), (2, 3), (1, 2, 3), (3, 1, 2, 2)) for m in minors_2x2(build_profile(n))]
+    built += [verify.generic_minor(i, j) for i in range(1, 6) for j in range(1, 6)]
+    for p in built:
+        assert_in_print_order(p)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_weight_generators_are_stored_in_print_order(d):
+    for n in itertools.product(range(1, 4), repeat=d):
+        for _, p in equation_set(build_profile(n)).weight_gens:
+            assert_in_print_order(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_with_substitution(), st.integers(0, 3), coeffs, st.sampled_from([2, 3, 7]))
+def test_every_operation_leaves_terms_in_print_order(data, e, c, q):
+    # Operands from the constructor (terms in no known order) and from a
+    # product (terms in print order); drawn polynomials are often
+    # inhomogeneous and may be constants.
+    p, r, images = data
+    product = p * r
+    results = [p, p + r, p - r, product, p ** e, product ** e, p.substitute(images),
+               -p, -product, p.scale(c), product.scale(c)]
+    if p.domain == ZZ:
+        results += [p.reduce_mod(q), product.reduce_mod(q)]
+    for result in results:
+        assert_in_print_order(result)
 
 
 def is_canonical_monomial(m) -> bool:

@@ -291,6 +291,37 @@ def test_g_polynomial_degree_and_structure():
     assert g_polynomial(es.bridges, groups[3]) == bridge_from_table(BRIDGE_2_2, 1, 2)
 
 
+def test_weight_group_pairs_share_no_block_and_one_degree():
+    # g_polynomial concatenates a group's bridge powers instead of adding
+    # them: that needs the pairs of a group to use pairwise disjoint blocks
+    # (so the powers share no monomial) and the powers to have one degree.
+    # The pairs depend on d alone and the degrees on the block degrees; read
+    # from weight_groups, nothing expanded.
+    rng = random.Random(25)
+    for d in range(1, 41):
+        for n in [(1,) * d, tuple(range(1, d + 1))] + [
+            tuple(rng.randint(1, 12) for _ in range(d)) for _ in range(3)
+        ]:
+            for g in weight_groups(build_profile(n)):
+                blocks = [b for pair in g.pairs for b in pair]
+                assert len(set(blocks)) == len(blocks), (n, g.k)
+                degrees = {meta.degree * power for meta, power in zip(g.metas, g.powers)}
+                assert degrees == {g.degree}, (n, g.k)
+
+
+@pytest.mark.parametrize("n", [(1, 1, 1), (3, 1, 2), (2, 2, 3, 4), (1, 2, 3, 4, 5), (4, 1, 1, 3, 2, 1)],
+                         ids=lambda n: "".join(map(str, n)))
+def test_g_polynomial_is_its_bridge_powers_added(n):
+    es = equation_set(build_profile(n))
+    for group in es.groups:
+        added = Polynomial.zero(ZZ)
+        for pair, power in zip(group.pairs, group.powers):
+            added = added + es.bridges[pair] ** power
+        generator = g_polynomial(es.bridges, group)
+        assert generator == added, (n, group.k)
+        assert list(generator.terms.items()) == added.sorted_terms(), (n, group.k)
+
+
 # Profiles of the benchmark's symbolic pool, with the weight-generator terms
 # recorded for each; the pool keeps those with at most 3,000 terms.
 SYMBOLIC_POOL = Path(__file__).resolve().parent.parent / "scrollbench" / "reference.json"
