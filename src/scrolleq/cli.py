@@ -6,7 +6,7 @@ variety comparison only) and ``export`` (Macaulay2 / Singular scripts).
 Common flags may appear before or after the command name.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error, 3 the
-evaluation budget was exceeded.
+work budget was exceeded.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (export: m2|singular)")
     parser.add_argument("--seed", type=int, help="seed recorded in reports")
     parser.add_argument("--budget", type=int,
-                        help=f"evaluation budget (default {DEFAULT_BUDGET})")
+                        help="work budget: construction terms and enumeration "
+                             f"evaluations (default {DEFAULT_BUDGET})")
     parser.add_argument("--out", metavar="PATH",
                         help="write output to a file instead of stdout")
     return parser

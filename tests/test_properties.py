@@ -396,14 +396,15 @@ def test_mul_matches_schoolbook(case):
 @st.composite
 def pow_cases(draw):
     # Degrees 1, 2, 4 or 8 times e in {2, 4, 8} make deg * e a power of two,
-    # the bound at which the field width steps up.
+    # the bound at which the field width steps up.  Exponents 5, 7 and 12 are
+    # odd or not a power of two, as balancing powers of weight generators are.
     dom = draw(domains)
     p = draw(
         st.one_of(
             polys(dom, 3), boundary_polys(dom, exps=(1, 2, 4, 7, 8))
         )
     )
-    return p, draw(st.sampled_from([0, 1, 2, 3, 4, 8]))
+    return p, draw(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 12]))
 
 
 _DEG4 = _x(0, 4) + _x(1) * _x(2, 3) - _x(1, 4)
@@ -415,6 +416,7 @@ _DEG4 = _x(0, 4) + _x(1) * _x(2, 3) - _x(1, 4)
 @example((_DEG4, 4))
 @example((_DEG4, 8))
 @example((_x(0, 1, 3, GF(5)) - _x(1, 2, 2, GF(5)), 4))  # 3^4 = 2^4 = 1 in GF(5)
+@example((bridge(2, 3), 7))  # a 7-term base, as in a weight generator
 def test_pow_matches_schoolbook(case):
     p, e = case
     assert p**e == schoolbook_pow(p, e)
