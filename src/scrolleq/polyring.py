@@ -47,8 +47,8 @@ term of many polynomials by adding keys.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -96,16 +96,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(namedtuple("Domain", "p")):
     """Coefficient domain tag: the integers (``p`` is None) or GF(p), p prime."""
 
-    p: int | None = None
+    __slots__ = ()
+    # _replace builds through _make, so both check what the constructor checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
+    def __new__(cls, p: int | None = None):
         # A float or a bool would pass is_prime, so the type is compared exactly.
-        if self.p is not None and (type(self.p) is not int or not is_prime(self.p)):
-            raise ValueError(f"{self.p!r} is not prime")
+        if p is not None and (type(p) is not int or not is_prime(p)):
+            raise ValueError(f"{p!r} is not prime")
+        return super().__new__(cls, p)
 
     def coerce(self, value):
         """``value``, an ``int``, in this domain's canonical form; anything
@@ -301,9 +303,6 @@ class Polynomial:
     def total_degree(self) -> int:
         """Largest term degree; -1 for the zero polynomial."""
         return max((sum(e for _, e in m) for m in self.terms), default=-1)
-
-    def is_homogeneous(self) -> bool:
-        return len({sum(e for _, e in m) for m in self.terms}) <= 1
 
     def num_terms(self) -> int:
         return len(self.terms)

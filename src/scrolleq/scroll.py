@@ -17,7 +17,8 @@ This module builds, over the integers:
   in the second block;
 * the weight groups: the bridge on blocks (i, j) has weight i + j, and the
   bridges of one weight are combined into a single generator by raising each
-  to the lcm-balancing power and summing;
+  to the lcm-balancing power and summing.  One pass over the pairs lays out
+  every group, with one ``bridge_meta`` per distinct degree pair per call;
 * the assembled defining system: all curve equations followed by all weight
   generators, N - 2 polynomials in total (for d >= 2).  A weight generator is
   kept as its group and expanded only when it is read.
@@ -30,19 +31,19 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .polyring import (
+    NS_SCROLL,
     ZZ,
     Polynomial,
     VarId,
     _raw_poly,
     binomial_row,
-    x_var,
 )
 
 
-@dataclass(frozen=True)
-class ScrollProfile:
+class ScrollProfile(NamedTuple):
     """Block degrees (n_1, ..., n_d) plus the derived ambient dimension."""
 
     n: tuple[int, ...]
@@ -55,14 +56,10 @@ class ScrollProfile:
     def N(self) -> int:
         return sum(self.n) + self.d - 1
 
-    @property
-    def num_vars(self) -> int:
-        return self.N + 1
-
     def variables(self) -> tuple[VarId, ...]:
         """All scroll variables in canonical (block-major) order."""
         return tuple(
-            x_var(i, j) for i, ni in enumerate(self.n, start=1) for j in range(ni + 1)
+            VarId(NS_SCROLL, i, j) for i, ni in enumerate(self.n, start=1) for j in range(ni + 1)
         )
 
     def __str__(self) -> str:
@@ -96,7 +93,7 @@ def minors_2x2(profile: ScrollProfile) -> list[Polynomial]:
     duplicate-free, and the two monomials of a minor always differ.  The
     term without the smallest variable, top-left, prints first.
     """
-    columns = [(x_var(i, j), x_var(i, j + 1))
+    columns = [(VarId(NS_SCROLL, i, j), VarId(NS_SCROLL, i, j + 1))
                for i, ni in enumerate(profile.n, start=1) for j in range(ni)]
     return [
         _raw_poly(ZZ, {_product(bottom1, top2): -1, _product(top1, bottom2): 1})
@@ -126,7 +123,9 @@ def curve_equation(n: int, i: int, block: int = 1) -> Polynomial:
     """
     if not 1 <= i <= n - 1:
         raise ValueError(f"curve equation index {i} out of range for block degree {n}")
-    x = [x_var(block, j) for j in range(i + 2)]
+    if block < 1:
+        raise ValueError(f"block index must be positive, got {block}")
+    x = [VarId(NS_SCROLL, block, j) for j in range(i + 2)]
     monos = [((x[i], i + 1),)]
     monos += [((x[k], 1), (x[i], k), (x[i + 1], i - k)) for k in range(i - 1, 0, -1)]
     monos.append(((x[0], 1), (x[i + 1], i)))
@@ -138,8 +137,7 @@ def curve_equation(n: int, i: int, block: int = 1) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BridgeMeta:
+class BridgeMeta(NamedTuple):
     """Arithmetic data of a bridge: m = lcm(a, b) = a*p = b*q; degree p + q."""
 
     a: int
@@ -175,11 +173,11 @@ def bridge(a: int, b: int, x_block: int = 1, y_block: int = 2) -> Polynomial:
     second-block degree exactly q in every term.
     """
     meta = bridge_meta(a, b)
-    if x_block == y_block:
-        raise ValueError("a bridge couples two distinct blocks")
+    if x_block == y_block or min(x_block, y_block) < 1:
+        raise ValueError(f"a bridge needs distinct positive blocks, not {x_block} and {y_block}")
     p, q, m = meta.p, meta.q, meta.m
-    x = [x_var(x_block, c) for c in range(a + 1)]
-    y = [x_var(y_block, e) for e in range(b + 1)]
+    x = [VarId(NS_SCROLL, x_block, c) for c in range(a + 1)]
+    y = [VarId(NS_SCROLL, y_block, e) for e in range(b + 1)]
     xs = [((x[v - 1], r), (x[v], p - r)) if r else ((x[v], p),)
           for v in range(a, 0, -1) for r in range(p)] + [((x[0], p),)]
     ys = [((y[e], q - f), (y[e + 1], f)) if f else ((y[e], q),)
@@ -195,8 +193,7 @@ def bridge(a: int, b: int, x_block: int = 1, y_block: int = 2) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightGroup:
+class WeightGroup(NamedTuple):
     """Bridges of one weight k = i + j, with the lcm-balancing powers.
 
     ``degree`` is the lcm of the member bridge degrees; member (i, j) is
@@ -212,19 +209,27 @@ class WeightGroup:
 
 
 def weight_groups(profile: ScrollProfile) -> list[WeightGroup]:
-    """Weight groups for k = 3, ..., 2d - 1; empty for a single block."""
-    d = profile.d
+    """Weight groups for k = 3, ..., 2d - 1, each with its pairs i < j = k - i
+    in ascending i; empty for a single block.  One pass over the pairs makes
+    one ``bridge_meta`` per distinct degree pair (n_i, n_j) per call."""
+    n = profile.n
+    known = {}
+    buckets = [([], [], []) for _ in range(2 * len(n))]
+    for i, a in enumerate(n, start=1):
+        for j, b in enumerate(n[i:], start=i + 1):
+            member = known.get((a, b))
+            if member is None:
+                meta = bridge_meta(a, b)
+                member = known[a, b] = (meta, meta.degree)
+            pairs, metas, degrees = buckets[i + j]
+            pairs.append((i, j))
+            metas.append(member[0])
+            degrees.append(member[1])
     groups = []
-    for k in range(3, 2 * d):
-        pairs = []
-        for i in range(max(1, k - d), (k - 1) // 2 + 1):
-            j = k - i
-            if i < j <= d:
-                pairs.append((i, j))
-        metas = tuple(bridge_meta(profile.n[i - 1], profile.n[j - 1]) for i, j in pairs)
-        degree = math.lcm(*(meta.degree for meta in metas))
-        powers = tuple(degree // meta.degree for meta in metas)
-        groups.append(WeightGroup(k, tuple(pairs), metas, degree, powers))
+    for k, (pairs, metas, degrees) in enumerate(buckets[3:], start=3):
+        degree = math.lcm(*degrees)
+        powers = tuple([degree // e for e in degrees])
+        groups.append(WeightGroup(k, tuple(pairs), tuple(metas), degree, powers))
     return groups
 
 

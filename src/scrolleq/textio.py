@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .polyring import (
     AUX_S,
@@ -69,8 +69,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class ParseContext:
+class ParseContext(NamedTuple):
     """Parsing context: coefficient domain plus optional block-size validation.
 
     When ``block_sizes`` is given (the per-block degrees), scroll variables

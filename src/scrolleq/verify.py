@@ -21,8 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
-from typing import Mapping, Sequence, TypeAlias
+from typing import Mapping, NamedTuple, Sequence, TypeAlias
 
 from .polyring import (
     GF,
@@ -110,15 +109,13 @@ def scroll_param_map(profile: ScrollProfile) -> dict[VarId, Polynomial]:
     return images
 
 
-@dataclass(frozen=True)
-class GeneratorCheck:
+class GeneratorCheck(NamedTuple):
     label: str
     ok: bool
     residual: str = ""
 
 
-@dataclass(frozen=True)
-class ParamReport:
+class ParamReport(NamedTuple):
     profile: tuple[int, ...]
     checks: tuple[GeneratorCheck, ...]
     bridges: Mapping[tuple[int, int], bool]
@@ -384,8 +381,7 @@ def check_block_walk_budget(profile: ScrollProfile, q: int, budget: int) -> None
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VarietyReport:
+class VarietyReport(NamedTuple):
     """Point-set comparison of the defining system against the minors."""
 
     profile: tuple[int, ...]

@@ -4,6 +4,10 @@
   entry by entry; the library builds whole signed rows by running product.
 * ``bridge_via_lists`` builds a bridge from its two explicit monomial lists,
   independently of ``scroll.bridge``.
+* ``weight_groups`` lays out the groups one weight k at a time, with one
+  ``bridge_meta`` per pair; the library makes one pass over the pairs and
+  one ``bridge_meta`` per distinct degree pair.
+* ``num_vars`` and ``is_homogeneous`` are queries that only the tests ask.
 * ``schoolbook_mul``, ``schoolbook_pow`` and ``schoolbook_substitute`` compute
   on dicts of monomial tuples directly, with no packed exponents: the
   multiply is the one ``Polynomial.__mul__`` used before packing, the power
@@ -55,6 +59,7 @@ from scrolleq import (
     Polynomial,
     Substitution,
     VarId,
+    WeightGroup,
     bridge_meta,
     generic_minor,
     monomial,
@@ -109,6 +114,34 @@ def bridge_via_lists(a: int, b: int, x_block: int = 1, y_block: int = 2) -> Poly
     for alpha, (mx, my) in enumerate(zip(xs, ys)):
         terms[monomial(mx + my)] = (-1) ** alpha * binomial(m, alpha)
     return Polynomial(ZZ, terms)
+
+
+def weight_groups(profile) -> list[WeightGroup]:
+    """Weight groups for k = 3, ..., 2d - 1, each k's pairs i < j = k - i
+    listed in ascending i; must equal ``scroll.weight_groups``."""
+    d = profile.d
+    groups = []
+    for k in range(3, 2 * d):
+        pairs = []
+        for i in range(max(1, k - d), (k - 1) // 2 + 1):
+            j = k - i
+            if i < j <= d:
+                pairs.append((i, j))
+        metas = tuple(bridge_meta(profile.n[i - 1], profile.n[j - 1]) for i, j in pairs)
+        degree = math.lcm(*(meta.degree for meta in metas))
+        powers = tuple(degree // meta.degree for meta in metas)
+        groups.append(WeightGroup(k, tuple(pairs), metas, degree, powers))
+    return groups
+
+
+def num_vars(profile) -> int:
+    """The number of coordinates of the scroll's ambient space, N + 1."""
+    return profile.N + 1
+
+
+def is_homogeneous(p: Polynomial) -> bool:
+    """Whether every term of ``p`` has one total degree (true for zero)."""
+    return len({sum(e for _, e in m) for m in p.terms}) <= 1
 
 
 def schoolbook_mul(a: Polynomial, b: Polynomial) -> Polynomial:

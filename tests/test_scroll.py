@@ -19,7 +19,8 @@ from golden import (
     bridge_from_table,
     curve_from_table,
 )
-from reference import binomial, bridge_via_lists, schoolbook_pow
+import reference
+from reference import binomial, bridge_via_lists, is_homogeneous, num_vars, schoolbook_pow
 from scrolleq import (
     ZZ,
     Polynomial,
@@ -42,7 +43,7 @@ from scrolleq import scroll
 
 def test_profile_dimensions():
     p = build_profile([2, 2, 3, 4])
-    assert (p.d, p.N, p.num_vars) == (4, 14, 15)
+    assert (p.d, p.N, num_vars(p)) == (4, 14, 15)
     assert build_profile([1, 1]).N == 3
     assert build_profile([6]).N == 6
 
@@ -90,7 +91,7 @@ def test_minor_count_and_dedup():
     minors = minors_2x2(build_profile([2, 2, 3, 4]))
     assert len(minors) == math.comb(11, 2) == 55
     assert len(set(minors)) == 55
-    assert all(p.is_homogeneous() and p.total_degree() == 2 for p in minors)
+    assert all(is_homogeneous(p) and p.total_degree() == 2 for p in minors)
 
 
 def test_minors_match_products_of_variables():
@@ -124,7 +125,7 @@ def test_curve_equation_blocks_and_degrees():
     for n in range(2, 7):
         for i in range(1, n):
             p = curve_equation(n, i, block=3)
-            assert p.is_homogeneous()
+            assert is_homogeneous(p)
             assert p.total_degree() == i + 1
             assert p.num_terms() == i + 1
             assert all(v.block == 3 for v in p.variables())
@@ -135,6 +136,8 @@ def test_curve_equation_range_errors():
         curve_equation(3, 0)
     with pytest.raises(ValueError):
         curve_equation(3, 3)
+    with pytest.raises(ValueError, match="block index"):
+        curve_equation(3, 1, block=0)
 
 
 # -- bridges -------------------------------------------------------------------------
@@ -186,7 +189,7 @@ def test_bridge_homogeneity_and_block_degrees():
     for a in range(1, 7):
         for b in range(1, 7):
             meta, p = bridge_meta(a, b), bridge(a, b, 3, 5)
-            assert p.is_homogeneous()
+            assert is_homogeneous(p)
             assert p.total_degree() == meta.degree
             for mono in p.terms:
                 block_degree = {3: 0, 5: 0}
@@ -231,6 +234,12 @@ def test_curve_equation_is_canonical_as_built():
 def test_bridge_rejects_same_block():
     with pytest.raises(ValueError):
         bridge(2, 3, 1, 1)
+
+
+@pytest.mark.parametrize("blocks", [(0, 2), (1, 0), (-1, 2)])
+def test_bridge_rejects_a_block_below_one(blocks):
+    with pytest.raises(ValueError, match="distinct positive blocks"):
+        bridge(1, 2, *blocks)
 
 
 def test_signed_binomials_sum_to_zero():
@@ -278,11 +287,39 @@ def test_weight_groups_partition_all_pairs():
                 assert power * meta.degree == g.degree
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_weight_groups_match_the_reference_on_small_profiles(d):
+    # Every profile with d blocks of degree at most 4, in every order.
+    for n in itertools.product(range(1, 5), repeat=d):
+        profile = build_profile(n)
+        assert weight_groups(profile) == reference.weight_groups(profile), n
+
+
+@pytest.mark.parametrize("n", [(1,) * 40, (1,) * 400, (2, 3, 5, 7), (97, 89)],
+                         ids=["40-lines", "400-lines", "2-3-5-7", "97-89"])
+def test_weight_groups_match_the_reference(n):
+    # Equal groups have equal k, pairs, metas, degree and powers.
+    profile = build_profile(n)
+    assert weight_groups(profile) == reference.weight_groups(profile)
+
+
+def test_weight_groups_make_one_bridge_meta_per_degree_pair(monkeypatch):
+    calls = []
+    original = scroll.bridge_meta
+    monkeypatch.setattr(scroll, "bridge_meta", lambda a, b: calls.append((a, b)) or original(a, b))
+    for n in [(2, 3, 5, 7), (2, 2, 3, 3, 2, 2), (4, 1, 4, 1), (1,) * 40, (5,)]:
+        distinct = {(a, b) for i, a in enumerate(n) for b in n[i + 1:]}
+        for _ in range(2):  # nothing is kept from one call to the next
+            calls.clear()
+            weight_groups(build_profile(n))
+            assert sorted(calls) == sorted(distinct), n
+
+
 def test_g_polynomial_degree_and_structure():
     es = equation_set(build_profile([2, 2, 3, 4]))
     groups = {g.k: g for g in es.groups}
     g5 = g_polynomial(es.bridges, groups[5])
-    assert g5.is_homogeneous() and g5.total_degree() == 15
+    assert is_homogeneous(g5) and g5.total_degree() == 15
     expected = (
         bridge_from_table(BRIDGE_2_4, 1, 4) ** 5 + bridge_from_table(BRIDGE_2_3, 2, 3) ** 3
     )
@@ -457,4 +494,4 @@ def test_claimed_rank_matches_codimension_bound():
 def test_every_generator_homogeneous():
     es = equation_set(build_profile([2, 3, 4]))
     for label, p in es.system() + es.labeled_minors():
-        assert p.is_homogeneous(), label
+        assert is_homogeneous(p), label
