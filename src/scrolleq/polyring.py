@@ -23,13 +23,13 @@ builds one from any pairs.  ``Polynomial.terms`` always maps such tuples to
 coefficients.  Monomials are ordered by total degree first and
 reverse-lexicographically on the variable order to break ties:
 ``grevlex_key`` gives that order as a sort key, and its descending order is
-the print order.  The ``Polynomial`` constructor takes any (pairs,
-coefficient) items and is the one place they are made canonical; the
-internal ``_raw_poly`` wraps terms that are canonical and in print order by
-construction: an unpacked result, a variable, and the built families of
-``scroll`` and ``verify``.  Negation, scaling and reduction keep their
-operand's order; the constructor and ``+`` leave it unknown, to be sorted
-by ``grevlex_key`` when first printed.
+the print order.  Every ``Polynomial`` stores its terms in print order from
+the moment it is made.  The constructor takes any (pairs, coefficient) items
+and is the one place they are made canonical; it and ``+`` sort once, as
+they build.  The internal ``_raw_poly`` wraps terms that are canonical and
+in print order by construction: an unpacked result, a variable, and the
+built families of ``scroll`` and ``verify``.  Negation, scaling and
+reduction keep their operand's order.
 
 Multiplication, powers and substitution compute on a packed form instead
 (Monagan and Pearce, CASC 2007): each operation gives every variable it
@@ -256,13 +256,14 @@ class Polynomial:
     Instances are immutable values.  The constructor is the one public way to
     make one: it takes ``(pairs, coefficient)`` items in any form, passes each
     ``pairs`` through ``monomial`` and each coefficient through
-    ``Domain.coerce``, sums repeated monomials and drops zero sums.  Every
-    operation returns the same canonical form; only terms already in that
-    form skip the constructor, through the internal ``_raw_poly``.
-    Arithmetic requires both operands to share the same domain.
+    ``Domain.coerce``, sums repeated monomials, drops zero sums and sorts the
+    rest.  Every operation returns the same canonical form, in print order;
+    only terms already in that form skip the constructor, through the
+    internal ``_raw_poly``.  Arithmetic requires both operands to share the
+    same domain.
     """
 
-    __slots__ = ("domain", "terms", "_hash", "_unsorted")
+    __slots__ = ("domain", "terms", "_hash")
 
     def __init__(self, domain: Domain, terms: Mapping | Iterable = ()):
         acc: dict[tuple, object] = {}
@@ -270,8 +271,7 @@ class Polynomial:
             mono = monomial(pairs)
             acc[mono] = acc.get(mono, 0) + domain.coerce(coeff)
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "terms", _canonical(acc, domain.p))
-        object.__setattr__(self, "_unsorted", len(self.terms) > 1)
+        object.__setattr__(self, "terms", _print_order(_canonical(acc, domain.p)))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Polynomial is immutable")
@@ -313,17 +313,6 @@ class Polynomial:
     def coefficient(self, mono: tuple):
         return self.terms.get(mono, 0)
 
-    def sorted_terms(self) -> list[tuple[tuple, object]]:
-        """Terms in descending canonical order (leading term first), which is
-        the order they are stored in.  Terms that the constructor or ``+``
-        left in an unknown order are sorted by ``grevlex_key`` on the first
-        call and stored so; ``terms`` stays the same mapping."""
-        if self._unsorted:
-            terms = sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0]), reverse=True)
-            object.__setattr__(self, "terms", dict(terms))
-            object.__setattr__(self, "_unsorted", False)
-        return list(self.terms.items())
-
     # -- ring operations -----------------------------------------------------
 
     def _check_domain(self, other: "Polynomial") -> None:
@@ -337,12 +326,10 @@ class Polynomial:
         out = dict(self.terms)
         for mono, c in other.terms.items():
             out[mono] = out.get(mono, 0) + c
-        return _raw_poly(self.domain, _canonical(out, self.domain.p), unsorted=True)
+        return _raw_poly(self.domain, _print_order(_canonical(out, self.domain.p)))
 
     def __neg__(self) -> "Polynomial":
-        return _raw_poly(self.domain, _canonical(
-            {m: -c for m, c in self.terms.items()}, self.domain.p
-        ), self._unsorted)
+        return self.scale(-1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -362,7 +349,7 @@ class Polynomial:
         dom = self.domain
         c0 = dom.coerce(value)
         terms = _canonical({m: c * c0 for m, c in self.terms.items()}, dom.p)
-        return _raw_poly(dom, terms, self._unsorted)
+        return _raw_poly(dom, terms)
 
     def __pow__(self, e: int) -> "Polynomial":
         """``self ** e``: the packed base multiplied in e - 1 times, which for
@@ -412,7 +399,7 @@ class Polynomial:
         """Coefficientwise reduction of an integer polynomial into GF(q)."""
         if self.domain.p is not None:
             raise ValueError("reduce_mod applies to polynomials over Z")
-        return _raw_poly(GF(q), _canonical(self.terms, q), self._unsorted)
+        return _raw_poly(GF(q), _canonical(self.terms, q))
 
     # -- printing -------------------------------------------------------------
 
@@ -423,15 +410,21 @@ class Polynomial:
         return f"Polynomial({self.domain}, {format_poly(self)})"
 
 
-def _raw_poly(domain: Domain, terms: dict, unsorted: bool = False) -> Polynomial:
+def _raw_poly(domain: Domain, terms: dict) -> Polynomial:
     # Internal: wraps ``terms`` as they are, so they must already be in
-    # canonical form for ``domain`` and, unless ``unsorted``, in print
-    # order; everything else goes through the constructor.
+    # canonical form for ``domain`` and in print order, the invariant of
+    # every Polynomial; everything else goes through the constructor.
     p = Polynomial.__new__(Polynomial)
     object.__setattr__(p, "domain", domain)
     object.__setattr__(p, "terms", terms)
-    object.__setattr__(p, "_unsorted", unsorted and len(terms) > 1)
     return p
+
+
+def _print_order(terms: dict) -> dict:
+    """``terms``, a canonical monomial map, in print order."""
+    if len(terms) < 2:
+        return terms
+    return {m: terms[m] for m in sorted(terms, key=grevlex_key, reverse=True)}
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +580,7 @@ def format_poly(p: Polynomial, var_name=VarId.render, space: str = " ") -> str:
     plus, minus = f"{space}+{space}", f"{space}-{space}"
     spelled: dict[tuple[VarId, int], str] = {}
     parts: list[str] = []
-    for mono, coeff in p.sorted_terms():
+    for mono, coeff in p.terms.items():
         mag = str(coeff)
         if mag[0] == "-":
             parts.append(minus)

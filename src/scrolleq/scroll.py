@@ -240,7 +240,7 @@ def g_polynomial(bridges: dict[tuple[int, int], Polynomial], group: WeightGroup)
     first block first: the sum concatenates their terms in that order."""
     terms = {}
     for pair, power in sorted(zip(group.pairs, group.powers), reverse=True):
-        terms.update((bridges[pair] ** power).sorted_terms())
+        terms.update((bridges[pair] ** power).terms)
     return _raw_poly(ZZ, terms)
 
 

@@ -273,7 +273,7 @@ def domain_from_json(obj) -> Domain:
 
 def poly_to_json(p: Polynomial) -> dict:
     terms = []
-    for mono, coeff in p.sorted_terms():
+    for mono, coeff in p.terms.items():
         exps = sorted([*_encode_var(v), e] for v, e in mono)
         # Same coefficient text as format_poly.
         terms.append({"coeff": str(coeff), "exps": exps})
@@ -299,7 +299,7 @@ def polys_json_text(polys, level: int = 0) -> list[str]:
     for p in polys:
         domain = '"Z"' if p.domain.p is None else f'{{{n2}"Fp": {p.domain.p}{n1}}}'
         terms = []
-        for mono, coeff in p.sorted_terms():
+        for mono, coeff in p.terms.items():
             exps = []
             for factor in mono:
                 entry = entries.get(factor)

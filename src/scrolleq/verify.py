@@ -59,13 +59,18 @@ Summands: TypeAlias = "Sequence[tuple[Polynomial, int]]"
 
 
 class BudgetExceededError(RuntimeError):
-    """Enumeration or construction would exceed the budget."""
+    """Enumeration or construction would exceed the budget; an estimate past
+    the int-to-str digit limit is printed as "more than 10^k"."""
 
     def __init__(
         self, estimate: int, budget: int, work: str = "enumeration",
         unit: str = "generator evaluations",
     ):
-        super().__init__(f"{work} needs an estimated {estimate} {unit}, budget is {budget}")
+        try:
+            amount = str(estimate)
+        except ValueError:
+            amount = f"more than 10^{(estimate.bit_length() - 1) * 3010299956 // 10**10}"
+        super().__init__(f"{work} needs an estimated {amount} {unit}, budget is {budget}")
         self.estimate = estimate
         self.budget = budget
 
@@ -433,10 +438,11 @@ def compare_varieties(
     is walked for Z_i and M_i, after its polynomials are checked homogeneous
     over GF(q) (ValueError if not); with n_i = 1 the cone is GF(q)^2.  One
     more walk covers the product of the cones.  Each stage is checked
-    against the budget before it starts.
+    against the budget before it starts, the block walks before any build.
     """
     start = time.perf_counter()
     GF(q)  # refuses a q that is not prime
+    check_block_walk_budget(profile, q, budget)
     eqset = eqset if eqset is not None else equation_set(profile)
     visited, in_system, in_minors = _loci(eqset, q, budget)
     minor_set = set(in_minors)
@@ -466,7 +472,6 @@ def _loci(eqset: EquationSet, q: int, budget: int) -> tuple[int, list, list]:
     """(walk nodes, system locus, minor locus) over GF(q), as
     ``compare_varieties`` computes them."""
     profile = eqset.profile
-    check_block_walk_budget(profile, q, budget)
     blocks = [[x_var(i, j) for j in range(ni + 1)] for i, ni in enumerate(profile.n, start=1)]
     if profile.d == 1:
         slots = {v: v.slot for v in blocks[0]}

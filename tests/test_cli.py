@@ -307,6 +307,37 @@ def test_scan_budget_is_checked_before_expansion(capsys, no_expansion):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+def test_block_walks_are_refused_before_the_system_is_built(capsys, monkeypatch, command):
+    # One degree-2000 block has about 10^2228 points over GF(13); its curve
+    # equations and minors pass the eager budget, so only the block-walk
+    # budget refuses the command, and it needs only the profile and q.
+    import scrolleq.cli
+    import scrolleq.scroll
+    import scrolleq.verify
+
+    def refuse(profile):
+        raise AssertionError("an equation set was built")
+
+    for module in (scrolleq.cli, scrolleq.scroll, scrolleq.verify):
+        monkeypatch.setattr(module, "equation_set", refuse)
+    assert run(["--profile", "2000", command, "--field", "13"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: enumeration needs an estimated ")
+    assert err.count("\n") == 1
+
+
+def test_an_estimate_too_long_to_print_is_refused_in_one_line(capsys):
+    # The product of 200 n_i = 1 cones over GF(999999999989) has
+    # (q^400 - 1)/(q - 1) points: the estimate has 4,793 digits, past str().
+    ones = ",".join(["1"] * 200)
+    assert run(["--profile", ones, "enumerate", "--field", "999999999989"]) == 3
+    assert capsys.readouterr().err == (
+        "budget exceeded: enumeration needs an estimated more than 10^4792 generator "
+        "evaluations, budget is 100000000\n"
+    )
+
+
 def test_cone_budget_is_checked_before_any_cone_is_built(capsys):
     # Each n_i = 1 block's cone is all of GF(1009)^2, about 1e6 points; the
     # product pass would visit 1010 * 1009^2 + 1010 points and evaluate the

@@ -443,7 +443,7 @@ def test_grevlex_classic_tie_break():
 
 def test_sorted_terms_lead_with_largest():
     p = conic()
-    lead_mono, lead_coeff = p.sorted_terms()[0]
+    lead_mono, lead_coeff = list(p.terms.items())[0]
     assert lead_mono == monomial([(X1, 2)])
     assert lead_coeff == -1
 

@@ -207,11 +207,11 @@ def test_substitution_homomorphism(data):
 
 
 def assert_in_print_order(p):
-    """``sorted_terms()``, and the stored terms after it, are the terms in
+    """The stored terms, read before anything else touches ``p``, are in
     descending order of the reference comparator."""
-    expected = sorted(p.terms.items(), key=lambda kv: cmp_to_key(grevlex_cmp)(kv[0]), reverse=True)
-    assert p.sorted_terms() == expected, p
-    assert list(p.terms.items()) == expected, p
+    stored = list(p.terms.items())
+    expected = sorted(stored, key=lambda kv: cmp_to_key(grevlex_cmp)(kv[0]), reverse=True)
+    assert stored == expected, p
 
 
 def test_built_families_are_stored_in_print_order():
@@ -236,8 +236,8 @@ def test_weight_generators_are_stored_in_print_order(d):
 @settings(max_examples=300, deadline=None)
 @given(pair_with_substitution(), st.integers(0, 3), coeffs, st.sampled_from([2, 3, 7]))
 def test_every_operation_leaves_terms_in_print_order(data, e, c, q):
-    # Operands from the constructor (terms in no known order) and from a
-    # product (terms in print order); drawn polynomials are often
+    # Operands from the constructor (given terms in no known order) and from
+    # a product; drawn polynomials are often
     # inhomogeneous and may be constants.
     p, r, images = data
     product = p * r
@@ -338,6 +338,28 @@ def test_constructor_equals_merged_sorted_terms(data):
     p = Polynomial(dom, items)
     assert p.terms == expected
     assert all(type(c) is int for c in p.terms.values())
+
+
+@settings(deadline=None)
+@given(raw_terms(), st.data())
+def test_shuffled_terms_are_stored_in_print_order_once_made(data, draw):
+    # The constructor, + and the parser sort as they build; reading the
+    # terms, printing and serializing then leave the same dict in place.
+    dom, items = data
+    p = Polynomial(dom, items)
+    shuffled = draw.draw(st.permutations(list(p.terms.items())))
+    summed = Polynomial.zero(dom)
+    for mono, c in shuffled:
+        summed = summed + Polynomial(dom, [(mono, c)])
+    # No term's text holds a sign, so "+ -" comes only from a negative term.
+    text = " + ".join([str(Polynomial(dom, [t])) for t in shuffled]).replace("+ -", "- ") or "0"
+    for q in (Polynomial(dom, shuffled), summed, parse_poly(text, ParseContext(domain=dom))):
+        assert q == p
+        terms = q.terms
+        assert_in_print_order(q)
+        order = list(terms.items())
+        str(q), poly_to_json(q), polys_json_text([q])
+        assert q.terms is terms and list(q.terms.items()) == order
 
 
 # -- packed arithmetic against the schoolbook reference -------------------------------

@@ -109,7 +109,7 @@ def test_minors_match_products_of_variables():
             ]
             minors = minors_2x2(build_profile(n))
             assert minors == expected, n
-            assert all(m.sorted_terms() == e.sorted_terms() for m, e in zip(minors, expected))
+            assert all(list(m.terms.items()) == list(e.terms.items()) for m, e in zip(minors, expected))
 
 
 # -- curve equations ---------------------------------------------------------------
@@ -356,7 +356,7 @@ def test_g_polynomial_is_its_bridge_powers_added(n):
             added = added + es.bridges[pair] ** power
         generator = g_polynomial(es.bridges, group)
         assert generator == added, (n, group.k)
-        assert list(generator.terms.items()) == added.sorted_terms(), (n, group.k)
+        assert list(generator.terms.items()) == list(added.terms.items()), (n, group.k)
 
 
 # Profiles of the benchmark's symbolic pool, with the weight-generator terms

@@ -112,7 +112,7 @@ def test_bridge_mutant_fails_lazy_and_expanded_checks(monkeypatch, capsys):
     def mutant(a, b, x_block=1, y_block=2):
         br = bridge(a, b, x_block, y_block)
         if (x_block, y_block) == (1, 4):
-            lead, _ = br.sorted_terms()[0]
+            lead, _ = list(br.terms.items())[0]
             br = br + Polynomial(ZZ, {lead: 1})
         return br
 
@@ -190,7 +190,7 @@ def test_bridge_determinant_power_matches_the_reference(i, j):
     for a, b in itertools.product(range(1, 7), repeat=2):
         br, meta = bridge(a, b, i, j), bridge_meta(a, b)
         moved = monomial([(x_var(i, 0), meta.p), (x_var(j, 0), meta.q)])
-        (lead, c), *_ = br.sorted_terms()
+        (lead, c), *_ = list(br.terms.items())
         assert moved not in br.terms
         mutants = [br + Polynomial(ZZ, {mono: 1})
                    for mono in list(br.terms)[:: max(1, len(br.terms) // 3)]]
@@ -382,6 +382,17 @@ def test_enumerate_budget_refusal():
     assert err.value.estimate > 10_000
 
 
+@pytest.mark.parametrize("estimate, amount", [
+    (10**4299, str(10**4299)),  # 4,300 digits, the most str() writes by default
+    (10**4300, "more than 10^4299"),
+    (2 * 10**5000 - 1, "more than 10^5000"),
+], ids=["4300-digits", "4301-digits", "5001-digits"])
+def test_budget_message_bounds_an_estimate_too_long_to_print(estimate, amount):
+    err = BudgetExceededError(estimate, 10)
+    assert str(err) == f"enumeration needs an estimated {amount} generator evaluations, budget is 10"
+    assert err.estimate == estimate
+
+
 def test_enumerate_rejects_bad_inputs():
     profile = build_profile([1, 1])
     with pytest.raises(ValueError):
@@ -454,7 +465,7 @@ def bump_curve(eqset, block, index, delta=1):
     curves = []
     for i, j, p in eqset.curve_gens:
         if (i, j) == (block, index):
-            lead, _ = p.sorted_terms()[0]
+            lead, _ = list(p.terms.items())[0]
             p = p + Polynomial(ZZ, {lead: delta})
         curves.append((i, j, p))
     return replace(eqset, curve_gens=tuple(curves))
@@ -631,7 +642,7 @@ def test_parametrization_matches_the_full_map_reference(n):
 def bump_bridge(eqset, pair, delta=1):
     """The equation set with the leading coefficient of bridge ``pair`` raised by ``delta``."""
     br = eqset.bridges[pair]
-    lead, _ = br.sorted_terms()[0]
+    lead, _ = list(br.terms.items())[0]
     mutant = replace(eqset)
     bumped = br + Polynomial(ZZ, {lead: delta})
     object.__setattr__(mutant, "bridges", {**eqset.bridges, pair: bumped})
