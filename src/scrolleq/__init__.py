@@ -51,6 +51,7 @@ from .verify import (
     check_bridge_scroll_vanishing,
     check_construction_budget,
     check_parametrization,
+    check_suite,
     compare_varieties,
     generic_minor,
     plucker_identity,

@@ -3,7 +3,9 @@
 Commands: ``equations`` (print the defining system), ``verify`` (symbolic
 checks plus optional finite-field comparison), ``enumerate`` (finite-field
 variety comparison only) and ``export`` (Macaulay2 / Singular scripts).
-Common flags may appear before or after the command name.
+Common flags may appear before or after the command name.  This module
+parses the flags, renders the results and picks the exit code; the checks,
+their order and every budget refusal are ``verify``'s.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error, 3 the
 work budget was exceeded.
@@ -15,7 +17,6 @@ import argparse
 import errno
 import functools
 import json
-import math
 import os
 import sys
 
@@ -26,13 +27,10 @@ from .textio import json_array_text, polys_json_text
 from .verify import (
     BudgetExceededError,
     DEFAULT_BUDGET,
-    check_block_walk_budget,
-    check_bridge_determinant_power,
-    check_bridge_scroll_vanishing,
     check_construction_budget,
-    check_parametrization,
+    check_curve_minor_budget,
+    check_suite,
     compare_varieties,
-    plucker_identity,
 )
 
 EXIT_OK = 0
@@ -133,14 +131,7 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         parser.error(f"{args.command} needs --format plain|json, got {args.fmt!r}")
     if args.command == "enumerate" and args.field is None:
         parser.error("enumerate needs --field")
-    # Every command builds each curve equation (i + 1 terms for i < n_i) and
-    # each 2-term minor at once, before any other budget check can run.
-    n = args.profile.n
-    eager = sum((k - 1) * (k + 2) // 2 for k in n) + 2 * math.comb(sum(n), 2)
-    if eager > args.budget:
-        raise BudgetExceededError(
-            eager, args.budget, "construction", "curve-equation and minor terms"
-        )
+    check_curve_minor_budget(args.profile, args.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -189,52 +180,8 @@ def cmd_equations(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_checks(args: argparse.Namespace):
-    """The symbolic checks, then the variety comparison under ``--field``, as
-    (name, passed, detail) lines, and the comparison's report or None.
-
-    The block walks under ``--field`` depend on the profile and q alone, so
-    they are refused first.  Each pair of blocks reports its own bridge's
-    scroll vanishing.  The determinant power depends only on the block
-    degrees (a, b), so it is checked once, on the first pair of blocks with
-    them, and every pair with those degrees reports that verdict."""
-    profile, field = args.profile, args.field
-    if field is not None:
-        check_block_walk_budget(profile, field, args.budget)
-    eqset = equation_set(profile)
-    param = check_parametrization(profile, eqset=eqset)
-    checks = []
-    # Renaming u[j] to v is injective, so a pair's scroll vanishing is its
-    # bridge's parametrization verdict; only a failing bridge is mapped with v.
-    power = {}
-    for i in range(1, profile.d + 1):
-        for j in range(i + 1, profile.d + 1):
-            a, b = profile.n[i - 1], profile.n[j - 1]
-            br, ok = eqset.bridges[i, j], param.bridges[i, j]
-            if (a, b) not in power:
-                power[a, b] = check_bridge_determinant_power(a, b, i, j, br)
-            residual = "" if ok else f"residual {check_bridge_scroll_vanishing(a, b, i, j, br)[1]}"
-            checks.append((f"bridge-scroll-vanishing blocks ({i},{j})", ok, residual))
-            checks.append((f"bridge-determinant-power blocks ({i},{j})", power[a, b], ""))
-    detail = f"{sum(c.ok for c in param.checks)}/{len(param.checks)} generators vanish"
-    if not param.passed:
-        detail += "; failing: " + ", ".join(c.label for c in param.failures()[:5])
-    checks.append(("parametrization-vanishing", param.passed, detail))
-    checks.append((f"plucker-identity d={profile.d}", *plucker_identity(profile.d)))
-    report = None
-    if field is not None:
-        report = compare_varieties(profile, field, budget=args.budget, seed=args.seed, eqset=eqset)
-        checks.append((
-            f"variety-comparison q={field}",
-            report.passed,
-            f"count_J={report.count_j} count_P={report.count_p} "
-            f"witnesses={len(report.witnesses)}",
-        ))
-    return checks, report
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    checks, report = _run_checks(args)
+    checks, report = check_suite(args.profile, args.field, args.budget, args.seed)
     passed = all(ok for _, ok, _ in checks)
     if args.fmt == "json":
         doc = {

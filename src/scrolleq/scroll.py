@@ -310,11 +310,6 @@ class EquationSet:
     def labeled_curves(self) -> list[tuple[str, Polynomial]]:
         return [(f"curve[{i}][{j}]", p) for i, j, p in self.curve_gens]
 
-    def labeled_minors(self) -> list[tuple[str, Polynomial]]:
-        """Each minor of ``minors_2x2``, labeled ``minor[c1][c2]`` by its columns."""
-        pairs = itertools.combinations(range(sum(self.profile.n)), 2)
-        return [(f"minor[{c1}][{c2}]", p) for (c1, c2), p in zip(pairs, self.minor_gens)]
-
 
 def equation_set(profile: ScrollProfile) -> EquationSet:
     """Build the full defining system for a profile, weight generators

@@ -83,6 +83,16 @@ def check_construction_budget(eqset: EquationSet, budget: int) -> None:
         raise BudgetExceededError(estimate, budget, "construction", "weight-generator terms")
 
 
+def check_curve_minor_budget(profile: ScrollProfile, budget: int) -> None:
+    """Refuse a profile whose curve equations (i + 1 terms for i < n_i) and
+    2-term minors have more terms than the budget: every command builds them
+    at once, before any other budget check can run."""
+    n = profile.n
+    eager = sum((k - 1) * (k + 2) // 2 for k in n) + 2 * math.comb(sum(n), 2)
+    if eager > budget:
+        raise BudgetExceededError(eager, budget, "construction", "curve-equation and minor terms")
+
+
 # ---------------------------------------------------------------------------
 # Symbolic checks
 # ---------------------------------------------------------------------------
@@ -116,21 +126,18 @@ def scroll_param_map(profile: ScrollProfile) -> dict[VarId, Polynomial]:
 
 class GeneratorCheck(NamedTuple):
     label: str
-    ok: bool
-    residual: str = ""
+    residual: str
 
 
 class ParamReport(NamedTuple):
     profile: tuple[int, ...]
-    checks: tuple[GeneratorCheck, ...]
+    total: int
+    failures: tuple[GeneratorCheck, ...]
     bridges: Mapping[tuple[int, int], bool]
 
     @property
     def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> list[GeneratorCheck]:
-        return [c for c in self.checks if not c.ok]
+        return not self.failures
 
 
 def check_parametrization(
@@ -145,26 +152,26 @@ def check_parametrization(
     prepared once, for the degree bound of each kind: i + 1 for the i-th
     curve equation, the group degree for a bridge and 2 for a minor.  Its
     images are single terms, so ``Substitution.vanishing`` checks the curve
-    equations, the bridges and the minors by packed keys, one call each; only
-    a polynomial that fails is mapped, for its residual.
+    equations, the bridges and the minors by packed keys, one call each.  The
+    report counts every generator, but only one that fails is labeled (a
+    minor ``minor[c1][c2]`` by its columns) and mapped, for its residual.
     """
     eqset = eqset if eqset is not None else equation_set(profile)
     degree = max([2] + [j + 1 for _, j, _ in eqset.curve_gens] + [g.degree for g in eqset.groups])
     param = Substitution(scroll_param_map(profile), ZZ, degree)
     vanished = dict(zip(eqset.bridges, param.vanishing(eqset.bridges.values())))
-
-    def singles(labeled, oks):
-        return [GeneratorCheck(label, ok, "" if ok else str(param(p)))
-                for (label, p), ok in zip(labeled, oks)]
-
-    weights = [
-        GeneratorCheck(f"weight[{g.k}]", all(vanished[ij] for ij in g.pairs), "; ".join(
+    failures = [GeneratorCheck(f"curve[{i}][{j}]", str(param(p))) for (i, j, p), ok in zip(
+        eqset.curve_gens, param.vanishing([p for *_, p in eqset.curve_gens])) if not ok]
+    failures += [
+        GeneratorCheck(f"weight[{g.k}]", "; ".join(
             [str(param(eqset.bridges[ij])) for ij in g.pairs if not vanished[ij]]))
-        for g in eqset.groups
+        for g in eqset.groups if not all(vanished[ij] for ij in g.pairs)
     ]
-    checks = (singles(eqset.labeled_curves(), param.vanishing([p for *_, p in eqset.curve_gens]))
-              + weights + singles(eqset.labeled_minors(), param.vanishing(eqset.minor_gens)))
-    return ParamReport(profile.n, tuple(checks), vanished)
+    columns = itertools.combinations(range(sum(profile.n)), 2)
+    failures += [GeneratorCheck(f"minor[{c1}][{c2}]", str(param(p))) for (c1, c2), p, ok
+                 in zip(columns, eqset.minor_gens, param.vanishing(eqset.minor_gens)) if not ok]
+    return ParamReport(profile.n, eqset.system_size + len(eqset.minor_gens), tuple(failures),
+                       vanished)
 
 
 def check_bridge_scroll_vanishing(a: int, b: int, i=1, j=2, br=None) -> tuple[bool, Polynomial]:
@@ -375,7 +382,9 @@ def check_block_walk_budget(profile: ScrollProfile, q: int, budget: int) -> None
     """Refuse a comparison over GF(q) whose block walks exceed the budget: a
     block's points times its n_i - 1 curve equations and C(n_i, 2) minors,
     and at least its points for a single block.  This needs the profile and
-    q alone, so it can be checked before any other work."""
+    q alone, so it can be checked before any other work.  A q that is not
+    prime is refused first, with ValueError."""
+    GF(q)
     least = 1 if profile.d == 1 else 0
     _check_budget(sum(projective_size(n + 1, q) * max(least, n - 1 + math.comb(n, 2))
                       for n in profile.n), budget)
@@ -441,7 +450,6 @@ def compare_varieties(
     against the budget before it starts, the block walks before any build.
     """
     start = time.perf_counter()
-    GF(q)  # refuses a q that is not prime
     check_block_walk_budget(profile, q, budget)
     eqset = eqset if eqset is not None else equation_set(profile)
     visited, in_system, in_minors = _loci(eqset, q, budget)
@@ -524,3 +532,49 @@ def _loci(eqset: EquationSet, q: int, budget: int) -> tuple[int, list, list]:
     nodes, in_system, in_minors = _walk(
         levels, weights, [_flat([(p, 1)], index, q) for p in cross], size, q)
     return visited + nodes, in_system, in_minors
+
+
+# ---------------------------------------------------------------------------
+# Check suite
+# ---------------------------------------------------------------------------
+
+
+def check_suite(
+    profile: ScrollProfile, q: int | None = None, budget: int = DEFAULT_BUDGET,
+    seed: int | None = None,
+) -> tuple[list[tuple[str, bool, str]], VarietyReport | None]:
+    """The symbolic checks, then the variety comparison over GF(q) when q is
+    given, as (name, passed, detail) lines, and the comparison's report or None.
+
+    The block walks over GF(q) depend on the profile and q alone, so they are
+    refused first.  Each pair of blocks reports its own bridge's scroll
+    vanishing.  The determinant power depends only on the block degrees
+    (a, b), so it is checked once, on the first pair of blocks with them,
+    and every pair with those degrees reports that verdict."""
+    if q is not None:
+        check_block_walk_budget(profile, q, budget)
+    eqset = equation_set(profile)
+    param = check_parametrization(profile, eqset=eqset)
+    lines = []
+    # Renaming u[j] to v is injective, so a pair's scroll vanishing is its
+    # bridge's parametrization verdict; only a failing bridge is mapped with v.
+    power = {}
+    for i, j in itertools.combinations(range(1, profile.d + 1), 2):
+        a, b = profile.n[i - 1], profile.n[j - 1]
+        br, ok = eqset.bridges[i, j], param.bridges[i, j]
+        if (a, b) not in power:
+            power[a, b] = check_bridge_determinant_power(a, b, i, j, br)
+        residual = "" if ok else f"residual {check_bridge_scroll_vanishing(a, b, i, j, br)[1]}"
+        lines.append((f"bridge-scroll-vanishing blocks ({i},{j})", ok, residual))
+        lines.append((f"bridge-determinant-power blocks ({i},{j})", power[a, b], ""))
+    detail = f"{param.total - len(param.failures)}/{param.total} generators vanish"
+    if param.failures:
+        detail += "; failing: " + ", ".join(c.label for c in param.failures[:5])
+    lines.append(("parametrization-vanishing", param.passed, detail))
+    lines.append((f"plucker-identity d={profile.d}", *plucker_identity(profile.d)))
+    report = None
+    if q is not None:
+        report = compare_varieties(profile, q, budget=budget, seed=seed, eqset=eqset)
+        lines.append((f"variety-comparison q={q}", report.passed, f"count_J={report.count_j} "
+                      f"count_P={report.count_p} witnesses={len(report.witnesses)}"))
+    return lines, report

@@ -7,7 +7,8 @@
 * ``weight_groups`` lays out the groups one weight k at a time, with one
   ``bridge_meta`` per pair; the library makes one pass over the pairs and
   one ``bridge_meta`` per distinct degree pair.
-* ``num_vars`` and ``is_homogeneous`` are queries that only the tests ask.
+* ``num_vars``, ``is_homogeneous`` and ``labeled_minors`` are queries that
+  only the tests ask.
 * ``schoolbook_mul``, ``schoolbook_pow`` and ``schoolbook_substitute`` compute
   on dicts of monomial tuples directly, with no packed exponents: the
   multiply is the one ``Polynomial.__mul__`` used before packing, the power
@@ -28,10 +29,10 @@
   ``schoolbook_substitute`` and compares it with the schoolbook power of the
   2 x 2 determinant, multiplied out: no binomial row and no packing; the
   library checks a binomial row and builds the expansion term by term.
-* ``check_parametrization`` maps every curve equation, bridge and minor in
-  full through the prepared parametrization and reads each residual off the
-  unpacked image; the library reads a verdict off packed keys and maps only
-  what fails.
+* ``check_parametrization`` labels every curve equation, weight generator
+  and minor, maps each in full through the prepared parametrization and
+  reads each residual off the unpacked image; the library reads a verdict
+  off packed keys and labels and maps only what fails.
 * ``plucker_identity`` multiplies and adds the generic minors as
   ``Polynomial`` values, one packing per product; the library packs the
   minors once and sums packed products.
@@ -142,6 +143,12 @@ def num_vars(profile) -> int:
 def is_homogeneous(p: Polynomial) -> bool:
     """Whether every term of ``p`` has one total degree (true for zero)."""
     return len({sum(e for _, e in m) for m in p.terms}) <= 1
+
+
+def labeled_minors(eqset) -> list[tuple[str, Polynomial]]:
+    """Each minor of ``minors_2x2``, labeled ``minor[c1][c2]`` by its columns."""
+    pairs = itertools.combinations(range(sum(eqset.profile.n)), 2)
+    return [(f"minor[{c1}][{c2}]", p) for (c1, c2), p in zip(pairs, eqset.minor_gens)]
 
 
 def schoolbook_mul(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -289,22 +296,24 @@ def determinant_power(a: int, b: int, i: int, j: int, br: Polynomial) -> bool:
     return schoolbook_substitute(br, images) == schoolbook_pow(det, math.lcm(a, b))
 
 
-def check_parametrization(eqset) -> tuple[GeneratorCheck, ...]:
-    """The checks of ``verify.check_parametrization``, each polynomial mapped
-    in full: a curve equation, a weight generator through its bridges, a
-    minor.  A check's residual is its nonzero images, joined by "; "."""
+def check_parametrization(eqset) -> tuple[int, tuple[GeneratorCheck, ...]]:
+    """The generator count and the failures of ``verify.check_parametrization``,
+    each polynomial labeled and mapped in full: a curve equation, a weight
+    generator through its bridges, a minor.  A failure's residual is its
+    nonzero images, joined by "; "."""
     entries = (
         [(label, [p]) for label, p in eqset.labeled_curves()]
         + [(f"weight[{g.k}]", [eqset.bridges[ij] for ij in g.pairs]) for g in eqset.groups]
-        + [(label, [p]) for label, p in eqset.labeled_minors()]
+        + [(label, [p]) for label, p in labeled_minors(eqset)]
     )
     degree = max([2] + [j + 1 for _, j, _ in eqset.curve_gens] + [g.degree for g in eqset.groups])
     param = Substitution(scroll_param_map(eqset.profile), ZZ, degree)
-    checks = []
+    failures = []
     for label, polys in entries:
         residuals = [str(r) for r in map(param, polys) if not r.is_zero()]
-        checks.append(GeneratorCheck(label, not residuals, "; ".join(residuals)))
-    return tuple(checks)
+        if residuals:
+            failures.append(GeneratorCheck(label, "; ".join(residuals)))
+    return len(entries), tuple(failures)
 
 
 def plucker_identity(d: int, minor=generic_minor) -> tuple[bool, list[tuple[int, int, int, int]]]:

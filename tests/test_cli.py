@@ -139,15 +139,16 @@ def test_enumerate_budget_exit_code(capsys):
 
 def test_verify_field_budget_is_checked_before_the_symbolic_checks(capsys, monkeypatch):
     # The block walks of (97,89) over GF(2) need about 10^33 evaluations;
-    # that depends on the profile and q alone, so no symbolic check may run.
-    from scrolleq import cli
+    # that depends on the profile and q alone, so nothing may be built and
+    # no symbolic check may run.
+    from scrolleq import verify
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a symbolic check ran")
+        raise AssertionError("the suite ran before the block walks were refused")
 
-    for name in ["check_bridge_scroll_vanishing", "check_bridge_determinant_power",
+    for name in ["equation_set", "check_bridge_scroll_vanishing", "check_bridge_determinant_power",
                  "check_parametrization", "plucker_identity"]:
-        monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(verify, name, refuse)
     assert run(["--profile", "97,89", "verify", "--field", "2"]) == 3
     assert capsys.readouterr().err.startswith("budget exceeded: enumeration needs an estimated ")
 
@@ -192,12 +193,12 @@ FAIL suite for profile (2, 2, 3, 3)
 
 @pytest.mark.parametrize("profile, pair", list(MUTATED_BRIDGE_REPORTS), ids=["234", "2233"])
 def test_verify_reports_a_mutated_bridge_as_before(capsys, monkeypatch, profile, pair):
-    from scrolleq import cli
+    from scrolleq import build_profile, equation_set, verify
     from test_verify import bump_bridge
 
     plain, json_digest = MUTATED_BRIDGE_REPORTS[profile, pair]
-    mutant = bump_bridge(cli.equation_set(cli.build_profile(map(int, profile.split(",")))), pair)
-    monkeypatch.setattr(cli, "equation_set", lambda profile: mutant)
+    mutant = bump_bridge(equation_set(build_profile(map(int, profile.split(",")))), pair)
+    monkeypatch.setattr(verify, "equation_set", lambda profile: mutant)
     assert run(["--profile", profile, "verify"]) == 1
     assert capsys.readouterr().out == plain
     assert run(["--profile", profile, "verify", "--format", "json"]) == 1
@@ -215,17 +216,69 @@ def test_verify_reports_each_pairs_own_bridge(capsys, monkeypatch, pair):
     # Blocks (1,3), (1,4), (2,3) and (2,4) of (2,2,3,3) share their degrees,
     # but each scroll-vanishing line reads its own bridge: only the mutated
     # pair fails, with its own residual.
-    from scrolleq import cli
+    from scrolleq import build_profile, equation_set, verify
     from test_verify import bump_bridge
 
-    mutant = bump_bridge(cli.equation_set(cli.build_profile([2, 2, 3, 3])), pair)
-    monkeypatch.setattr(cli, "equation_set", lambda profile: mutant)
+    mutant = bump_bridge(equation_set(build_profile([2, 2, 3, 3])), pair)
+    monkeypatch.setattr(verify, "equation_set", lambda profile: mutant)
     assert run(["--profile", "2,2,3,3", "verify"]) == 1
     failed = [line for line in lines_of(capsys)
               if line.startswith("FAIL bridge-scroll-vanishing")]
     assert len(failed) == 1
     assert failed[0].startswith(f"FAIL bridge-scroll-vanishing blocks ({pair[0]},{pair[1]}) "
                                 f"(residual u[{pair[0]}]")
+
+
+def many_failures_mutant():
+    """(2,2,3) with curve[3][2], minors 0, 5, 9, 14 and 20 and bridge (1,3)
+    each off by one: seven of its 28 generators fail."""
+    from scrolleq import build_profile, equation_set
+    from test_verify import bump_bridge, bump_curve, bump_minor
+
+    eqset = bump_curve(equation_set(build_profile([2, 2, 3])), 3, 2)
+    for index in (0, 5, 9, 14, 20):
+        eqset = bump_minor(eqset, index)
+    # replace() drops the cached bridges, so the bridge is bumped last.
+    return bump_bridge(eqset, (1, 3))
+
+
+def test_verify_names_the_first_five_failing_generators(capsys, monkeypatch):
+    # The failing generators are named curves first, then weights, then
+    # minors, and only the first five of them.
+    from scrolleq import verify
+
+    mutant = many_failures_mutant()
+    monkeypatch.setattr(verify, "equation_set", lambda profile: mutant)
+    assert run(["--profile", "2,2,3", "verify"]) == 1
+    text = capsys.readouterr().out
+    assert ("FAIL parametrization-vanishing (21/28 generators vanish; failing: curve[3][2], "
+            "weight[4], minor[0][1], minor[0][6], minor[1][5])") in text.splitlines()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5435da033834503f24cfa39a256421902b140654689f18b6083318c78928a327")
+    assert run(["--profile", "2,2,3", "verify", "--format", "json"]) == 1
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "a0a9f8770f89e4271d5728ddfb4defa4e25058195a37f5a3507d962b5a4a6756")
+
+
+@pytest.mark.parametrize("mutated, q", [(False, 3), (False, None), (True, None)],
+                         ids=["123-q3", "123", "mutant"])
+def test_check_suite_lines_are_the_json_checks(capsys, monkeypatch, mutated, q):
+    from scrolleq import build_profile, check_suite, verify
+
+    profile = "2,2,3" if mutated else "1,2,3"
+    if mutated:
+        mutant = many_failures_mutant()
+        monkeypatch.setattr(verify, "equation_set", lambda profile: mutant)
+    lines, report = check_suite(build_profile(map(int, profile.split(","))), q)
+    field = [] if q is None else ["--field", str(q)]
+    assert run(["--profile", profile, "verify", "--format", "json", *field]) == int(mutated)
+    doc = json.loads(capsys.readouterr().out)
+    assert [(c["name"], c["passed"], c["detail"]) for c in doc["checks"]] == lines
+    if q is None:
+        assert report is None and doc["variety"] is None
+    else:
+        assert (report.count_j, report.count_p) == (doc["variety"]["count_J"],
+                                                     doc["variety"]["count_P"])
 
 
 @pytest.mark.parametrize("value", ["10", "abc", "0", "-5", ""])
@@ -463,12 +516,12 @@ def test_unwritable_out_path_is_usage_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("target", ["missing/x.txt", ""], ids=["no-parent", "directory"])
 def test_unwritable_out_path_is_refused_before_any_work(capsys, monkeypatch, tmp_path, target):
-    from scrolleq import cli
+    from scrolleq import verify
 
     def no_work(profile):
         raise AssertionError("the command ran before --out was checked")
 
-    monkeypatch.setattr(cli, "equation_set", no_work)
+    monkeypatch.setattr(verify, "equation_set", no_work)
     path = tmp_path / target
     assert run(["--profile", "2,2,3,4", "verify", "--field", "2", "--out", str(path)]) == 2
     err = capsys.readouterr().err

@@ -459,12 +459,12 @@ def test_equation_set_2234_labels():
         "weight[3]", "weight[4]", "weight[5]", "weight[6]", "weight[7]",
     ]
     assert len(es.minor_gens) == 55
-    assert len(es.labeled_minors()) == 55
+    assert len(reference.labeled_minors(es)) == 55
 
 
 def test_labeled_minors_name_their_column_pairs():
     es = equation_set(build_profile([2, 2, 3, 4]))
-    labeled = es.labeled_minors()
+    labeled = reference.labeled_minors(es)
     pairs = list(itertools.combinations(range(2 + 2 + 3 + 4), 2))
     assert [label for label, _ in labeled] == [f"minor[{c1}][{c2}]" for c1, c2 in pairs]
     # Column c is (x[i][j], x[i][j+1]) for the c-th slot j < n_i, block by block.
@@ -493,5 +493,5 @@ def test_claimed_rank_matches_codimension_bound():
 
 def test_every_generator_homogeneous():
     es = equation_set(build_profile([2, 3, 4]))
-    for label, p in es.system() + es.labeled_minors():
+    for label, p in es.system() + reference.labeled_minors(es):
         assert is_homogeneous(p), label

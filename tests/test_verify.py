@@ -83,23 +83,21 @@ def test_segre_minor_vanishes_symbolically():
 def test_parametrization_small_profiles(n):
     report = check_parametrization(build_profile(n))
     assert report.passed
-    assert not report.failures()
+    assert not report.failures
 
 
 def test_parametrization_check_counts_generators():
     profile = build_profile([2, 3])
     report = check_parametrization(profile)
     # 4 system generators plus C(5, 2) = 10 minors
-    assert len(report.checks) == 14
+    assert report.total == 14
 
 
 def test_parametrization_proves_weight_generators_through_bridges(no_expansion):
     profile = build_profile([2, 3, 5, 7])
     report = check_parametrization(profile)
-    labels = [c.label for c in report.checks]
-    assert labels[:13] == [label for label, _ in equation_set(profile).labeled_curves()]
-    assert labels[13:18] == [f"weight[{k}]" for k in range(3, 8)]
-    assert len(labels) == 18 + 136 and report.passed
+    # 13 curve equations, weight[3] to weight[7] and C(17, 2) = 136 minors
+    assert report.total == 13 + 5 + 136 and report.passed
 
 
 def test_bridge_mutant_fails_lazy_and_expanded_checks(monkeypatch, capsys):
@@ -120,8 +118,8 @@ def test_bridge_mutant_fails_lazy_and_expanded_checks(monkeypatch, capsys):
     profile = build_profile([2, 2, 3, 4])
     eqset = equation_set(profile)
     report = check_parametrization(profile, eqset=eqset)
-    assert [c.label for c in report.failures()] == ["weight[5]"]
-    assert report.failures()[0].residual
+    assert [c.label for c in report.failures] == ["weight[5]"]
+    assert report.failures[0].residual
     images = scroll_param_map(profile)
     residuals = {label: p.substitute(images) for label, p in eqset.system()}
     assert [label for label, r in residuals.items() if not r.is_zero()] == ["weight[5]"]
@@ -614,6 +612,17 @@ def test_compare_varieties_nonprime_field():
         compare_varieties(build_profile([1, 1]), 4)
 
 
+@pytest.mark.parametrize("q", [1, 0, 4, -3])
+def test_block_walk_budget_and_check_suite_refuse_a_q_that_is_not_prime(q):
+    # q is checked before any size is computed: q = 1 would divide by zero
+    # in projective_size, and 0, 4 and -3 give sizes of no field.
+    profile = build_profile([1, 2])
+    with pytest.raises(ValueError, match=f"^{q} is not prime$"):
+        verify.check_block_walk_budget(profile, q, DEFAULT_BUDGET)
+    with pytest.raises(ValueError, match=f"^{q} is not prime$"):
+        verify.check_suite(profile, q)
+
+
 # -- cross-checks against the full-map references ------------------------------------
 
 PARAM_GRID = [n for d in (1, 2) for n in itertools.product(range(1, 6), repeat=d)] + [
@@ -634,7 +643,7 @@ def scroll_vanishing_by_pair(eqset):
 def test_parametrization_matches_the_full_map_reference(n):
     eqset = equation_set(build_profile(n))
     report = check_parametrization(eqset.profile, eqset=eqset)
-    assert report.checks == reference.check_parametrization(eqset)
+    assert (report.total, report.failures) == reference.check_parametrization(eqset)
     assert report.passed and len(report.bridges) == math.comb(len(n), 2)
     assert report.bridges == scroll_vanishing_by_pair(eqset)
 
@@ -687,9 +696,8 @@ def move_minor_term(eqset, index):
 def test_parametrization_matches_the_full_map_reference_on_mutants(mutate, args, n):
     eqset = mutate(equation_set(build_profile(n)), *args)
     report = check_parametrization(eqset.profile, eqset=eqset)
-    checks = reference.check_parametrization(eqset)
-    assert report.checks == checks
-    assert not report.passed and all(c.residual for c in report.failures())
+    assert (report.total, report.failures) == reference.check_parametrization(eqset)
+    assert not report.passed and all(c.residual for c in report.failures)
     assert report.bridges == scroll_vanishing_by_pair(eqset)
     assert all(report.bridges.values()) == (mutate is not bump_bridge)
 
