@@ -4,8 +4,9 @@ Commands: ``equations`` (print the defining system), ``verify`` (symbolic
 checks plus optional finite-field comparison), ``enumerate`` (finite-field
 variety comparison only) and ``export`` (Macaulay2 / Singular scripts).
 Common flags may appear before or after the command name.  This module
-parses the flags, renders the results and picks the exit code; the checks,
-their order and every budget refusal are ``verify``'s.
+parses the flags, renders the results and picks the exit code; the checks
+and every budget refusal are ``verify``'s.  ``enumerate`` checks the block
+walks' budget before it builds the equation set, as ``check_suite`` does.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error, 3 the
 work budget was exceeded.
@@ -27,6 +28,7 @@ from .textio import json_array_text, polys_json_text
 from .verify import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    check_block_walk_budget,
     check_construction_budget,
     check_curve_minor_budget,
     check_suite,
@@ -64,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="prime field size for enumeration; enumerate requires it")
     parser.add_argument("--format", dest="fmt", choices=["plain", "json", "m2", "singular"],
                         help="output format (export: m2|singular)")
-    parser.add_argument("--seed", type=int, help="seed recorded in reports")
     parser.add_argument("--budget", type=int,
                         help="work budget: construction terms and enumeration "
                              f"evaluations (default {DEFAULT_BUDGET})")
@@ -181,7 +182,7 @@ def cmd_equations(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    checks, report = check_suite(args.profile, args.field, args.budget, args.seed)
+    checks, report = check_suite(args.profile, args.field, args.budget)
     passed = all(ok for _, ok, _ in checks)
     if args.fmt == "json":
         doc = {
@@ -205,7 +206,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    report = compare_varieties(args.profile, args.field, budget=args.budget, seed=args.seed)
+    check_block_walk_budget(args.profile, args.field, args.budget)
+    report = compare_varieties(equation_set(args.profile), args.field, args.budget)
     if args.fmt == "json":
         _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
     else:

@@ -567,6 +567,13 @@ class Substitution:
 # ---------------------------------------------------------------------------
 
 
+def int_text(n: int) -> str:
+    """Decimal text of ``n`` at any length, 500 digits at a time: what the
+    printers write once ``str`` refuses ``n``, past the int-to-str digit limit."""
+    high, low = divmod(abs(n), 10**500)
+    return "-" * (n < 0) + (f"{int_text(high)}{low:0500d}" if high else str(low))
+
+
 def format_poly(p: Polynomial, var_name=VarId.render, space: str = " ") -> str:
     """Text of ``p``: terms in descending order, ``-`` folded into the joiner.
 
@@ -581,7 +588,10 @@ def format_poly(p: Polynomial, var_name=VarId.render, space: str = " ") -> str:
     spelled: dict[tuple[VarId, int], str] = {}
     parts: list[str] = []
     for mono, coeff in p.terms.items():
-        mag = str(coeff)
+        try:
+            mag = str(coeff)
+        except ValueError:  # past the int-to-str digit limit
+            mag = int_text(coeff)
         if mag[0] == "-":
             parts.append(minus)
             mag = mag[1:]

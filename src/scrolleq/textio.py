@@ -50,6 +50,7 @@ from .polyring import (
     Polynomial,
     VarId,
     _AUX_SCALAR_NAMES,
+    int_text,
     t_var,
     u_var,
     x_var,
@@ -276,7 +277,10 @@ def poly_to_json(p: Polynomial) -> dict:
     for mono, coeff in p.terms.items():
         exps = sorted([*_encode_var(v), e] for v, e in mono)
         # Same coefficient text as format_poly.
-        terms.append({"coeff": str(coeff), "exps": exps})
+        try:
+            terms.append({"coeff": str(coeff), "exps": exps})
+        except ValueError:  # past the int-to-str digit limit
+            terms.append({"coeff": int_text(coeff), "exps": exps})
     return {"domain": domain_to_json(p.domain), "terms": terms}
 
 
@@ -310,7 +314,10 @@ def polys_json_text(polys, level: int = 0) -> list[str]:
             exps.sort()  # by (i, j), distinct within a monomial
             exps_text = f"[{n4}{f',{n4}'.join([e[2] for e in exps])}{n3}]" if exps else "[]"
             # The coefficient is an integer: nothing to escape.
-            terms.append(f'{{{n3}"coeff": "{coeff}",{n3}"exps": {exps_text}{n2}}}')
+            try:
+                terms.append(f'{{{n3}"coeff": "{coeff}",{n3}"exps": {exps_text}{n2}}}')
+            except ValueError:  # past the int-to-str digit limit
+                terms.append(f'{{{n3}"coeff": "{int_text(coeff)}",{n3}"exps": {exps_text}{n2}}}')
         terms_text = f"[{n2}{f',{n2}'.join(terms)}{n1}]" if terms else "[]"
         out.append(f'{{{n1}"domain": {domain},{n1}"terms": {terms_text}{n0}}}')
     return out

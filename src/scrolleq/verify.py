@@ -140,10 +140,8 @@ class ParamReport(NamedTuple):
         return not self.failures
 
 
-def check_parametrization(
-    profile: ScrollProfile, eqset: EquationSet | None = None
-) -> ParamReport:
-    """Verify that every system generator and every minor vanishes identically
+def check_parametrization(eqset: EquationSet) -> ParamReport:
+    """Verify that every generator and minor of ``eqset`` vanishes identically
     under the scroll parametrization, by exact substitution over Z.
 
     A weight generator is a sum of powers of its bridges, so it vanishes when
@@ -156,9 +154,8 @@ def check_parametrization(
     report counts every generator, but only one that fails is labeled (a
     minor ``minor[c1][c2]`` by its columns) and mapped, for its residual.
     """
-    eqset = eqset if eqset is not None else equation_set(profile)
     degree = max([2] + [j + 1 for _, j, _ in eqset.curve_gens] + [g.degree for g in eqset.groups])
-    param = Substitution(scroll_param_map(profile), ZZ, degree)
+    param = Substitution(scroll_param_map(eqset.profile), ZZ, degree)
     vanished = dict(zip(eqset.bridges, param.vanishing(eqset.bridges.values())))
     failures = [GeneratorCheck(f"curve[{i}][{j}]", str(param(p))) for (i, j, p), ok in zip(
         eqset.curve_gens, param.vanishing([p for *_, p in eqset.curve_gens])) if not ok]
@@ -167,10 +164,10 @@ def check_parametrization(
             [str(param(eqset.bridges[ij])) for ij in g.pairs if not vanished[ij]]))
         for g in eqset.groups if not all(vanished[ij] for ij in g.pairs)
     ]
-    columns = itertools.combinations(range(sum(profile.n)), 2)
+    columns = itertools.combinations(range(sum(eqset.profile.n)), 2)
     failures += [GeneratorCheck(f"minor[{c1}][{c2}]", str(param(p))) for (c1, c2), p, ok
                  in zip(columns, eqset.minor_gens, param.vanishing(eqset.minor_gens)) if not ok]
-    return ParamReport(profile.n, eqset.system_size + len(eqset.minor_gens), tuple(failures),
+    return ParamReport(eqset.profile.n, eqset.system_size + len(eqset.minor_gens), tuple(failures),
                        vanished)
 
 
@@ -403,7 +400,6 @@ class VarietyReport(NamedTuple):
     count_j: int
     count_p: int
     witnesses: tuple[tuple[int, ...], ...]
-    seed: int | None
     elapsed_ms: int
     visited: int
 
@@ -418,20 +414,14 @@ class VarietyReport(NamedTuple):
             "count_J": self.count_j,
             "count_P": self.count_p,
             "witnesses": [list(w) for w in self.witnesses],
-            "seed": self.seed,
+            "seed": None,  # no seed is used; the key keeps the pinned report bytes
             "elapsed_ms": self.elapsed_ms,
         }
 
 
-def compare_varieties(
-    profile: ScrollProfile,
-    q: int,
-    budget: int = DEFAULT_BUDGET,
-    seed: int | None = None,
-    eqset: EquationSet | None = None,
-) -> VarietyReport:
-    """Enumerate the zero sets of the defining system and of the minors and
-    report counts plus any system-only points (expected none).
+def compare_varieties(eqset: EquationSet, q: int, budget: int = DEFAULT_BUDGET) -> VarietyReport:
+    """Enumerate the zero sets of the defining system and of the minors of
+    ``eqset`` and report counts plus any system-only points (expected none).
 
     Generators are built over Z and reduced mod q as they are flattened, so
     characteristics that divide bridge coefficients are probed faithfully; a
@@ -447,11 +437,12 @@ def compare_varieties(
     is walked for Z_i and M_i, after its polynomials are checked homogeneous
     over GF(q) (ValueError if not); with n_i = 1 the cone is GF(q)^2.  One
     more walk covers the product of the cones.  Each stage is checked
-    against the budget before it starts, the block walks before any build.
+    against the budget before it starts; a caller checks the block walks
+    (``check_block_walk_budget``) before it builds ``eqset``, and they are
+    checked here again, which refuses a q that is not prime (ValueError).
     """
     start = time.perf_counter()
-    check_block_walk_budget(profile, q, budget)
-    eqset = eqset if eqset is not None else equation_set(profile)
+    check_block_walk_budget(eqset.profile, q, budget)
     visited, in_system, in_minors = _loci(eqset, q, budget)
     minor_set = set(in_minors)
     system_set = set(in_system)
@@ -460,20 +451,11 @@ def compare_varieties(
         # The minors generate an ideal containing every system generator, so
         # a minor-only point means the construction itself is broken.
         raise RuntimeError(
-            f"minor locus escapes the system locus at {stray[:3]} (profile {profile})"
+            f"minor locus escapes the system locus at {stray[:3]} (profile {eqset.profile})"
         )
-    witnesses = tuple(sorted(system_set - minor_set))
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return VarietyReport(
-        profile=profile.n,
-        q=q,
-        count_j=len(in_system),
-        count_p=len(in_minors),
-        witnesses=witnesses,
-        seed=seed,
-        elapsed_ms=elapsed_ms,
-        visited=visited,
-    )
+    return VarietyReport(eqset.profile.n, q, len(in_system), len(in_minors),
+                         tuple(sorted(system_set - minor_set)),
+                         int((time.perf_counter() - start) * 1000), visited)
 
 
 def _loci(eqset: EquationSet, q: int, budget: int) -> tuple[int, list, list]:
@@ -481,10 +463,6 @@ def _loci(eqset: EquationSet, q: int, budget: int) -> tuple[int, list, list]:
     ``compare_varieties`` computes them."""
     profile = eqset.profile
     blocks = [[x_var(i, j) for j in range(ni + 1)] for i, ni in enumerate(profile.n, start=1)]
-    if profile.d == 1:
-        slots = {v: v.slot for v in blocks[0]}
-        return _projective_scan([_flat([(p, 1)], slots, q) for *_, p in eqset.curve_gens],
-                                [_flat([(p, 1)], slots, q) for p in eqset.minor_gens], blocks[0], q)
     # The curve equations and within-block minors of each block, by block
     # index; a block with n_i = 1 has neither and is not scanned.
     scans: dict[int, tuple[list, list]] = {}
@@ -497,6 +475,8 @@ def _loci(eqset: EquationSet, q: int, budget: int) -> tuple[int, list, list]:
             scans.setdefault(at.pop() - 1, ([], []))[1].append(p)
         else:
             cross.append(p)
+    # A single block is the whole space: the one walk takes its polynomials.
+    curves, minors = scans.pop(0, ([], [])) if profile.d == 1 else ([], [])
     # Each scanned block's cone representatives (Z_i u M_i), flagged as on
     # Z_i and on M_i.  The flags hold for every nonzero multiple because those
     # polynomials are checked homogeneous over GF(q).  A block's flat
@@ -527,10 +507,10 @@ def _loci(eqset: EquationSet, q: int, budget: int) -> tuple[int, list, list]:
     size = (math.prod(cones) - 1) // (q - 1)
     _check_budget(size * (eqset.system_size + len(eqset.minor_gens)), budget)
     index = {v: k for k, v in enumerate([v for vs, _ in levels for v in vs])}
-    weights = [_flat([(eqset.bridges[pair], c) for pair, c in zip(g.pairs, g.powers)], index, q)
-               for g in eqset.groups]
+    system = [_flat([(eqset.bridges[pair], c) for pair, c in zip(g.pairs, g.powers)], index, q)
+              for g in eqset.groups] + [_flat([(p, 1)], index, q) for p in curves]
     nodes, in_system, in_minors = _walk(
-        levels, weights, [_flat([(p, 1)], index, q) for p in cross], size, q)
+        levels, system, [_flat([(p, 1)], index, q) for p in cross + minors], size, q)
     return visited + nodes, in_system, in_minors
 
 
@@ -540,21 +520,21 @@ def _loci(eqset: EquationSet, q: int, budget: int) -> tuple[int, list, list]:
 
 
 def check_suite(
-    profile: ScrollProfile, q: int | None = None, budget: int = DEFAULT_BUDGET,
-    seed: int | None = None,
+    profile: ScrollProfile, q: int | None = None, budget: int = DEFAULT_BUDGET
 ) -> tuple[list[tuple[str, bool, str]], VarietyReport | None]:
     """The symbolic checks, then the variety comparison over GF(q) when q is
     given, as (name, passed, detail) lines, and the comparison's report or None.
 
     The block walks over GF(q) depend on the profile and q alone, so they are
-    refused first.  Each pair of blocks reports its own bridge's scroll
-    vanishing.  The determinant power depends only on the block degrees
-    (a, b), so it is checked once, on the first pair of blocks with them,
-    and every pair with those degrees reports that verdict."""
+    refused first; then the one equation set is built, and every check and
+    the comparison take it.  Each pair of blocks reports its own bridge's
+    scroll vanishing.  The determinant power depends only on the block
+    degrees (a, b), so it is checked once, on the first pair of blocks with
+    them, and every pair with those degrees reports that verdict."""
     if q is not None:
         check_block_walk_budget(profile, q, budget)
     eqset = equation_set(profile)
-    param = check_parametrization(profile, eqset=eqset)
+    param = check_parametrization(eqset)
     lines = []
     # Renaming u[j] to v is injective, so a pair's scroll vanishing is its
     # bridge's parametrization verdict; only a failing bridge is mapped with v.
@@ -574,7 +554,7 @@ def check_suite(
     lines.append((f"plucker-identity d={profile.d}", *plucker_identity(profile.d)))
     report = None
     if q is not None:
-        report = compare_varieties(profile, q, budget=budget, seed=seed, eqset=eqset)
+        report = compare_varieties(eqset, q, budget)
         lines.append((f"variety-comparison q={q}", report.passed, f"count_J={report.count_j} "
                       f"count_P={report.count_p} witnesses={len(report.witnesses)}"))
     return lines, report

@@ -144,7 +144,7 @@ def test_criterion_5_parametrization_vanishing_matrix():
         for n in [(1, 1), (1, 2), (2, 2), (2, 3), (1, 1, 1), (2, 2, 3, 4), (3, 4, 5)]:
             profile = build_profile(n)
             eqset = equation_set(profile)
-            report = check_parametrization(profile, eqset=eqset)
+            report = check_parametrization(eqset)
             assert report.total == eqset.system_size + len(eqset.minor_gens)
             assert report.passed, (n, [c.label for c in report.failures])
 
@@ -172,7 +172,7 @@ def test_criterion_7_radical_equality_oracle():
             profile = build_profile(n)
             eqset = equation_set(profile)
             for q in fields:
-                report = compare_varieties(profile, q, eqset=eqset)
+                report = compare_varieties(eqset, q)
                 assert report.passed, (n, q, report.witnesses[:5])
                 assert report.count_p <= report.count_j
                 if n in ((1, 1), (1, 2)):
@@ -199,7 +199,7 @@ def test_criterion_8_small_characteristic_robustness():
         assert bridge(3, 4).reduce_mod(2).num_terms() == 4
 
         for n, q in [((2, 2, 3, 4), 2), ((2, 2), 3)]:
-            report = compare_varieties(build_profile(n), q)
+            report = compare_varieties(equation_set(build_profile(n)), q)
             if not report.passed:
                 pytest.fail(
                     f"FINDING: over GF({q}) the system for {n} cuts out extra "
@@ -243,7 +243,7 @@ def test_criterion_11_block_factored_comparison_expands_nothing(no_expansion):
     with criterion(11, "point sets agree on (2,2,3,4) over GF(3), GF(5) and "
                        "on (2,3,5,7), (3,5,7,8) over GF(2)", 10.0):
         for n, q in [((2, 2, 3, 4), 3), ((2, 2, 3, 4), 5), ((2, 3, 5, 7), 2), ((3, 5, 7, 8), 2)]:
-            report = compare_varieties(build_profile(n), q)
+            report = compare_varieties(equation_set(build_profile(n)), q)
             d = len(n)
             assert report.count_j == report.count_p == (q + 1) * (q**d - 1) // (q - 1), (n, q)
             assert report.witnesses == (), (n, q)

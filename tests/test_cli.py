@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import re
 import sys
 import time
 import tracemalloc
 
 import pytest
 
+from scrolleq import binomial_row, parse_poly
 from scrolleq.cli import run
 
 
@@ -79,12 +81,17 @@ def test_verify_full_profile_char_two(capsys):
     assert "variety-comparison q=2" in out
 
 
-def test_verify_json_records_seed(capsys):
-    assert run(["--profile", "1,1", "verify", "--field", "3", "--format", "json",
-                "--seed", "42"]) == 0
+def test_seed_is_not_a_flag(capsys):
+    # No flag sets a seed; the report keeps a null "seed" key until the
+    # benchmark's reference digests of these bytes are re-recorded.
+    with pytest.raises(SystemExit) as exc:
+        run(["--profile", "1,1", "verify", "--field", "3", "--format", "json", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert run(["--profile", "1,1", "verify", "--field", "3", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
-    assert doc["variety"]["seed"] == 42
+    assert doc["variety"]["seed"] is None
     assert doc["variety"]["count_J"] == 16
     assert all(c["passed"] for c in doc["checks"])
 
@@ -561,6 +568,10 @@ PINNED_OUTPUTS = [
      "97bb9f0bc3bec77d20ed36804bcd8d97b6f90351580ce4089686a5568b6b181a"),
     (["--profile", "2,3,2,4,3", "verify", "--format", "json"],
      "c600720af41558888a2d6351ffe8cc1d79b6fa4eb6f068b261c3a4970ffe002b"),
+    # A single block is walked once, over all of projective space with one
+    # coordinate per level: 49 points visited.
+    (["--profile", "4", "enumerate", "--field", "3"],
+     "2f23e69450fce3633b381a6c8d967f60638b81fdfbda08034bb631055d0a5b2d"),
 ]
 
 
@@ -569,6 +580,51 @@ def test_output_bytes_are_pinned(capsys, argv, digest):
     assert run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of comparison reports with "elapsed_ms" set to 0, the one field
+# that varies from run to run: the counts, the witnesses and the null
+# "seed".  (4) is a single block, walked one coordinate per level.
+PINNED_REPORTS = [
+    (["--profile", "4", "enumerate", "--field", "3", "--format", "json"],
+     "c3e10ec538c32379f896537a0553248198930db96de578eb748058e013346acc"),
+    (["--profile", "1,1", "enumerate", "--field", "3", "--format", "json"],
+     "1eceab98bd0cf7d5227d48e146fe451fe4588f4b34bae475566b43b25358c153"),
+    (["--profile", "2,2,3", "enumerate", "--field", "3", "--format", "json"],
+     "55daaeef9535c9f5171b3f5c4f9497d93c2614bc26133feebcd7f87298eba7d6"),
+    (["--profile", "1,2,3", "verify", "--field", "3", "--format", "json"],
+     "7d59bba19431c3356f1f8ad3b553d9931238b394a14bd638ee5801e9068e2c79"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_REPORTS)
+def test_report_bytes_are_pinned(capsys, argv, digest):
+    assert run(argv) == 0
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="str() has no digit limit")
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_coefficients_past_the_int_digit_limit_are_printed(tmp_path, fmt):
+    # The one weight generator of (101,149) is its bridge, whose coefficients
+    # in print order are the signed C(m, k) for m = lcm(101, 149) = 15,049:
+    # up to 4,529 digits, more than str() writes by default.
+    out = tmp_path / "out"
+    assert run(["--profile", "101,149", "equations", "--format", fmt, "--out", str(out)]) == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            (weight,) = [g["poly"] for g in json.loads(out.read_text())["generators"]
+                         if g["label"] == "weight[3]"]
+            coeffs = [int(t["coeff"]) for t in weight["terms"]]
+        else:
+            (line,) = [l for l in out.read_text().splitlines() if l.endswith("  # weight[3]")]
+            coeffs = list(parse_poly(line.split("  # ")[0]).terms.values())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert coeffs == binomial_row(15049)
 
 
 def test_export_singular(capsys):

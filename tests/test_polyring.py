@@ -1,6 +1,7 @@
 """Unit tests for the sparse polynomial kernel."""
 
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,20 @@ def test_binomial_row_by_hand():
     assert binomial_row(4) == [1, -4, 6, -4, 1]
     with pytest.raises(ValueError, match="must be non-negative"):
         binomial_row(-1)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="str() has no digit limit")
+@pytest.mark.parametrize("n", [0, 7, -7, 10**499, 10**500 - 1, 10**500, -(10**1000 + 1), 3**9000],
+                         ids=["0", "7", "-7", "10^499", "10^500-1", "10^500", "-10^1000-1", "3^9000"])
+def test_int_text_is_str_at_any_length_under_the_least_digit_limit(n):
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = str(n)
+        sys.set_int_max_str_digits(640)
+        assert polyring.int_text(n) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_binomial_domain_errors():

@@ -22,7 +22,7 @@ from scrolleq import (
     u_var,
     x_var,
 )
-from scrolleq.textio import MAX_EXPONENT
+from scrolleq.textio import MAX_EXPONENT, polys_json_text
 
 X0, X1, X2 = x_var(1, 0), x_var(1, 1), x_var(1, 2)
 
@@ -336,6 +336,21 @@ def test_json_long_coefficient_is_a_value_error_naming_it(coeff):
     with pytest.raises(ValueError, match=f"coefficient {coeff[:20]}\\.\\.\\. is too long") as err:
         poly_from_json(doc)
     assert type(err.value) is ValueError
+
+
+@needs_digit_limit
+def test_printers_write_a_coefficient_past_the_digit_limit():
+    # str() refuses the 5000 digits; every printer writes them, and both
+    # readers refuse them, as input-safety limits.
+    p = Polynomial.term(-(10**5000 - 1) // 9, [(x_var(1, 0), 1)])
+    assert str(p) == "-" + LONG_DIGITS + "*x[1][0]"
+    doc = poly_to_json(p)
+    assert doc["terms"][0]["coeff"] == "-" + LONG_DIGITS
+    assert polys_json_text([p]) == [json.dumps(doc, indent=2)]
+    with pytest.raises(ParseError, match="integer too long \\(5000 digits\\)"):
+        parse_poly(str(p))
+    with pytest.raises(ValueError, match="is too long \\(5001 characters\\)"):
+        poly_from_json(doc)
 
 
 @pytest.mark.parametrize("doc", [

@@ -16,6 +16,7 @@ from scrolleq import (
     build_profile,
     check_parametrization,
     compare_varieties,
+    equation_set,
     weight_groups,
 )
 from scrolleq.verify import GeneratorCheck, ParamReport
@@ -23,7 +24,7 @@ from scrolleq.verify import GeneratorCheck, ParamReport
 
 def instances():
     """One instance of each value type, with the name of one of its fields."""
-    report = check_parametrization(build_profile([1, 2]))
+    report = check_parametrization(equation_set(build_profile([1, 2])))
     return [
         (GF(7), "p"),
         (ZZ, "p"),
@@ -32,7 +33,7 @@ def instances():
         (weight_groups(build_profile([2, 3, 5, 7]))[2], "powers"),
         (GeneratorCheck("weight[3]", "u[1]^2*s^4*t^4*u[2]"), "residual"),
         (report, "failures"),
-        (compare_varieties(build_profile([1, 2]), 3), "count_j"),
+        (compare_varieties(equation_set(build_profile([1, 2])), 3), "count_j"),
         (ParseContext(GF(5), (1, 2)), "block_sizes"),
     ]
 

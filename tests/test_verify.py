@@ -1,5 +1,6 @@
 """Tests for the symbolic checks and the finite-field enumeration engine."""
 
+import inspect
 import itertools
 import json
 import math
@@ -81,21 +82,21 @@ def test_segre_minor_vanishes_symbolically():
 
 @pytest.mark.parametrize("n", [(1, 1), (1, 2), (2, 2), (2, 3), (1, 1, 1)])
 def test_parametrization_small_profiles(n):
-    report = check_parametrization(build_profile(n))
+    report = check_parametrization(equation_set(build_profile(n)))
     assert report.passed
     assert not report.failures
 
 
 def test_parametrization_check_counts_generators():
     profile = build_profile([2, 3])
-    report = check_parametrization(profile)
+    report = check_parametrization(equation_set(profile))
     # 4 system generators plus C(5, 2) = 10 minors
     assert report.total == 14
 
 
 def test_parametrization_proves_weight_generators_through_bridges(no_expansion):
     profile = build_profile([2, 3, 5, 7])
-    report = check_parametrization(profile)
+    report = check_parametrization(equation_set(profile))
     # 13 curve equations, weight[3] to weight[7] and C(17, 2) = 136 minors
     assert report.total == 13 + 5 + 136 and report.passed
 
@@ -117,7 +118,7 @@ def test_bridge_mutant_fails_lazy_and_expanded_checks(monkeypatch, capsys):
     monkeypatch.setattr(scroll, "bridge", mutant)
     profile = build_profile([2, 2, 3, 4])
     eqset = equation_set(profile)
-    report = check_parametrization(profile, eqset=eqset)
+    report = check_parametrization(eqset)
     assert [c.label for c in report.failures] == ["weight[5]"]
     assert report.failures[0].residual
     images = scroll_param_map(profile)
@@ -352,7 +353,7 @@ def test_enumerate_line_has_no_generators():
     # Profile (1,): the line P^1, cut out by nothing, so both generator
     # groups are empty and every representative is a hit.
     profile = build_profile([1])
-    report = compare_varieties(profile, 3)
+    report = compare_varieties(equation_set(profile), 3)
     points = enumerate_variety([], profile.variables(), 3)
     assert report.count_j == report.count_p == len(points) == 4
     assert report.passed
@@ -413,7 +414,7 @@ def whole_space_loci(eqset, q):
 
 def test_compare_varieties_surface():
     eqset = equation_set(build_profile([2, 2]))
-    report = compare_varieties(eqset.profile, 5, eqset=eqset)
+    report = compare_varieties(eqset, 5)
     system, minors = whole_space_loci(eqset, 5)
     assert report.passed
     assert report.count_j == report.count_p == len(system) == len(minors) == 36
@@ -421,8 +422,8 @@ def test_compare_varieties_surface():
 
 
 def test_compare_varieties_deterministic():
-    a = compare_varieties(build_profile([2, 3]), 3, seed=9)
-    b = compare_varieties(build_profile([2, 3]), 3, seed=9)
+    a = compare_varieties(equation_set(build_profile([2, 3])), 3)
+    b = compare_varieties(equation_set(build_profile([2, 3])), 3)
     assert (a.count_j, a.count_p, a.witnesses) == (b.count_j, b.count_p, b.witnesses)
 
 
@@ -442,7 +443,7 @@ ORACLE_CASES += [
 def test_compare_varieties_counts_match_enumerate_variety(n, q):
     profile = build_profile(n)
     eqset = equation_set(profile)
-    report = compare_varieties(profile, q, eqset=eqset)
+    report = compare_varieties(eqset, q)
     system, minors = whole_space_loci(eqset, q)
     assert report.count_j == len(system)
     assert report.count_p == len(minors)
@@ -492,10 +493,25 @@ def test_factored_loci_match_oracle_on_mutated_systems(mutate, args, n, q):
     assert witnesses
     if stray:
         with pytest.raises(RuntimeError, match=re.escape(f"escapes the system locus at {stray[:3]}")):
-            compare_varieties(eqset.profile, q, eqset=eqset)
+            compare_varieties(eqset, q)
     else:
-        report = compare_varieties(eqset.profile, q, eqset=eqset)
+        report = compare_varieties(eqset, q)
         assert report.witnesses == witnesses and not report.passed
+
+
+def test_each_check_reports_the_profile_of_the_equation_set_it_checks():
+    # Each check takes the equation set alone, so no other profile can label
+    # its report.  Without its bridge (1,2), the (1,1,1) system has 24 extra
+    # points over GF(3), and the parametrization sees only two bridges.
+    eqset = drop_bridge(equation_set(build_profile([1, 1, 1])), 3)
+    assert [*inspect.signature(check_parametrization).parameters] == ["eqset"]
+    assert [*inspect.signature(compare_varieties).parameters] == ["eqset", "q", "budget"]
+    param, variety = check_parametrization(eqset), compare_varieties(eqset, 3)
+    assert param.profile == variety.profile == (1, 1, 1)
+    assert sorted(param.bridges) == [(1, 3), (2, 3)]
+    assert (variety.count_j, variety.count_p, len(variety.witnesses)) == (76, 52, 24)
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        compare_varieties(eqset, 4)
 
 
 @pytest.mark.parametrize("block, index, n, q", [
@@ -526,9 +542,9 @@ def test_an_inhomogeneous_block_equation_is_refused(n, coeff):
     if coeff % 5:
         with pytest.raises(ValueError, match=re.escape("block 2: an equation is not homogeneous "
                                                        "over GF(5)")):
-            compare_varieties(eqset.profile, 5, eqset=eqset)
+            compare_varieties(eqset, 5)
     else:
-        assert compare_varieties(eqset.profile, 5, eqset=eqset).passed
+        assert compare_varieties(eqset, 5).passed
 
 
 def flat_reduced(summands, index, q):
@@ -563,7 +579,7 @@ def test_compare_varieties_reduces_no_polynomial(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "reduce_mod", refuse)
     for n, q in [((3,), 3), ((2, 2, 3, 4), 2), ((1, 1, 2), 5)]:
-        assert compare_varieties(build_profile(n), q).passed
+        assert compare_varieties(equation_set(build_profile(n)), q).passed
 
 
 def test_block_scan_is_shared_by_equal_blocks(monkeypatch):
@@ -576,7 +592,7 @@ def test_block_scan_is_shared_by_equal_blocks(monkeypatch):
         return scan(system, minors, variables, q)
 
     monkeypatch.setattr(verify, "_projective_scan", counting)
-    report = compare_varieties(build_profile([2, 2, 3, 3]), 3)
+    report = compare_varieties(equation_set(build_profile([2, 2, 3, 3])), 3)
     assert report.passed
     assert scanned == [1, 3]
 
@@ -594,22 +610,22 @@ def test_walk_self_check_catches_a_dropped_choice():
 
 
 def test_compare_varieties_report_json_keys():
-    report = compare_varieties(build_profile([1, 1]), 3, seed=11)
+    report = compare_varieties(equation_set(build_profile([1, 1])), 3)
     doc = report.to_json()
     assert set(doc) == {"profile", "q", "count_J", "count_P", "witnesses", "seed", "elapsed_ms"}
-    assert doc["seed"] == 11
+    assert doc["seed"] is None
     assert doc["count_J"] == doc["count_P"] == 16
     json.dumps(doc)  # serializable
 
 
 def test_compare_varieties_minor_count_bound():
-    report = compare_varieties(build_profile([1, 1, 1]), 3)
+    report = compare_varieties(equation_set(build_profile([1, 1, 1])), 3)
     assert report.count_p <= report.count_j
 
 
 def test_compare_varieties_nonprime_field():
     with pytest.raises(ValueError):
-        compare_varieties(build_profile([1, 1]), 4)
+        compare_varieties(equation_set(build_profile([1, 1])), 4)
 
 
 @pytest.mark.parametrize("q", [1, 0, 4, -3])
@@ -642,7 +658,7 @@ def scroll_vanishing_by_pair(eqset):
 @pytest.mark.parametrize("n", PARAM_GRID, ids=lambda n: "-".join(map(str, n)))
 def test_parametrization_matches_the_full_map_reference(n):
     eqset = equation_set(build_profile(n))
-    report = check_parametrization(eqset.profile, eqset=eqset)
+    report = check_parametrization(eqset)
     assert (report.total, report.failures) == reference.check_parametrization(eqset)
     assert report.passed and len(report.bridges) == math.comb(len(n), 2)
     assert report.bridges == scroll_vanishing_by_pair(eqset)
@@ -695,7 +711,7 @@ def move_minor_term(eqset, index):
 ], ids=lambda a: "-".join(map(str, a)) if isinstance(a, tuple) else getattr(a, "__name__", None))
 def test_parametrization_matches_the_full_map_reference_on_mutants(mutate, args, n):
     eqset = mutate(equation_set(build_profile(n)), *args)
-    report = check_parametrization(eqset.profile, eqset=eqset)
+    report = check_parametrization(eqset)
     assert (report.total, report.failures) == reference.check_parametrization(eqset)
     assert not report.passed and all(c.residual for c in report.failures)
     assert report.bridges == scroll_vanishing_by_pair(eqset)
