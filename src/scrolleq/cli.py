@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         try:
             with open(out, "w") as fh:
                 fh.write(text)
@@ -88,16 +88,16 @@ def _emit(text: str, out: str | None) -> None:
 def _check_out(out: str | None) -> None:
     """Refuse an ``--out`` path that cannot be written before any work is
     done: its directory must exist and be writable, and an existing target
-    must be writable and not a directory.  ``_emit`` still reports a write
-    that fails later."""
-    if not out:
+    must be writable and not a directory, and the empty path names no file.
+    ``_emit`` still reports a write that fails later."""
+    if out is None:
         return
     parent = os.path.dirname(out) or "."
     if os.path.isdir(out):
         problem = errno.EISDIR
     elif os.path.exists(out):
         problem = None if os.access(out, os.W_OK) else errno.EACCES
-    elif not os.path.exists(parent):
+    elif not out or not os.path.exists(parent):
         problem = errno.ENOENT
     elif not os.path.isdir(parent):
         problem = errno.ENOTDIR

@@ -253,17 +253,17 @@ def grevlex_key(mono: tuple) -> tuple:
 class Polynomial:
     """Sparse exact polynomial: a coefficient domain plus a monomial->coeff map.
 
-    Instances are immutable values.  The constructor is the one public way to
-    make one: it takes ``(pairs, coefficient)`` items in any form, passes each
-    ``pairs`` through ``monomial`` and each coefficient through
-    ``Domain.coerce``, sums repeated monomials, drops zero sums and sorts the
-    rest.  Every operation returns the same canonical form, in print order;
-    only terms already in that form skip the constructor, through the
-    internal ``_raw_poly``.  Arithmetic requires both operands to share the
-    same domain.
+    Instances are immutable values, equal when their domains and terms are,
+    and unhashable.  The constructor is the one public way to make one: it
+    takes ``(pairs, coefficient)`` items in any form, passes each ``pairs``
+    through ``monomial`` and each coefficient through ``Domain.coerce``, sums
+    repeated monomials, drops zero sums and sorts the rest.  Every operation
+    returns the same canonical form, in print order; only terms already in
+    that form skip the constructor, through the internal ``_raw_poly``.
+    Arithmetic requires both operands to share the same domain.
     """
 
-    __slots__ = ("domain", "terms", "_hash")
+    __slots__ = ("domain", "terms")
 
     def __init__(self, domain: Domain, terms: Mapping | Iterable = ()):
         acc: dict[tuple, object] = {}
@@ -279,21 +279,12 @@ class Polynomial:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(domain: Domain = ZZ) -> "Polynomial":
-        return Polynomial(domain)
-
-    @staticmethod
     def const(value, domain: Domain = ZZ) -> "Polynomial":
         return Polynomial(domain, [((), value)])
 
     @staticmethod
     def variable(v: VarId, domain: Domain = ZZ) -> "Polynomial":
         return _raw_poly(domain, {((v, 1),): 1})
-
-    @staticmethod
-    def term(coeff, pairs, domain: Domain = ZZ) -> "Polynomial":
-        """Single-term polynomial coeff * prod(v^e for v, e in pairs)."""
-        return Polynomial(domain, [(pairs, coeff)])
 
     # -- basic queries -------------------------------------------------------
 
@@ -309,9 +300,6 @@ class Polynomial:
 
     def variables(self) -> tuple[VarId, ...]:
         return tuple(sorted({v for m in self.terms for v, _ in m}))
-
-    def coefficient(self, mono: tuple):
-        return self.terms.get(mono, 0)
 
     # -- ring operations -----------------------------------------------------
 
@@ -375,13 +363,6 @@ class Polynomial:
             and self.domain == other.domain
             and self.terms == other.terms
         )
-
-    def __hash__(self) -> int:
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash((self.domain, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     # -- substitution ---------------------------------------------------------
 

@@ -29,8 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .polyring import (
@@ -263,36 +261,31 @@ def term_bound(group: WeightGroup) -> int:
     )
 
 
-@dataclass(frozen=True)
-class EquationSet:
+class EquationSet(NamedTuple):
     """The assembled defining system plus the minors it is measured against.
 
-    ``curve_gens`` holds (block, index, polynomial) and ``groups`` the weight
-    groups, one per weight generator.  The system is curve generators in
+    ``curve_gens`` holds (block, index, polynomial), ``groups`` the weight
+    groups, one per weight generator, and ``bridges`` the bridge (i, j) of
+    each pair i < j, in group order.  The system is curve generators in
     block-then-index order followed by weight generators in weight order; for
-    d >= 2 it has exactly N - 2 members.  A weight generator is expanded only
-    when ``weight_gens`` (or ``system()``) is read, once per equation set.
+    d >= 2 it has exactly N - 2 members.  A weight generator is expanded from
+    ``bridges`` at each read of ``weight_gens`` (or ``system()``).
     """
 
     profile: ScrollProfile
     curve_gens: tuple[tuple[int, int, Polynomial], ...]
     groups: tuple[WeightGroup, ...]
+    bridges: dict[tuple[int, int], Polynomial]
     minor_gens: tuple[Polynomial, ...]
 
     @property
     def system_size(self) -> int:
         return len(self.curve_gens) + len(self.groups)
 
-    @cached_property
+    @property
     def weight_gens(self) -> tuple[tuple[int, Polynomial], ...]:
         """(weight, expanded generator) per group, from ``bridges``."""
         return tuple((g.k, g_polynomial(self.bridges, g)) for g in self.groups)
-
-    @cached_property
-    def bridges(self) -> dict[tuple[int, int], Polynomial]:
-        """Bridge (i, j) for each pair i < j in group order, built on first read."""
-        n = self.profile.n
-        return {(i, j): bridge(n[i - 1], n[j - 1], i, j) for g in self.groups for i, j in g.pairs}
 
     @property
     def claimed_arithmetic_rank(self) -> int:
@@ -303,17 +296,13 @@ class EquationSet:
 
     def system(self) -> list[tuple[str, Polynomial]]:
         """Labeled defining system, in canonical order."""
-        out = self.labeled_curves()
-        out.extend((f"weight[{k}]", p) for k, p in self.weight_gens)
-        return out
-
-    def labeled_curves(self) -> list[tuple[str, Polynomial]]:
-        return [(f"curve[{i}][{j}]", p) for i, j, p in self.curve_gens]
+        return [(f"curve[{i}][{j}]", p) for i, j, p in self.curve_gens] + [
+            (f"weight[{k}]", p) for k, p in self.weight_gens]
 
 
 def equation_set(profile: ScrollProfile) -> EquationSet:
-    """Build the full defining system for a profile, weight generators
-    unexpanded.
+    """Build the full defining system for a profile: its curve equations,
+    weight groups, bridges and minors, with no weight generator expanded.
 
     For d >= 2 this emits sum(n_i) - d curve equations and 2d - 3 weight
     generators, N - 2 in total.  A single-block profile degenerates to the
@@ -323,5 +312,7 @@ def equation_set(profile: ScrollProfile) -> EquationSet:
     for i, ni in enumerate(profile.n, start=1):
         for j in range(1, ni):
             curves.append((i, j, curve_equation(ni, j, block=i)))
-    minors = tuple(minors_2x2(profile))
-    return EquationSet(profile, tuple(curves), tuple(weight_groups(profile)), minors)
+    groups = tuple(weight_groups(profile))
+    n = profile.n
+    bridges = {(i, j): bridge(n[i - 1], n[j - 1], i, j) for g in groups for i, j in g.pairs}
+    return EquationSet(profile, tuple(curves), groups, bridges, tuple(minors_2x2(profile)))

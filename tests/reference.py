@@ -183,7 +183,7 @@ def schoolbook_pow(a: Polynomial, e: int) -> Polynomial:
 def schoolbook_substitute(a: Polynomial, images) -> Polynomial:
     """The image of ``a`` under ``v -> images[v]``; unmapped variables stay."""
     dom = a.domain
-    acc = Polynomial.zero(dom)
+    acc = Polynomial(dom)
     for mono, coeff in a.terms.items():
         prod = Polynomial.const(coeff, dom)
         for v, e in mono:
@@ -287,9 +287,10 @@ def determinant_power(a: int, b: int, i: int, j: int, br: Polynomial) -> bool:
     """The verdict of ``verify.check_bridge_determinant_power``: whether
     ``br`` maps under x[i][c] -> s^(a-c)*t^c, x[j][h] -> z^(b-h)*w^h to
     (t*z - s*w)^m, m = lcm(a, b)."""
-    images = {x_var(i, c): Polynomial.term(1, [(VAR_S, a - c), (VAR_T, c)]) for c in range(a + 1)}
+    images = {x_var(i, c): Polynomial(ZZ, [([(VAR_S, a - c), (VAR_T, c)], 1)])
+              for c in range(a + 1)}
     images.update(
-        {x_var(j, h): Polynomial.term(1, [(VAR_Z, b - h), (VAR_W, h)]) for h in range(b + 1)}
+        {x_var(j, h): Polynomial(ZZ, [([(VAR_Z, b - h), (VAR_W, h)], 1)]) for h in range(b + 1)}
     )
     s, t, z, w = (Polynomial.variable(v) for v in (VAR_S, VAR_T, VAR_Z, VAR_W))
     det = schoolbook_mul(t, z) - schoolbook_mul(s, w)
@@ -302,7 +303,7 @@ def check_parametrization(eqset) -> tuple[int, tuple[GeneratorCheck, ...]]:
     generator through its bridges, a minor.  A failure's residual is its
     nonzero images, joined by "; "."""
     entries = (
-        [(label, [p]) for label, p in eqset.labeled_curves()]
+        [(f"curve[{i}][{j}]", [p]) for i, j, p in eqset.curve_gens]
         + [(f"weight[{g.k}]", [eqset.bridges[ij] for ij in g.pairs]) for g in eqset.groups]
         + [(label, [p]) for label, p in labeled_minors(eqset)]
     )

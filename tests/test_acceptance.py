@@ -69,12 +69,10 @@ def test_criterion_1_bridge_golden_tables():
             assert bridge(a, b) == expected
             assert bridge_via_lists(a, b) == expected
         for a in range(1, 7):
-            expected = Polynomial.zero(ZZ)
-            for j in range(a + 1):
-                expected = expected + Polynomial.term(
-                    (-1) ** j * math.comb(a, j),
-                    [(x_var(1, a - j), 1), (x_var(2, j), 1)],
-                )
+            expected = Polynomial(ZZ, [
+                ([(x_var(1, a - j), 1), (x_var(2, j), 1)], (-1) ** j * math.comb(a, j))
+                for j in range(a + 1)
+            ])
             assert bridge(a, a) == expected
 
 

@@ -245,7 +245,6 @@ def many_failures_mutant():
     eqset = bump_curve(equation_set(build_profile([2, 2, 3])), 3, 2)
     for index in (0, 5, 9, 14, 20):
         eqset = bump_minor(eqset, index)
-    # replace() drops the cached bridges, so the bridge is bumped last.
     return bump_bridge(eqset, (1, 3))
 
 
@@ -534,6 +533,35 @@ def test_unwritable_out_path_is_refused_before_any_work(capsys, monkeypatch, tmp
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {path}:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["equations", "export", "verify", "enumerate"])
+def test_empty_out_path_is_refused_before_any_work(capsys, monkeypatch, command):
+    # An empty path names no file: it is refused as open("") refuses it,
+    # and nothing is written to stdout instead.
+    from scrolleq import cli, verify
+
+    def no_work(profile):
+        raise AssertionError("the command ran before --out was checked")
+
+    monkeypatch.setattr(cli, "equation_set", no_work)
+    monkeypatch.setattr(verify, "equation_set", no_work)
+    assert run(["--profile", "1,2", command, "--field", "3", "--out", ""]) == 2
+    assert capsys.readouterr() == ("", "error: cannot write : No such file or directory\n")
+
+
+@pytest.mark.parametrize("argv", [["equations"], ["equations", "--format", "json"], ["export"]],
+                         ids=" ".join)
+def test_each_command_expands_each_weight_generator_once(capsys, monkeypatch, argv):
+    # EquationSet.weight_gens expands every group at each read.
+    from scrolleq import scroll
+
+    expanded = []
+    original = scroll.g_polynomial
+    monkeypatch.setattr(scroll, "g_polynomial",
+                        lambda bridges, group: expanded.append(group.k) or original(bridges, group))
+    assert run(["--profile", "1,2,3,4", *argv]) == 0
+    assert expanded == [3, 4, 5, 6, 7]
 
 
 # SHA-256 of CLI outputs that must stay byte-identical: any drift in the

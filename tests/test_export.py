@@ -1,10 +1,8 @@
 """Script generation tests: determinism and structural content."""
 
-from dataclasses import replace
-
 import pytest
 
-from scrolleq import Polynomial, build_profile, equation_set, u_var, x_var
+from scrolleq import ZZ, Polynomial, build_profile, equation_set, u_var, x_var
 from scrolleq.export import cas_script
 
 
@@ -66,8 +64,8 @@ def test_auxiliary_variable_is_refused_after_spelled_scroll_variables(dialect):
     (i, j, p), *rest = eqset.curve_gens
     # x[1][0] and x[1][1] are spelled in the ring line, and again in this
     # term just before u[1].
-    term = Polynomial.term(1, [(x_var(1, 0), 1), (x_var(1, 1), 1), (u_var(1), 1)])
-    mutant = replace(eqset, curve_gens=((i, j, p + term), *rest))
+    term = Polynomial(ZZ, [([(x_var(1, 0), 1), (x_var(1, 1), 1), (u_var(1), 1)], 1)])
+    mutant = eqset._replace(curve_gens=((i, j, p + term), *rest))
     for _ in range(2):
         with pytest.raises(ValueError, match=r"^cannot export auxiliary variable u\[1\]$"):
             cas_script(mutant, dialect)

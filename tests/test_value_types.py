@@ -1,13 +1,21 @@
 """What callers rely on in the immutable value types: the domain tag, the
-profile, the bridge and group data, the reports and the parsing context."""
+profile, the bridge and group data, the equation set, the reports and the
+parsing context."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import scrolleq
 
 from scrolleq import (
     GF,
     ZZ,
     BridgeMeta,
     Domain,
+    EquationSet,
     ParseContext,
     ScrollProfile,
     VarietyReport,
@@ -35,13 +43,14 @@ def instances():
         (report, "failures"),
         (compare_varieties(equation_set(build_profile([1, 2])), 3), "count_j"),
         (ParseContext(GF(5), (1, 2)), "block_sizes"),
+        (equation_set(build_profile([1, 2])), "bridges"),
     ]
 
 
 def test_each_value_type_is_covered():
     assert {type(value) for value, _ in instances()} == {
         Domain, ScrollProfile, BridgeMeta, WeightGroup, GeneratorCheck, ParamReport,
-        VarietyReport, ParseContext}
+        VarietyReport, ParseContext, EquationSet}
 
 
 @pytest.mark.parametrize("value, name", instances(),
@@ -71,11 +80,24 @@ def test_reprs_and_equality():
 
 
 def test_hashable_instances_are_dict_keys():
-    # A ParamReport holds its bridge verdicts in a dict, so it has no hash.
-    hashable = [value for value, _ in instances() if not isinstance(value, ParamReport)]
+    # A ParamReport holds its bridge verdicts in a dict, and an EquationSet
+    # its bridges, so neither has a hash.
+    hashable = [value for value, _ in instances()
+                if not isinstance(value, (ParamReport, EquationSet))]
     table = {value: i for i, value in enumerate(hashable)}
     assert all(table[value] == i for i, value in enumerate(hashable))
     assert {GF(7): "a"}[Domain(7)] == "a"
+
+
+def test_importing_the_cli_imports_no_dataclasses():
+    # The value types are named tuples, so a cold start never loads the
+    # dataclasses module; -S keeps site hooks from loading it first.
+    src = str(Path(scrolleq.__file__).resolve().parent.parent)
+    code = ("import sys; before = 'dataclasses' in sys.modules; import scrolleq.cli; "
+            "print(before, 'dataclasses' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env={"PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False False\n"
 
 
 def test_instances_are_tuples_of_their_fields():
