@@ -6,7 +6,8 @@ variety comparison only) and ``export`` (Macaulay2 / Singular scripts).
 Common flags may appear before or after the command name.  This module
 parses the flags, renders the results and picks the exit code; the checks
 and every budget refusal are ``verify``'s.  ``enumerate`` checks the block
-walks' budget before it builds the equation set, as ``check_suite`` does.
+walks' budget before it builds the equation set, as ``check_suite`` does, and
+``equations`` and ``export`` check the weight-generator terms.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error, 3 the
 work budget was exceeded.
@@ -141,8 +142,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 
 
 def cmd_equations(args: argparse.Namespace) -> int:
+    check_construction_budget(args.profile, args.budget)
     eqset = equation_set(args.profile)
-    check_construction_budget(eqset, args.budget)
     profile = args.profile
     if args.fmt == "json":
         # The bytes json.dumps(doc, indent=2) gives: the scalar fields through
@@ -225,8 +226,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    check_construction_budget(args.profile, args.budget)
     eqset = equation_set(args.profile)
-    check_construction_budget(eqset, args.budget)
     _emit(cas_script(eqset, args.fmt), args.out)
     return EXIT_OK
 

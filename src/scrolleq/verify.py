@@ -46,6 +46,7 @@ from .scroll import (
     bridge,
     equation_set,
     term_bound,
+    weight_groups,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -75,10 +76,10 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def check_construction_budget(eqset: EquationSet, budget: int) -> None:
-    """Refuse, before any weight generator is expanded, an equation set whose
-    weight generators may together have more terms than the budget."""
-    estimate = sum(term_bound(g) for g in eqset.groups)
+def check_construction_budget(profile: ScrollProfile, budget: int) -> None:
+    """Refuse, before any bridge is built, a profile whose weight generators
+    may together have more terms than the budget."""
+    estimate = sum(term_bound(g) for g in weight_groups(profile))
     if estimate > budget:
         raise BudgetExceededError(estimate, budget, "construction", "weight-generator terms")
 

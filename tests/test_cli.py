@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from scrolleq import binomial_row, parse_poly
+from scrolleq import binomial_row, parse_poly, scroll
 from scrolleq.cli import run
 
 
@@ -428,10 +428,20 @@ def test_cone_budget_takes_a_64_bit_prime(capsys):
 @pytest.mark.parametrize("argv, budget", [
     (["--profile", "3,5,7,8", "equations"], 10**8),
     (["--profile", "3,5,7,8", "export"], 10**8),
+    (["--profile", "997,991,983,971", "equations"], 10**8),
+    (["--profile", "997,991,983,971", "export"], 10**8),
 ])
-def test_construction_budget_refuses_before_expansion(capsys, no_expansion, argv, budget):
+def test_construction_budget_refuses_before_expansion(
+    capsys, monkeypatch, no_expansion, argv, budget
+):
     # Weight 5 of (3,5,7,8) raises bridge(3, 8) to the 12th power and
-    # bridge(5, 7) to the 11th; the group structure alone bounds the terms.
+    # bridge(5, 7) to the 11th; the group structure alone bounds the terms,
+    # so no bridge is built either.  Each bridge of (997,991,983,971) would
+    # have about 10^6 terms with coefficients of up to 3 * 10^5 digits.
+    def refuse(*args):
+        raise AssertionError("a bridge was built")
+
+    monkeypatch.setattr(scroll, "bridge", refuse)
     start = time.perf_counter()
     code = run(argv + ["--budget", str(budget)])
     assert time.perf_counter() - start < 1.0
@@ -460,10 +470,10 @@ def test_construction_budget_boundary(capsys):
     capsys.readouterr()
     # (2,3,5,7) is bounded by about 1.6e6 terms: under the default budget,
     # so `equations` still expands and prints it.
-    from scrolleq import build_profile, equation_set
+    from scrolleq import build_profile
     from scrolleq.verify import DEFAULT_BUDGET, check_construction_budget
 
-    check_construction_budget(equation_set(build_profile([2, 3, 5, 7])), DEFAULT_BUDGET)
+    check_construction_budget(build_profile([2, 3, 5, 7]), DEFAULT_BUDGET)
 
 
 @pytest.mark.parametrize("command", ["equations", "verify", "enumerate", "export"])
