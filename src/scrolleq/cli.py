@@ -23,7 +23,7 @@ import os
 import sys
 
 from .export import cas_script
-from .polyring import is_prime
+from .polyring import format_poly, is_prime
 from .scroll import ScrollProfile, build_profile, equation_set
 from .textio import json_array_text, polys_json_text
 from .verify import (
@@ -172,7 +172,8 @@ def cmd_equations(args: argparse.Namespace) -> int:
         f"# scroll profile {profile}: d={profile.d}, N={profile.N}, "
         f"system size {eqset.system_size}"
     ]
-    lines.extend(f"{p}  # {label}" for label, p in eqset.system())
+    spelled = {}  # one spelling table for every generator
+    lines.extend(f"{format_poly(p, spelled=spelled)}  # {label}" for label, p in eqset.system())
     rank = eqset.claimed_arithmetic_rank
     lines.append(
         f"# arithmetic rank = {rank} = N-2 (upper bound constructive; lower bound cited)"

@@ -4,12 +4,12 @@ Each script declares the polynomial ring, the ideal ``J`` generated by the
 defining system, the ideal ``P`` generated by the matrix minors, and a
 radical-equality check, so an independent system can confirm that the two
 ideals cut out the same locus.  Output depends only on the equation set, so
-repeated invocations are byte-identical.
+repeated invocations are byte-identical.  Each script keeps one spelling
+table, shared by every ``format_poly`` call of both ideals: each distinct
+(variable, exponent) factor is spelled once per script.
 """
 
 from __future__ import annotations
-
-import functools
 
 from .polyring import NS_SCROLL, VarId, format_poly
 from .scroll import EquationSet
@@ -52,15 +52,16 @@ def cas_script(eqset: EquationSet, dialect: str) -> str:
         raise ValueError(f"unknown dialect {dialect!r} (supported: {', '.join(_DIALECTS)})")
     comment, spelling, ring, (opening, closing), check = _DIALECTS[dialect]
 
-    # Each variable is spelled once per script; a refusal raises every time.
-    @functools.cache
+    # An auxiliary variable is refused each time it is met.
     def var_name(v: VarId) -> str:
         if v.ns != NS_SCROLL:
             raise ValueError(f"cannot export auxiliary variable {v.render()}")
         return spelling.format(v.block, v.slot)
 
+    spelled = {}  # each factor's spelling, for every polynomial of the script
+
     def ideal(name: str, polys) -> list[str]:
-        body = ",\n".join("    " + format_poly(p, var_name, space="") for p in polys)
+        body = ",\n".join("    " + format_poly(p, var_name, "", spelled) for p in polys)
         return [opening.format(name), body, closing]
 
     profile = eqset.profile

@@ -28,8 +28,10 @@ the moment it is made.  The constructor takes any (pairs, coefficient) items
 and is the one place they are made canonical; it and ``+`` sort once, as
 they build.  The internal ``_raw_poly`` wraps terms that are canonical and
 in print order by construction: an unpacked result, a variable, and the
-built families of ``scroll`` and ``verify``.  Negation, scaling and
-reduction keep their operand's order.
+built families of ``scroll`` and ``verify``.  It sets the two slots through
+their descriptors' own setters, past the refusing ``__setattr__``, as the
+constructor does.  Negation, scaling and reduction keep their operand's
+order.
 
 Multiplication, powers and substitution compute on a packed form instead
 (Monagan and Pearce, CASC 2007): each operation gives every variable it
@@ -38,11 +40,14 @@ significant, under a total-degree field, so a monomial product is an integer
 addition and within one degree ascending keys are print order.  Each field
 is as wide as an exact bound on the degrees the operation can produce, so no
 field carries into the next.  The operation packs its inputs once and
-unpacks its result once.  A power multiplies the packed base in e - 1 times
-(Gentleman, Math. Comp. 26, 1972; Fateman, Stud. Appl. Math. 53, 1974).  A
-``Substitution`` is a monomial map, every image one term or zero, as the
-scroll's parametrization is: it packs its images once, and then maps each
-term of many polynomials by adding keys.
+unpacks its result once; ``pack`` sums each monomial's key in a plain loop,
+since on Python 3.11 a comprehension per monomial is one more function call
+(``grevlex_key`` and ``Substitution`` loop the same way).  A power
+multiplies the packed base in e - 1 times (Gentleman, Math. Comp. 26, 1972;
+Fateman, Stud. Appl. Math. 53, 1974).  A ``Substitution`` is a monomial
+map, every image one term or zero, as the scroll's parametrization is: it
+packs its images once, and then maps each term of many polynomials by
+adding keys.
 """
 
 from __future__ import annotations
@@ -242,7 +247,11 @@ def grevlex_key(mono: tuple) -> tuple:
     difference decides: weight on the smaller variable, or a smaller
     exponent on the same one, makes the larger monomial.  The tail is a
     list, which compares like a tuple and is cheaper to build."""
-    return (sum([e for _, e in mono]), [(v, -e) for v, e in mono])
+    degree, tail = 0, []
+    for v, e in mono:
+        degree += e
+        tail.append((v, -e))
+    return degree, tail
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +279,8 @@ class Polynomial:
         for pairs, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             mono = monomial(pairs)
             acc[mono] = acc.get(mono, 0) + domain.coerce(coeff)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "terms", _print_order(_canonical(acc, domain.p)))
+        _set_domain(self, domain)
+        _set_terms(self, _print_order(_canonical(acc, domain.p)))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Polynomial is immutable")
@@ -391,13 +400,18 @@ class Polynomial:
         return f"Polynomial({self.domain}, {format_poly(self)})"
 
 
+# The slot descriptors' own setters, which skip the refusing __setattr__.
+_set_domain = Polynomial.domain.__set__
+_set_terms = Polynomial.terms.__set__
+
+
 def _raw_poly(domain: Domain, terms: dict) -> Polynomial:
     # Internal: wraps ``terms`` as they are, so they must already be in
     # canonical form for ``domain`` and in print order, the invariant of
     # every Polynomial; everything else goes through the constructor.
     p = Polynomial.__new__(Polynomial)
-    object.__setattr__(p, "domain", domain)
-    object.__setattr__(p, "terms", terms)
+    _set_domain(p, domain)
+    _set_terms(p, terms)
     return p
 
 
@@ -431,8 +445,13 @@ class _Packing:
         self.mult = {v: degree | degree >> i * width for i, v in enumerate(ordered, 1)}
 
     def pack(self, terms: Mapping[tuple, object]) -> dict[int, object]:
-        mult = self.mult
-        return {sum([e * mult[v] for v, e in m]): c for m, c in terms.items()}
+        mult, packed = self.mult, {}
+        for m, c in terms.items():
+            key = 0
+            for v, e in m:
+                key += e * mult[v]
+            packed[key] = c
+        return packed
 
     def unpack(self, domain: Domain, packed: Mapping[int, object]) -> Polynomial:
         """The polynomial of canonical packed terms, in print order: keys
@@ -496,14 +515,20 @@ class Substitution:
             if len(img.terms) > 1:
                 raise ValueError(f"image of {v.render()} is not a single term: {img}")
             mono, _ = terms[v] = next(iter(img.terms.items()), ((), 0))
-            top = max(top, sum([e for _, e in mono]))
-            variables.update([w for w, _ in mono])
+            degree_v = 0
+            for w, e in mono:
+                degree_v += e
+                variables.add(w)
+            top = max(top, degree_v)
         self.domain, self.degree = domain, degree
         self._packing = _Packing(variables, degree * top)
-        mult = self._packing.mult
-        self._monomials = {
-            v: (sum([e * mult[w] for w, e in mono]), c) for v, (mono, c) in terms.items()
-        }
+        mult, monomials = self._packing.mult, {}
+        for v, (mono, c) in terms.items():
+            key = 0
+            for w, e in mono:
+                key += e * mult[w]
+            monomials[v] = (key, c)
+        self._monomials = monomials
 
     def _images(self, polys: Iterable[Polynomial]):
         """The packed image of each of ``polys``, in turn: each term's image
@@ -555,18 +580,21 @@ def int_text(n: int) -> str:
     return "-" * (n < 0) + (f"{int_text(high)}{low:0500d}" if high else str(low))
 
 
-def format_poly(p: Polynomial, var_name=VarId.render, space: str = " ") -> str:
+def format_poly(p: Polynomial, var_name=VarId.render, space: str = " ",
+                spelled: dict[tuple[VarId, int], str] | None = None) -> str:
     """Text of ``p``: terms in descending order, ``-`` folded into the joiner.
 
     ``var_name`` spells each variable and ``space`` pads the ``+``/``-``
     joiners.  The defaults give the canonical text that ``textio.parse_poly``
     reads; the script exporters pass their dialect's names and no padding.
-    Each distinct (variable, exponent) factor is spelled once per call.
+    Each distinct (variable, exponent) factor is spelled once into
+    ``spelled``: a new table, or one that a printer passes to every call of
+    one output with the same ``var_name``.
     """
     if not p.terms:
         return "0"
     plus, minus = f"{space}+{space}", f"{space}-{space}"
-    spelled: dict[tuple[VarId, int], str] = {}
+    spelled = {} if spelled is None else spelled
     parts: list[str] = []
     for mono, coeff in p.terms.items():
         try:

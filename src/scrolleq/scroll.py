@@ -89,21 +89,20 @@ def minors_2x2(profile: ScrollProfile) -> list[Polynomial]:
 
     Distinct column pairs carry distinct variable entries, so the list is
     duplicate-free, and the two monomials of a minor always differ.  The
-    term without the smallest variable, top-left, prints first.
+    term without the smallest variable, top-left, prints first.  Each
+    monomial is built sorted from shared ``(variable, 1)`` pairs: top-left
+    < bottom-right, and bottom-left <= top-right, with equality exactly for
+    adjacent columns of one block, where the product is a square.
     """
-    columns = [(VarId(NS_SCROLL, i, j), VarId(NS_SCROLL, i, j + 1))
-               for i, ni in enumerate(profile.n, start=1) for j in range(ni)]
+    columns = []
+    for i, ni in enumerate(profile.n, start=1):
+        x = [(VarId(NS_SCROLL, i, j), 1) for j in range(ni + 1)]
+        columns += [(x[j], x[j + 1], ((x[j + 1][0], 2),)) for j in range(ni)]
     return [
-        _raw_poly(ZZ, {_product(bottom1, top2): -1, _product(top1, bottom2): 1})
-        for (top1, bottom1), (top2, bottom2) in itertools.combinations(columns, 2)
+        _raw_poly(ZZ, {(bottom1, top2) if bottom1 is not top2 else square1: -1,
+                       (top1, bottom2): 1})
+        for (top1, bottom1, square1), (top2, bottom2, _) in itertools.combinations(columns, 2)
     ]
-
-
-def _product(a: VarId, b: VarId) -> tuple:
-    # Adjacent columns of one block share a variable, which becomes a square.
-    if a == b:
-        return ((a, 2),)
-    return ((a, 1), (b, 1)) if a < b else ((b, 1), (a, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,10 @@ w=4, v=5, u[i]=1000+i, t[i]=2000+i).  Entries are sorted by (i, j) and terms
 appear in descending canonical order, so the serialization is byte-stable.
 Each call below keeps its own tables, shared with no other call: ``parse_poly``
 builds each distinct variable once, ``poly_from_json`` decodes each distinct
-``(i, j)`` once and ``polys_json_text`` renders each distinct factor once.
+``(i, j)`` once and ``polys_json_text`` renders each distinct factor once
+across all the polynomials it is given.  The text printers do the same with
+one spelling table per output: ``equations`` passes one to every
+``format_poly`` call of its listing, and ``export.cas_script`` one per script.
 """
 
 from __future__ import annotations
@@ -217,8 +220,6 @@ _AUX_CODES = {AUX_S: 1, AUX_T: 2, AUX_Z: 3, AUX_W: 4, AUX_V: 5}
 _CODES_AUX = {code: kind for kind, code in _AUX_CODES.items()}
 _U_BASE = 1000
 _TI_BASE = 2000
-# The coefficient text that format_poly writes.
-_COEFF = re.compile(r"-?[0-9]+")
 
 
 def _encode_var(v: VarId) -> tuple[int, int]:
@@ -249,7 +250,10 @@ def _decode_var(i: int, j: int) -> VarId:
 
 
 def _coeff_from_string(s: str, dom: Domain):
-    if not (isinstance(s, str) and _COEFF.fullmatch(s)):
+    # Exactly the text format_poly writes, -?[0-9]+: int() would also take
+    # signs, spaces, underscores and non-ASCII digits, and isdigit() "\u00b2".
+    digits = s.removeprefix("-") if isinstance(s, str) else ""
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid coefficient {s!r}")
     try:
         value = int(s)

@@ -30,6 +30,15 @@ def test_equations_2234(capsys):
     assert any(l.endswith("# weight[7]") for l in gen_lines)
 
 
+@pytest.mark.parametrize("n", [(3,), (1, 1, 1), (2, 3, 2, 4, 3)], ids=str)
+def test_equations_lines_are_each_generator_printed_alone(capsys, n):
+    # The listing shares one spelling table across its generators.
+    assert run(["--profile", ",".join(map(str, n)), "equations"]) == 0
+    gen_lines = [l for l in lines_of(capsys) if not l.startswith("#")]
+    system = scroll.equation_set(scroll.build_profile(n)).system()
+    assert gen_lines == [f"{p}  # {label}" for label, p in system]
+
+
 def test_equations_two_quadric_blocks(capsys):
     assert run(["--profile", "2,2", "equations"]) == 0
     gen_lines = [l for l in lines_of(capsys) if not l.startswith("#")]
@@ -610,6 +619,9 @@ PINNED_OUTPUTS = [
     # coordinate per level: 49 points visited.
     (["--profile", "4", "enumerate", "--field", "3"],
      "2f23e69450fce3633b381a6c8d967f60638b81fdfbda08034bb631055d0a5b2d"),
+    # The m2 script of this profile is pinned above.
+    (["--profile", "2,2,3,4", "export", "--format", "singular"],
+     "a39ccc33950c655c82093dcb4a0a5fde5be987d13d6204de0c3ddee8b3bee0b3"),
 ]
 
 

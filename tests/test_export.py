@@ -2,8 +2,18 @@
 
 import pytest
 
-from scrolleq import ZZ, Polynomial, build_profile, equation_set, u_var, x_var
+from scrolleq import ZZ, Polynomial, VarId, build_profile, equation_set, format_poly, u_var, x_var
 from scrolleq.export import cas_script
+
+# A grid of profiles with n_i = 1 blocks, repeated and swapped degrees, and
+# one weight generator of several bridges.
+GRID = [(1,), (4,), (1, 1), (2, 3), (3, 2), (1, 2, 3), (2, 2, 3, 4), (1, 1, 1, 1, 1)]
+# Each printer's spelling and padding: plain text, Macaulay2 and Singular.
+SPELLINGS = {
+    "plain": (VarId.render, " "),
+    "m2": (lambda v: f"x_({v.block},{v.slot})", ""),
+    "singular": (lambda v: f"x({v.block})({v.slot})", ""),
+}
 
 
 def test_scripts_are_deterministic():
@@ -50,6 +60,22 @@ def test_dialect_dispatch():
     assert cas_script(eqset, "singular").startswith("// defining system")
     with pytest.raises(ValueError, match="unknown dialect 'maple' \\(supported: m2, singular\\)"):
         cas_script(eqset, "maple")
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+@pytest.mark.parametrize("n", GRID, ids=str)
+def test_a_shared_spelling_table_gives_the_bytes_of_one_table_per_call(n, spelling):
+    var_name, space = SPELLINGS[spelling]
+    eqset = equation_set(build_profile(n))
+    polys = [p for _, p in eqset.system()] + list(eqset.minor_gens)
+    spelled = {}
+    shared = [format_poly(p, var_name, space, spelled) for p in polys]
+    assert shared == [format_poly(p, var_name, space) for p in polys]
+    assert len(spelled) == len({f for p in polys for mono in p.terms for f in mono})
+    if spelling != "plain":
+        # The script's ideals are those texts, one per line.
+        lines = {line.removesuffix(",") for line in cas_script(eqset, spelling).splitlines()}
+        assert all("    " + text in lines for text in shared)
 
 
 def test_rendering_has_no_canonical_text_syntax():

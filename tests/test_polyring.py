@@ -470,6 +470,25 @@ def test_polynomials_compare_by_value_and_have_no_hash():
         hash(conic())
 
 
+@pytest.mark.parametrize("make", [
+    lambda: polyring._raw_poly(ZZ, {((X0, 1),): 1}),
+    lambda: Polynomial.variable(X0),
+    lambda: var(X0) * var(X1),
+    conic,
+], ids=["raw", "variable", "product", "constructor"])
+def test_slots_cannot_be_assigned(make):
+    # _raw_poly and the constructor fill the slots past __setattr__, which
+    # still refuses every assignment.
+    p = make()
+    with pytest.raises(AttributeError, match="Polynomial is immutable"):
+        p.terms = {}
+    with pytest.raises(AttributeError, match="Polynomial is immutable"):
+        p.domain = GF(3)
+    with pytest.raises(AttributeError):
+        p.extra = 1
+    assert p.domain == ZZ and p.terms
+
+
 def test_monomial_rejects_negative_exponents():
     with pytest.raises(ValueError):
         monomial({X0: -1})

@@ -94,21 +94,32 @@ def test_minor_count_and_dedup():
 
 
 def test_minors_match_products_of_variables():
-    # Every profile with d <= 4 and block degrees 1-3 (orders included).
+    # Every profile with d <= 4 and block degrees 1-3 (orders included), so
+    # n_i = 1 blocks and adjacent columns, whose product is a square.
     for d in range(1, 5):
         for n in itertools.product((1, 2, 3), repeat=d):
             # Row 1 of the matrix, and row 2: row 1 shifted by one slot.
             top = [x_var(i, j) for i, ni in enumerate(n, start=1) for j in range(ni)]
             bottom = [x_var(v.block, v.slot + 1) for v in top]
-            expected = [
+            pairs = list(itertools.combinations(range(len(top)), 2))
+            products = [
                 Polynomial.variable(top[c1]) * Polynomial.variable(bottom[c2])
                 - Polynomial.variable(bottom[c1]) * Polynomial.variable(top[c2])
-                for c1 in range(len(top))
-                for c2 in range(c1 + 1, len(top))
+                for c1, c2 in pairs
+            ]
+            # The determinant definition through the constructor, which sorts
+            # each monomial, merges a square and orders the terms itself.
+            determinants = [
+                Polynomial(ZZ, [([(top[c1], 1), (bottom[c2], 1)], 1),
+                                ([(bottom[c1], 1), (top[c2], 1)], -1)])
+                for c1, c2 in pairs
             ]
             minors = minors_2x2(build_profile(n))
-            assert minors == expected, n
-            assert all(list(m.terms.items()) == list(e.terms.items()) for m, e in zip(minors, expected))
+            assert minors == products == determinants, n
+            # Equal dicts may differ in order; the print order must not.
+            orders = [[list(p.terms.items()) for p in family]
+                      for family in (minors, products, determinants)]
+            assert orders[0] == orders[1] == orders[2], n
 
 
 # -- curve equations ---------------------------------------------------------------

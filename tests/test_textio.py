@@ -1,6 +1,7 @@
 """Parser, printer and JSON serialization tests."""
 
 import json
+import re
 import sys
 
 import pytest
@@ -22,7 +23,7 @@ from scrolleq import (
     u_var,
     x_var,
 )
-from scrolleq.textio import MAX_EXPONENT, polys_json_text
+from scrolleq.textio import MAX_EXPONENT, domain_to_json, polys_json_text
 
 X0, X1, X2 = x_var(1, 0), x_var(1, 1), x_var(1, 2)
 
@@ -321,11 +322,22 @@ def test_json_refuses_a_modulus_that_is_not_prime():
 
 @pytest.mark.parametrize("coeff", [
     "1_000", " 7 ", "7\n", "\u0663", "+5", "7/-2", "1/2/3", "1.5", "", 5, None,
+    # Near misses of -?[0-9]+: int() takes " 5" and "5_000", and
+    # str.isdigit() takes "\u00b2", a superscript two.
+    "-", " 5", "5_000", "0x5", "1.0", "\u00b2", "-\u0663", "--5", "-+5",
 ])
 def test_json_refuses_coefficients_outside_the_documented_form(coeff):
     doc = {"domain": "Z", "terms": [{"coeff": coeff, "exps": [[1, 0, 1]]}]}
-    with pytest.raises(ValueError, match="invalid coefficient"):
+    with pytest.raises(ValueError, match=f"^invalid coefficient {re.escape(repr(coeff))}$"):
         poly_from_json(doc)
+
+
+@pytest.mark.parametrize("dom", [ZZ, GF(7)], ids=str)
+def test_json_minus_zero_is_a_zero_coefficient(dom):
+    # "-0" is in the documented form -?[0-9]+; its term drops out.
+    doc = {"domain": domain_to_json(dom),
+           "terms": [{"coeff": "-0", "exps": [[1, 0, 1]]}, {"coeff": "-007", "exps": []}]}
+    assert poly_from_json(doc) == Polynomial(dom, [((), -7)])
 
 
 @needs_digit_limit
