@@ -302,7 +302,14 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """Largest term degree; -1 for the zero polynomial."""
-        return max((sum(e for _, e in m) for m in self.terms), default=-1)
+        top = -1
+        for m in self.terms:
+            degree = 0
+            for _, e in m:
+                degree += e
+            if degree > top:
+                top = degree
+        return top
 
     def num_terms(self) -> int:
         return len(self.terms)
@@ -462,10 +469,14 @@ class _Packing:
         keys = sorted(packed)
         if keys and keys[0] >> top != keys[-1] >> top:
             keys.sort(key=lambda key: -(key >> top))  # stable: keeps each degree's order
-        return _raw_poly(domain, {
-            tuple([(v, e) for v, s in fields if (e := key >> s & mask)]): packed[key]
-            for key in keys
-        })
+        terms = {}
+        for key in keys:
+            mono = []
+            for v, s in fields:
+                if e := key >> s & mask:
+                    mono.append((v, e))
+            terms[tuple(mono)] = packed[key]
+        return _raw_poly(domain, terms)
 
 
 def _canonical(packed: dict, p: int | None) -> dict:

@@ -262,28 +262,58 @@ def plucker_identity(d: int) -> tuple[bool, str]:
 
 
 def _flat(summands: Summands, index: Mapping[VarId, int], q: int) -> tuple:
-    """A generator as the walk evaluates it, over GF(q): per summand, its
-    terms as (coefficient mod q, coordinate indices, each repeated by its
-    exponent), without the terms whose coefficient q divides, and its power.
-    This is the flat form of each polynomial's ``reduce_mod(q)``."""
-    return tuple([
-        (tuple([(r, tuple([index[v] for v, e in mono for _ in range(e)]))
-                for mono, c in poly.terms.items() if (r := c % q)]), power)
-        for poly, power in summands
-    ])
+    """A generator as the walk evaluates it over GF(q), the flat form of
+    each summand's ``reduce_mod(q)``: (top, pairs, others, powered).  A term
+    is its coefficient mod q and its coordinate indices, each repeated by its
+    exponent, and a term whose coefficient q divides is dropped.  The terms
+    of every summand of power 1 make one sum: those of degree 2 in ``pairs``
+    as (c, i, j), the rest in ``others`` as (c, indices).  Each summand of a
+    higher power is (pairs, others, power) in ``powered``.  ``top`` is the
+    largest index of a kept term, or -1 if there is none."""
+    top, pairs, others, powered = -1, [], [], []
+    for poly, power in summands:
+        two, rest = (pairs, others) if power == 1 else ([], [])
+        for mono, c in poly.terms.items():
+            c %= q
+            if not c:
+                continue
+            idx = ()
+            for v, e in mono:
+                k = index[v]
+                idx += (k,) * e
+                if k > top:
+                    top = k
+            if len(idx) == 2:
+                two.append((c, *idx))
+            else:
+                rest.append((c, idx))
+        if power != 1:
+            powered.append((tuple(two), tuple(rest), power))
+    return top, tuple(pairs), tuple(others), tuple(powered)
 
 
 def _vanishes(gens: Sequence[tuple], x: Sequence[int], q: int) -> bool:
-    """Whether every flat generator is 0 mod q at the coordinates ``x``."""
-    for gen in gens:
+    """Whether every flat generator (see ``_flat``) is 0 mod q at the
+    coordinates ``x``: its sum of terms plus each powered sum's power."""
+    for _, pairs, others, powered in gens:
         total = 0
-        for terms, power in gen:
-            acc = 0
-            for c, idx in terms:
+        for c, i, j in pairs:
+            total += c * x[i] * x[j]
+        if others:  # a test is cheaper than a loop over nothing, and most are empty
+            for c, idx in others:
                 for i in idx:
                     c *= x[i]
-                acc += c
-            total += acc if power == 1 else pow(acc, power, q)
+                total += c
+        if powered:
+            for two, rest, power in powered:
+                acc = 0
+                for c, i, j in two:
+                    acc += c * x[i] * x[j]
+                for c, idx in rest:
+                    for i in idx:
+                        c *= x[i]
+                    acc += c
+                total += pow(acc, power, q)
         if total % q:
             return False
     return True
@@ -296,21 +326,28 @@ def _walk(
     1) of the product of the levels' cones; return (nodes, system hits,
     minor hits), the hits sorted flat coordinate tuples.
 
-    A level is the variables it sets and its cone's leading-1
+    A level is the k variables it sets and its cone's leading-1
     representatives, each flagged as on the system and on the minors, or
-    None for a bare coordinate, whose cone is GF(q).  Generators are flat
-    (see ``_flat``), indexed by coordinate position in level order.  Each is
-    evaluated at the first level where all its variables are set, and a
-    prefix is pruned once it is off both.  The leaves plus the
+    None for the whole space GF(q)^k.  A whole-space level's representatives
+    are made here, after the caller's budget check, and under a nonzero
+    prefix its choices are made as they are walked: q may be as large as
+    the budget.  Generators are flat (see ``_flat``), indexed by coordinate
+    position in level order.  Each is evaluated at the first level where
+    all its variables are set, and a prefix is pruned once it is off both.
+    A node is one choice at one level, so a whole-space level of k
+    coordinates is one node per choice, not k.  The leaves plus the
     candidates under every pruned prefix must be the ``size`` candidates,
     or the walk raises AssertionError.  Its stack is a list, not the
     interpreter's, so the recursion limit does not bound its depth.
     """
     spans, level_at, true = [], [], itertools.repeat(True)
     for depth, (vs, reps) in enumerate(levels, start=1):
-        zero = ((0,) * len(vs), True, True)
-        if reps is None:  # q may be as large as the budget, so GF(q) is made as it is walked
-            reps, high = [((1,), True, True)], lambda: zip(zip(range(q)), true, true)
+        k = len(vs)
+        zero = ((0,) * k, True, True)
+        if reps is None:  # the leading 1 at each position, then anything after it
+            reps = [((0,) * (k - 1 - j) + (1,) + rest, True, True)
+                    for j in range(k) for rest in itertools.product(range(q), repeat=j)]
+            high = lambda k=k: zip(itertools.product(range(q), repeat=k), true, true)
         else:
             cone = [(tuple(c * y % q for y in r), s, m) for c in range(1, q) for r, s, m in reps]
             high = sorted([zero, *cone]).__iter__
@@ -320,8 +357,7 @@ def _walk(
     at = ([[] for _ in range(len(levels) + 1)], [[] for _ in range(len(levels) + 1)])
     for depths, gens in zip(at, (system, minors)):
         for gen in gens:
-            tops = [max(idx) for terms, _ in gen for _, idx in terms if idx]
-            depths[level_at[max(tops)] if tops else 1].append(gen)
+            depths[level_at[gen[0]] if gen[0] >= 0 else 1].append(gen)
     # The candidates under a nonzero prefix of each depth; under the zero
     # prefix there are (full - 1)/(q - 1), one per line through zero.
     full = [1]
@@ -461,7 +497,9 @@ def compare_varieties(eqset: EquationSet, q: int, budget: int = DEFAULT_BUDGET) 
 
 def _loci(eqset: EquationSet, q: int, budget: int) -> tuple[int, list, list]:
     """(walk nodes, system locus, minor locus) over GF(q), as
-    ``compare_varieties`` computes them."""
+    ``compare_varieties`` computes them: the block walks, then one product
+    walk with a level per block, the whole space GF(q)^2 for an n_i = 1
+    block, charged its q^2 choices before the walk makes any of them."""
     profile = eqset.profile
     blocks = [[x_var(i, j) for j in range(ni + 1)] for i, ni in enumerate(profile.n, start=1)]
     # The curve equations and within-block minors of each block, by block
@@ -471,7 +509,7 @@ def _loci(eqset: EquationSet, q: int, budget: int) -> tuple[int, list, list]:
         scans.setdefault(i - 1, ([], []))[0].append(p)
     cross = []
     for p in eqset.minor_gens:
-        at = {v.block for v in p.variables()}
+        at = {v.block for mono in p.terms for v, _ in mono}
         if len(at) == 1:
             scans.setdefault(at.pop() - 1, ([], []))[1].append(p)
         else:
@@ -490,21 +528,24 @@ def _loci(eqset: EquationSet, q: int, budget: int) -> tuple[int, list, list]:
         slots = {v: v.slot for v in blocks[i]}
         shape = tuple(tuple([_flat([(p, 1)], slots, q) for p in group]) for group in groups)
         if shape not in by_shape:
-            if any(len({len(idx) for _, idx in terms}) > 1 for (terms, _), in sum(shape, ())):
+            if any((pairs and others) or len({len(idx) for _, idx in others}) > 1
+                   for _, pairs, others, _ in sum(shape, ())):
                 raise ValueError(f"block {i + 1}: an equation is not homogeneous over GF({q})")
             nodes, *hits = _projective_scan(*shape, blocks[i], q)
             visited += nodes
             on_z, on_m = map(set, hits)
             by_shape[shape] = [(r, r in on_z, r in on_m) for r in sorted(on_z | on_m)]
         flagged[i] = by_shape[shape]
-    # A level per block cone, or per coordinate of an unscanned block.  The
-    # flags stand in for the curve equations and within-block minors.
-    levels = []
-    for i, block in enumerate(blocks):
-        levels += [(block, flagged[i])] if i in flagged else [([v], None) for v in block]
+    # A level per block cone: walked, or None for the whole space GF(q)^2 of
+    # an n_i = 1 block; a single block has a level per coordinate.  The flags
+    # stand in for the curve equations and within-block minors.
+    if profile.d == 1:
+        levels = [([v], None) for v in blocks[0]]
+    else:
+        levels = [(block, flagged.get(i)) for i, block in enumerate(blocks)]
     # The canonical points of the product of the cones, one per line through
     # zero; a cone is zero and q - 1 multiples of each representative.
-    cones = [q if reps is None else 1 + (q - 1) * len(reps) for _, reps in levels]
+    cones = [q ** len(vs) if reps is None else 1 + (q - 1) * len(reps) for vs, reps in levels]
     size = (math.prod(cones) - 1) // (q - 1)
     _check_budget(size * (eqset.system_size + len(eqset.minor_gens)), budget)
     index = {v: k for k, v in enumerate([v for vs, _ in levels for v in vs])}

@@ -719,7 +719,8 @@ def test_walk_matches_brute_force(q, data):
     # variables are set, and prunes a prefix once it is off both groups.
     # The zero polynomial rules no point out and a nonzero constant rules out
     # every point from the root; the first group is walked with the first,
-    # then with both.
+    # then with both.  The first two coordinates walked as one whole-space
+    # level GF(q)^2 give the same hits as one level each.
     variables = VARS[:4]
     first, second = (
         data.draw(st.lists(polys(GF(q), max_terms=4, pool=variables), max_size=3))
@@ -735,6 +736,12 @@ def test_walk_matches_brute_force(q, data):
         )
         assert hits == enumerate_variety(system, variables, q)
         assert other == enumerate_variety(second, variables, q)
+        levels = [(variables[:2], None)] + [([v], None) for v in variables[2:]]
+        _, grouped, grouped_other = verify._walk(
+            levels, [verify._flat([(g, 1)], index, q) for g in system],
+            [verify._flat([(g, 1)], index, q) for g in second], verify.projective_size(4, q), q
+        )
+        assert (grouped, grouped_other) == (hits, other)
 
 
 # -- parse / print round trip --------------------------------------------------------

@@ -467,13 +467,36 @@ def bump_curve(eqset, block, index, delta=1):
     return eqset._replace(curve_gens=tuple(curves))
 
 
+def bump_bridge(eqset, pair, delta=1):
+    """The equation set with one coefficient of bridge ``pair`` raised by ``delta``."""
+    p = eqset.bridges[pair]
+    lead, _ = list(p.terms.items())[0]
+    return eqset._replace(bridges={**eqset.bridges, pair: p + Polynomial(ZZ, {lead: delta})})
+
+
+def bump_minor(eqset, index, delta=1):
+    """The equation set with one coefficient of minor ``index`` raised by ``delta``."""
+    minors = list(eqset.minor_gens)
+    lead, _ = list(minors[index].terms.items())[0]
+    minors[index] = minors[index] + Polynomial(ZZ, {lead: delta})
+    return eqset._replace(minor_gens=tuple(minors))
+
+
 @pytest.mark.parametrize("mutate, args, n, q", [
     (drop_bridge, (5,), (2, 2, 3, 4), 2),
     (drop_bridge, (5,), (1, 1, 1, 1), 3),
     (bump_curve, (1, 1), (2, 2), 3),
     (bump_curve, (2, 1), (2, 3), 2),
     (bump_curve, (2, 1), (3, 3), 2),
-], ids=["bridge-2234-q2", "bridge-1111-q3", "curve-22-q3", "curve-23-q2", "curve-33-q2"])
+    # Each of these touches an n_i = 1 block, walked as one whole-space level.
+    (bump_bridge, ((1, 2),), (1, 1), 3),
+    (bump_bridge, ((2, 3),), (2, 1, 3), 2),
+    (bump_minor, (0,), (1, 2), 3),
+    (bump_minor, (1,), (1, 1, 2), 3),
+    (bump_minor, (2,), (1, 1, 1), 5),
+], ids=["bridge-2234-q2", "bridge-1111-q3", "curve-22-q3", "curve-23-q2", "curve-33-q2",
+        "bump-bridge-11-q3", "bump-bridge-213-q2", "bump-minor-12-q3", "bump-minor-112-q3",
+        "bump-minor-111-q5"])
 def test_factored_loci_match_oracle_on_mutated_systems(mutate, args, n, q):
     # A mutant system cuts out points off the scroll, so both loci must come
     # out exactly as the whole-space scans find them.  A changed curve
@@ -494,6 +517,30 @@ def test_factored_loci_match_oracle_on_mutated_systems(mutate, args, n, q):
     else:
         report = compare_varieties(eqset, q)
         assert report.witnesses == witnesses and not report.passed
+
+
+# Profiles with n_i = 1 blocks first, in the middle and last, each walked
+# as one whole-space level GF(q)^2 in the product walk.
+WHOLE_SPACE_CASES = [((1, 1), 2), ((1, 1), 3), ((1, 1), 5), ((1, 1), 7), ((1, 2), 3),
+                     ((2, 1, 3), 2), ((1, 1, 2), 3), ((1, 1, 1), 5)]
+
+
+@pytest.mark.parametrize("n, q", WHOLE_SPACE_CASES)
+def test_whole_space_levels_match_oracle(n, q):
+    eqset = equation_set(build_profile(n))
+    system, minors = whole_space_loci(eqset, q)
+    _, in_system, in_minors = verify._loci(eqset, q, DEFAULT_BUDGET)
+    assert (in_system, in_minors) == (system, minors)
+    report = compare_varieties(eqset, q)
+    assert (report.count_j, report.count_p) == (len(system), len(minors))
+    assert report.witnesses == tuple(sorted(set(system) - set(minors))) == ()
+
+
+@pytest.mark.parametrize("n, q, nodes", [((1, 1), 3, 46), ((1, 2, 2), 3, 216), ((1,), 3, 7)])
+def test_an_n1_block_is_one_node_per_choice(n, q, nodes):
+    # With d >= 2 an n_i = 1 block is one level, one node per choice in
+    # GF(q)^2 it tries; a single block keeps a level per coordinate.
+    assert verify._loci(equation_set(build_profile(n)), q, DEFAULT_BUDGET)[0] == nodes
 
 
 def test_each_check_reports_the_profile_of_the_equation_set_it_checks():
@@ -545,12 +592,22 @@ def test_an_inhomogeneous_block_equation_is_refused(n, coeff):
 
 
 def flat_reduced(summands, index, q):
-    """The flat form of each summand's ``reduce_mod(q)``, read term by term."""
-    return tuple(
-        (tuple((c, tuple(index[v] for v, e in mono for _ in range(e)))
-               for mono, c in p.reduce_mod(q).terms.items()), power)
-        for p, power in summands
-    )
+    """The flat form of the summands' ``reduce_mod(q)``, read term by term:
+    the largest index (-1 if none), the degree-2 terms and the other terms
+    of the summands of power 1, and each summand of a higher power."""
+    merged, powered, indices = ([], []), [], [-1]
+    for p, power in summands:
+        sums = merged if power == 1 else ([], [])
+        for mono, c in p.reduce_mod(q).terms.items():
+            idx = tuple(index[v] for v, e in mono for _ in range(e))
+            indices += idx
+            if len(idx) == 2:
+                sums[0].append((c, *idx))
+            else:
+                sums[1].append((c, idx))
+        if power != 1:
+            powered.append((tuple(sums[0]), tuple(sums[1]), power))
+    return max(indices), tuple(merged[0]), tuple(merged[1]), tuple(powered)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -566,7 +623,9 @@ def test_flat_generators_are_the_reduced_polynomials(q):
     for summands in generators:
         flat = verify._flat(summands, index, q)
         assert flat == flat_reduced(summands, index, q)
-        dropped += sum(p.num_terms() - len(terms) for (p, _), (terms, _) in zip(summands, flat))
+        _, pairs, others, powered = flat
+        kept = len(pairs) + len(others) + sum(len(two) + len(rest) for two, rest, _ in powered)
+        dropped += sum(p.num_terms() for p, _ in summands) - kept
     assert dropped > 0
 
 
